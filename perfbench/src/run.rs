@@ -20,7 +20,7 @@ pub struct Setup<'a> {
     pub workload: Workload,
     pub inputs: &'a Inputs,
     pub seed: u64,
-    /// Rounds start until this many seconds have passed.
+    /// About how long the timed rounds last.
     pub seconds: f64,
     /// Where operations may write (checkpoints).
     pub workdir: &'a Path,
@@ -72,19 +72,28 @@ fn verify(
     Ok(printed)
 }
 
-/// Runs whole rounds of the workload until `seconds` have passed (at least
-/// one); returns how many.
+/// Runs whole rounds of the workload for about `seconds` (at least one); returns
+/// how many. Another round starts only when, at the mean round length so far,
+/// it would end nearer to `seconds` than stopping now, so a run overshoots by at
+/// most half a round.
 fn rounds(s: &Setup, mut each: impl FnMut(&Op)) -> u64 {
     let start = Instant::now();
     let mut round = 0;
-    while round == 0 || start.elapsed().as_secs_f64() < s.seconds {
+    loop {
         for op in s.workload.round(s.inputs, s.seed, round, s.workdir) {
             each(&op);
         }
         round += 1;
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed + 0.5 * elapsed / round as f64 >= s.seconds {
+            return round;
+        }
     }
-    round
 }
+
+/// The round whose first operation warms up an untimed run; no timed run
+/// gets this far.
+const WARM_UP_ROUND: u64 = 1 << 31;
 
 /// Peak resident set of this process (`VmHWM`), in MiB. Inputs are
 /// generated in another process, so this is the largest operation's peak.
@@ -97,32 +106,43 @@ pub fn peak_rss_mib() -> f64 {
     kib.map_or(f64::NAN, |kib| kib / 1024.0)
 }
 
-/// The untraced run: end-to-end metrics, every answer checked. Returns the
-/// report and the number of rounds run.
+/// The untraced run: end-to-end metrics, every answer checked. One untimed
+/// operation first warms up code, allocator and page cache; it is checked
+/// and counted like the others. Returns the report and the number of timed
+/// rounds.
 pub fn measure(s: &Setup) -> (Report, u64) {
-    let (mut loads, mut walls, mut attempted) = (Vec::new(), Vec::new(), 0u64);
-    let start = Instant::now();
-    let rounds = rounds(s, |op| {
+    let (mut loads, mut walls, mut attempted, mut failed) = (Vec::new(), Vec::new(), 0u64, 0u64);
+    let mut run = |op: &Op| {
         attempted += 1;
         let run = run_cli(&op.args, &s.inputs.graphs[op.graph].path);
         match verify(op, s.inputs, run.output) {
-            Ok(_) => {
-                loads.push(run.load_s);
-                walls.push(run.wall_s);
+            Ok(_) => Some((run.load_s, run.wall_s)),
+            Err(e) => {
+                failed += 1;
+                eprintln!("failed: mhbc {}: {e}", op.args.join(" "));
+                None
             }
-            Err(e) => eprintln!("failed: mhbc {}: {e}", op.args.join(" ")),
+        }
+    };
+    if let Some(op) = s.workload.round(s.inputs, s.seed, WARM_UP_ROUND, s.workdir).first() {
+        run(op);
+    }
+    let start = Instant::now();
+    let rounds = rounds(s, |op| {
+        if let Some((load_s, wall_s)) = run(op) {
+            loads.push(load_s);
+            walls.push(wall_s);
         }
     });
     let list_s = start.elapsed().as_secs_f64();
-    let ok = walls.len() as f64;
     let values = [
         ("setup_s", median(&loads)),
         ("op_s_p50", median(&walls)),
-        ("ops_per_s", ok / list_s),
+        ("ops_per_s", walls.len() as f64 / list_s),
         ("peak_rss_mb", peak_rss_mib()),
-        ("ok_ops_ratio", ok / attempted as f64),
+        ("ok_ops_ratio", (attempted - failed) as f64 / attempted as f64),
     ];
-    (Report::new(END_TO_END, attempted, attempted - walls.len() as u64, &values), rounds)
+    (Report::new(END_TO_END, attempted, failed, &values), rounds)
 }
 
 /// One traced operation's record.
