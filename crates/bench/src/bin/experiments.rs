@@ -12,7 +12,7 @@
 //! performance-trajectory artifacts to the current directory:
 //! `BENCH_kernels.json` (schema v2: per-kernel-mode ns/edge —
 //! legacy/topdown/hybrid/auto — on the T3 workload, and sampler
-//! samples/sec at 1/2/4 threads through the prefetch pipeline on every
+//! samples/sec at 1/2/4 threads through the batch prefetch on every
 //! family) and `BENCH_preproc.json` (graph-reduction ratio, reduced-pass
 //! ns/edge, and sampler samples/sec at `--preprocess off/prune/full` per
 //! T3 graph).
@@ -857,7 +857,7 @@ fn f8(ctx: &Ctx) {
 /// comparable numbers. Also prints the same figures as markdown tables.
 fn perf(ctx: &Ctx) {
     use mhbc_core::{pipeline, PrefetchConfig};
-    use mhbc_spd::{legacy::LegacyBfsSpd, BfsSpd, KernelMode};
+    use mhbc_spd::{legacy::LegacyBfsSpd, BfsSpd, KernelMode, SpdView};
 
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let passes: u32 = if ctx.quick { 30 } else { 100 };
@@ -1024,7 +1024,8 @@ fn perf(ctx: &Ctx) {
             for (ti, &threads) in thread_counts.iter().enumerate() {
                 let prefetch = PrefetchConfig::with_threads(threads);
                 let started = Instant::now();
-                let est = pipeline::run_single(g, r, &config, &prefetch).expect("valid config");
+                let est = pipeline::run_single_view(SpdView::direct(g), r, &config, &prefetch)
+                    .expect("valid config");
                 let secs = started.elapsed().as_secs_f64();
                 if round > 0 {
                     best[ti] = best[ti].min(secs);
@@ -1095,7 +1096,7 @@ fn perf(ctx: &Ctx) {
     // sampler throughput at --preprocess off/prune/full, per T3 graph.
     // Emits `BENCH_preproc.json` next to `BENCH_kernels.json`.
     use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph};
-    use mhbc_spd::{SpdView, ViewCalculator};
+    use mhbc_spd::ViewCalculator;
 
     let levels = [ReduceLevel::Off, ReduceLevel::Prune, ReduceLevel::Full];
     let mut tpre = Table::new(

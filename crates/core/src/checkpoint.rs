@@ -33,6 +33,7 @@
 use crate::CoreError;
 use mhbc_graph::reduce::ReduceLevel;
 use mhbc_graph::CsrGraph;
+use mhbc_mcmc::{ChainSnapshot, ChainStats};
 use mhbc_spd::{KernelMode, SpdView};
 
 /// Format magic.
@@ -268,6 +269,43 @@ impl<'a> Reader<'a> {
     pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
+
+/// Writes a chain snapshot: the state (through `state`), its cached
+/// density, the acceptance counters, and both RNG streams.
+pub(crate) fn save_chain<S>(
+    w: &mut Writer,
+    snap: &ChainSnapshot<S>,
+    state: impl FnOnce(&mut Writer, &S),
+) {
+    state(w, &snap.state);
+    w.f64(snap.density);
+    w.u64(snap.stats.steps);
+    w.u64(snap.stats.accepted);
+    for &x in snap.proposal_rng.iter().chain(&snap.accept_rng) {
+        w.u64(x);
+    }
+}
+
+/// Reads a chain snapshot written by [`save_chain`].
+pub(crate) fn read_chain<S>(
+    r: &mut Reader<'_>,
+    state: impl FnOnce(&mut Reader<'_>) -> Result<S, CoreError>,
+) -> Result<ChainSnapshot<S>, CoreError> {
+    let state = state(r)?;
+    let density = r.f64()?;
+    let stats = ChainStats { steps: r.u64()?, accepted: r.u64()? };
+    let mut words = [0u64; 8];
+    for x in &mut words {
+        *x = r.u64()?;
+    }
+    Ok(ChainSnapshot {
+        state,
+        density,
+        stats,
+        proposal_rng: words[..4].try_into().expect("4 words"),
+        accept_rng: words[4..].try_into().expect("4 words"),
+    })
 }
 
 /// Writes the common header (magic, version, kind, view identity) into `w`.

@@ -37,6 +37,7 @@
 use crate::checkpoint::{
     self, read_header, validate_view, write_header, CheckpointKind, Reader, Writer,
 };
+use crate::pipeline::PrefetchConfig;
 use crate::CoreError;
 use mhbc_mcmc::{DiagnosticsMonitor, StoppingRule};
 use mhbc_spd::SpdView;
@@ -140,6 +141,10 @@ pub trait EngineDriver {
     /// Advances exactly `iters` iterations, appending observations.
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>);
 
+    /// Sets the batch prefetch used by later segments (see
+    /// [`crate::pipeline`]); never changes any output.
+    fn set_prefetch(&mut self, prefetch: PrefetchConfig);
+
     /// Iterations done so far (including before a resume).
     fn iterations(&self) -> u64;
 
@@ -207,6 +212,13 @@ impl<D: EngineDriver> EstimationEngine<D> {
         let buf = Vec::with_capacity(config.segment.min(1 << 16) as usize + 1);
         let started = driver.iterations();
         EstimationEngine { driver, monitor, config, budget, segments, started, buf }
+    }
+
+    /// Runs later segments with `prefetch` (see [`crate::pipeline`]): a
+    /// wall-clock knob that never changes any estimate.
+    pub fn with_prefetch(mut self, prefetch: PrefetchConfig) -> Self {
+        self.driver.set_prefetch(prefetch);
+        self
     }
 
     /// The streaming diagnostics over the observation series so far.
@@ -319,7 +331,23 @@ impl<D: EngineDriver> EstimationEngine<D> {
     }
 }
 
+/// A consumer of checkpoint file images, called at every segment boundary
+/// (the CLI writes them to disk).
+pub type CheckpointSink<'x> = dyn FnMut(Vec<u8>) -> Result<(), CoreError> + 'x;
+
 impl<D: CheckpointDriver> EstimationEngine<D> {
+    /// Runs to completion, feeding every segment boundary's checkpoint to
+    /// `sink` when one is given.
+    pub fn run_checkpointed(
+        self,
+        sink: Option<&mut CheckpointSink<'_>>,
+    ) -> Result<(D::Output, AdaptiveReport), CoreError> {
+        match sink {
+            None => Ok(self.run()),
+            Some(f) => self.run_with(|e| f(e.checkpoint())),
+        }
+    }
+
     /// Serialises the engine's complete state (valid at any segment
     /// boundary) into a versioned checkpoint file image.
     pub fn checkpoint(&self) -> Vec<u8> {

@@ -1,78 +1,70 @@
-//! Parallel multi-chain ensembles.
+//! Multi-chain ensembles.
 //!
 //! Independence MH chains over the same target are embarrassingly parallel,
 //! and — because the stationary law concentrates on the same
 //! high-dependency sources — they share most of their density evaluations.
-//! This module runs `k` chains across threads over one
-//! [`SharedProbeOracle`], pools their
-//! Eq 7 and corrected estimates, and reports the Gelman–Rubin `R̂`
-//! statistic across chains, the standard multi-chain convergence check that
+//! This module runs `k` chains over one [`ProbeOracle`], pools their Eq 7
+//! and corrected estimates, and reports the Gelman–Rubin `R̂` statistic
+//! across chains, the standard multi-chain convergence check that
 //! complements the paper's single-chain guarantee.
 //!
-//! Since the engine refactor the ensemble executes in **segments**: every
-//! chain advances `segment` iterations per round (in parallel, each from
-//! its bit-exact [`mhbc_mcmc::ChainSnapshot`]), the pooled observation
-//! series feeds the streaming diagnostics, and a
-//! [`mhbc_mcmc::StoppingRule`] can end the run at any boundary — where the
-//! whole ensemble state (all chains, accumulators, diagnostics, shared
-//! cache) can also be checkpointed. Per-chain step sequences are unchanged
-//! by segmentation, so fixed-budget results are bit-identical to the
-//! historical run-to-completion ensemble.
+//! The ensemble executes in **segments**: every chain advances `segment`
+//! iterations per round (each from its bit-exact
+//! [`mhbc_mcmc::ChainSnapshot`]), the pooled observation series feeds the
+//! streaming diagnostics, and a [`mhbc_mcmc::StoppingRule`] can end the run
+//! at any boundary — where the whole ensemble state (all chains,
+//! accumulators, diagnostics, shared cache) can also be checkpointed.
 //!
-//! With a parallel [`PrefetchConfig`], each chain additionally gets its own
-//! squad of speculative prefetch workers (chains × pipeline): every chain's
-//! proposal stream is replayed by `threads - 1` workers that warm the
-//! shared cache ahead of it, exactly as in [`crate::pipeline`]. The pooled
-//! estimates are bit-identical whatever the prefetch setting — chain
-//! results depend only on seeds and densities, never on cache timing.
+//! Parallelism is the batch prefetch of [`crate::pipeline`], applied to all
+//! chains at once: before each chunk of at most `depth` iterations, the
+//! distinct uncached sources of *every* chain's upcoming proposals are split
+//! across [`EnsembleConfig::prefetch`]`.threads` calculators, then the
+//! chains step in chain order. Chain results depend only on seeds and
+//! densities, so every estimate is bit-identical at any thread count.
 
-use crate::checkpoint::CheckpointKind;
+use crate::checkpoint::{self, CheckpointKind};
 use crate::engine::{
-    open_checkpoint, AdaptiveReport, CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine,
+    open_checkpoint, AdaptiveReport, CheckpointDriver, CheckpointSink, EngineConfig, EngineDriver,
+    EstimationEngine,
 };
-use crate::oracle::{OracleStats, SharedProbeOracle};
-use crate::pipeline::{
-    derive_streams, prefetch_lane, CheckpointSink, Lane, Pacing, PacingGuard, PrefetchConfig,
-};
-use crate::single::{restore_oracle, save_oracle};
+use crate::oracle::{OracleStats, ProbeOracle};
+use crate::pipeline::{self, PrefetchConfig};
+use crate::single::derive_streams;
 use crate::CoreError;
-use mhbc_graph::{CsrGraph, Vertex};
+use mhbc_graph::Vertex;
 use mhbc_mcmc::diagnostics::RunningMoments;
 use mhbc_mcmc::{fn_target, ChainSnapshot, ChainStats, MetropolisHastings, UniformProposal};
-use mhbc_spd::{SpdView, SpdWorkspacePool};
-use parking_lot::Mutex;
+use mhbc_spd::SpdView;
 use rand::rngs::SmallRng;
-use std::sync::atomic::Ordering;
 
-/// Configuration for [`run_ensemble`].
+/// Configuration for [`run_ensemble_view`].
 #[derive(Debug, Clone)]
 pub struct EnsembleConfig {
-    /// Number of independent chains (one thread each).
+    /// Number of independent chains.
     pub chains: usize,
     /// Iterations per chain (the per-chain budget under adaptive rules).
     pub iterations: u64,
     /// Base seed; chain `c` is seeded with `seed + c`.
     pub seed: u64,
-    /// Per-chain speculative prefetch: a parallel setting spawns
-    /// `threads - 1` extra workers *per chain*, so the total thread count
-    /// is `chains × threads`.
+    /// Batch prefetch across all chains (see the module docs); `threads` is
+    /// the total thread count and `depth` the per-chain chunk length.
     pub prefetch: PrefetchConfig,
 }
 
 impl EnsembleConfig {
-    /// `chains` sequential chains (no prefetch workers).
+    /// `chains` chains prefetching on `chains` threads.
     pub fn new(chains: usize, iterations: u64, seed: u64) -> Self {
-        EnsembleConfig { chains, iterations, seed, prefetch: PrefetchConfig::sequential() }
+        EnsembleConfig { chains, iterations, seed, prefetch: PrefetchConfig::with_threads(chains) }
     }
 
-    /// Attaches a per-chain prefetch pipeline.
+    /// Overrides the prefetch setting.
     pub fn with_prefetch(mut self, prefetch: PrefetchConfig) -> Self {
         self.prefetch = prefetch;
         self
     }
 }
 
-/// One chain's resumable state between segments: the bit-exact chain
+/// One chain's resumable state between chunks: the bit-exact chain
 /// snapshot plus its running estimator partials.
 #[derive(Debug, Clone)]
 struct ChainCell {
@@ -86,7 +78,32 @@ struct ChainCell {
     moments: RunningMoments,
 }
 
-/// Result of a parallel ensemble run.
+impl ChainCell {
+    /// Advances the chain `iters` steps through `oracle` (restoring it from
+    /// its snapshot — no density re-evaluation), appending its observations.
+    fn advance(&mut self, oracle: &mut ProbeOracle<'_>, n: usize, iters: u64, out: &mut Vec<f64>) {
+        let target = fn_target(|v: &Vertex| oracle.dep(*v, 0));
+        let mut chain: MetropolisHastings<_, _, SmallRng> =
+            MetropolisHastings::restore(target, UniformProposal::new(n), self.snap.clone());
+        for _ in 0..iters {
+            let out_step = chain.step();
+            self.sum_delta += out_step.density;
+            self.counted += 1;
+            self.moments.push(out_step.density);
+            if out_step.proposed_density > 0.0 {
+                self.proposals_support += 1;
+            }
+            if out_step.density > 0.0 {
+                self.inv_delta_sum += 1.0 / out_step.density;
+                self.support_counted += 1;
+            }
+            out.push(out_step.density);
+        }
+        self.snap = chain.snapshot();
+    }
+}
+
+/// Result of an ensemble run.
 #[derive(Debug, Clone)]
 pub struct EnsembleEstimate {
     /// Pooled Eq 7 estimate (average over all chains' counted samples).
@@ -105,28 +122,24 @@ pub struct EnsembleEstimate {
     /// adaptive stopping).
     pub iterations_per_chain: u64,
     /// Distinct sources evaluated across the *shared* cache (the whole
-    /// point: `k` chains cost barely more than one). Deterministic for a
-    /// given config — concurrent duplicate computations don't inflate it.
+    /// point: `k` chains cost barely more than one).
     pub spd_passes: u64,
     /// Shared-cache statistics.
     pub oracle_stats: OracleStats,
 }
 
 /// [`EngineDriver`] for the segmented ensemble: each `run_segment` advances
-/// every chain `iters` steps in parallel (restoring each from its snapshot
-/// — no density re-evaluation), then re-snapshots. Iteration counts are
+/// every chain `iters` steps, then re-snapshots. Iteration counts are
 /// **per chain**: the engine budget bounds each chain's length, and the
-/// monitored series interleaves chain segments in chain order
+/// monitored series concatenates the chains' segments in chain order
 /// (deterministic, so adaptive stops are too).
 pub struct EnsembleDriver<'g> {
     view: SpdView<'g>,
     r: Vertex,
     n: usize,
-    chains: usize,
     seed: u64,
     prefetch: PrefetchConfig,
-    oracle: SharedProbeOracle<'g>,
-    pool: SpdWorkspacePool<'g>,
+    oracle: ProbeOracle<'g>,
     cells: Vec<ChainCell>,
     done_per_chain: u64,
     budget: u64,
@@ -135,7 +148,11 @@ pub struct EnsembleDriver<'g> {
 impl<'g> EnsembleDriver<'g> {
     /// Builds the driver and evaluates every chain's initial state (in
     /// chain order — deterministic cache history).
-    fn create(view: SpdView<'g>, r: Vertex, config: &EnsembleConfig) -> Result<Self, CoreError> {
+    pub(crate) fn create(
+        view: SpdView<'g>,
+        r: Vertex,
+        config: &EnsembleConfig,
+    ) -> Result<Self, CoreError> {
         let n = view.num_vertices();
         if n < 3 {
             return Err(CoreError::GraphTooSmall { num_vertices: n });
@@ -147,63 +164,53 @@ impl<'g> EnsembleDriver<'g> {
             return Err(CoreError::PrunedProbe { probe: r });
         }
         assert!(config.chains >= 1, "need at least one chain");
-        let oracle = SharedProbeOracle::for_view(view, &[r]);
-        let pool = SpdWorkspacePool::for_view_workers(
-            view,
-            config.chains * config.prefetch.threads.max(1),
-        );
-        let cells = {
-            let mut calc = pool.checkout();
-            (0..config.chains)
-                .map(|c| {
-                    let (initial, prop_rng, acc_rng) =
-                        derive_streams(config.seed.wrapping_add(c as u64), None, n);
-                    let d0 = oracle.dep(initial, 0, &mut calc);
-                    let mut moments = RunningMoments::new();
-                    moments.push(d0);
-                    let (mut inv, mut support) = (0.0, 0);
-                    if d0 > 0.0 {
-                        inv = 1.0 / d0;
-                        support = 1;
-                    }
-                    ChainCell {
-                        snap: ChainSnapshot {
-                            state: initial,
-                            density: d0,
-                            stats: ChainStats::default(),
-                            proposal_rng: prop_rng.state(),
-                            accept_rng: acc_rng.state(),
-                        },
-                        sum_delta: d0,
-                        counted: 1,
-                        proposals_support: 0,
-                        inv_delta_sum: inv,
-                        support_counted: support,
-                        moments,
-                    }
-                })
-                .collect()
-        };
+        let mut oracle = ProbeOracle::for_view(view, &[r]);
+        let cells = (0..config.chains)
+            .map(|c| {
+                let (initial, prop_rng, acc_rng) =
+                    derive_streams(config.seed.wrapping_add(c as u64), None, n);
+                let d0 = oracle.dep(initial, 0);
+                let mut moments = RunningMoments::new();
+                moments.push(d0);
+                let (mut inv, mut support) = (0.0, 0);
+                if d0 > 0.0 {
+                    inv = 1.0 / d0;
+                    support = 1;
+                }
+                ChainCell {
+                    snap: ChainSnapshot {
+                        state: initial,
+                        density: d0,
+                        stats: ChainStats::default(),
+                        proposal_rng: prop_rng.state(),
+                        accept_rng: acc_rng.state(),
+                    },
+                    sum_delta: d0,
+                    counted: 1,
+                    proposals_support: 0,
+                    inv_delta_sum: inv,
+                    support_counted: support,
+                    moments,
+                }
+            })
+            .collect();
         Ok(EnsembleDriver {
             view,
             r,
             n,
-            chains: config.chains,
             seed: config.seed,
             prefetch: config.prefetch.clone(),
             oracle,
-            pool,
             cells,
             done_per_chain: 0,
             budget: config.iterations,
         })
     }
 
-    /// Wraps the driver in a segmented engine (budget = iterations per
-    /// chain).
-    fn into_engine(self, engine: EngineConfig) -> EstimationEngine<EnsembleDriver<'g>> {
-        let budget = self.budget;
-        EstimationEngine::new(self, budget, engine)
+    /// The shared density oracle (its counters are the run's SPD-pass
+    /// record).
+    pub fn oracle(&self) -> &ProbeOracle<'g> {
+        &self.oracle
     }
 }
 
@@ -217,81 +224,26 @@ impl EngineDriver for EnsembleDriver<'_> {
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let workers_per_chain = self.prefetch.threads.saturating_sub(1) as u64;
-        let depth = self.prefetch.depth.max(workers_per_chain);
-        let pacings: Vec<Pacing> = (0..self.chains).map(|_| Pacing::committed_to(iters)).collect();
-        let results: Mutex<Vec<(usize, ChainCell, Vec<f64>)>> =
-            Mutex::new(Vec::with_capacity(self.chains));
-
-        crossbeam::thread::scope(|scope| {
-            for (c, cell_ref) in self.cells.iter().enumerate() {
-                // The squads replay the chain's proposal stream from the
-                // same snapshot position.
-                let replay_state = cell_ref.snap.proposal_rng;
-                let cell = cell_ref.clone();
-                let (oracle, pool, results) = (&self.oracle, &self.pool, &results);
-                let pacing = &pacings[c];
-                let n = self.n;
-                scope.spawn(move |_| {
-                    let mut calc = pool.checkout();
-                    let target = fn_target(|v: &Vertex| oracle.dep(*v, 0, &mut calc));
-                    let mut chain: MetropolisHastings<_, _, SmallRng> = MetropolisHastings::restore(
-                        target,
-                        UniformProposal::new(n),
-                        cell.snap.clone(),
-                    );
-                    let mut cell = cell;
-                    let mut series = Vec::with_capacity(iters as usize);
-                    // Released on drop — including panic — so this chain's
-                    // prefetch squad can never spin forever.
-                    let guard = PacingGuard(pacing);
-                    for t in 1..=iters {
-                        guard.0.progress.store(t, Ordering::Release);
-                        let out = chain.step();
-                        cell.sum_delta += out.density;
-                        cell.counted += 1;
-                        cell.moments.push(out.density);
-                        if out.proposed_density > 0.0 {
-                            cell.proposals_support += 1;
-                        }
-                        if out.density > 0.0 {
-                            cell.inv_delta_sum += 1.0 / out.density;
-                            cell.support_counted += 1;
-                        }
-                        series.push(out.density);
-                    }
-                    cell.snap = chain.snapshot();
-                    results.lock().push((c, cell, series));
+        let n = self.n;
+        let mut series = vec![Vec::with_capacity(iters as usize); self.cells.len()];
+        for chunk in self.prefetch.chunks(iters) {
+            if self.prefetch.is_parallel() {
+                let sources = self.cells.iter().flat_map(|c| {
+                    let rng = SmallRng::from_state(c.snap.proposal_rng);
+                    pipeline::upcoming(UniformProposal::new(n), rng, chunk)
                 });
-                for lane in 0..workers_per_chain {
-                    let wrng = SmallRng::from_state(replay_state);
-                    let (oracle, pool) = (&self.oracle, &self.pool);
-                    let n = self.n;
-                    scope.spawn(move |_| {
-                        let mut calc = pool.checkout();
-                        prefetch_lane(
-                            UniformProposal::new(n),
-                            wrng,
-                            1,
-                            iters,
-                            Lane { lane, lanes: workers_per_chain, depth, pacing },
-                            |v: Vertex| {
-                                oracle.warm(v, &mut calc);
-                            },
-                        );
-                    });
-                }
+                self.oracle.prefetch(sources, self.prefetch.threads);
             }
-        })
-        .expect("ensemble threads joined");
-
-        let mut per = results.into_inner();
-        per.sort_by_key(|&(c, _, _)| c);
-        for (c, cell, series) in per {
-            self.cells[c] = cell;
-            out.extend(series);
+            for (cell, s) in self.cells.iter_mut().zip(&mut series) {
+                cell.advance(&mut self.oracle, n, chunk, s);
+            }
         }
+        out.extend(series.into_iter().flatten());
         self.done_per_chain += iters;
+    }
+
+    fn set_prefetch(&mut self, prefetch: PrefetchConfig) {
+        self.prefetch = prefetch;
     }
 
     fn iterations(&self) -> u64 {
@@ -304,7 +256,7 @@ impl EngineDriver for EnsembleDriver<'_> {
 
     fn finish(self) -> EnsembleEstimate {
         let per = self.cells;
-        let chains = self.chains;
+        let chains = per.len();
         let iterations = self.done_per_chain;
         let norm = self.n as f64 - 1.0;
         let per_chain: Vec<f64> =
@@ -355,7 +307,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                 accepted as f64 / total_proposals as f64
             },
             iterations_per_chain: iterations,
-            spd_passes: self.oracle.cached_sources() as u64,
+            spd_passes: self.oracle.spd_passes(),
             oracle_stats: self.oracle.stats(),
         }
     }
@@ -370,14 +322,14 @@ impl CheckpointDriver for EnsembleDriver<'_> {
         self.view
     }
 
-    fn save(&self, w: &mut crate::checkpoint::Writer) {
+    fn save(&self, w: &mut checkpoint::Writer) {
         w.u32(self.r);
-        w.u64(self.chains as u64);
+        w.u64(self.cells.len() as u64);
         w.u64(self.budget);
         w.u64(self.seed);
         w.u64(self.done_per_chain);
         for cell in &self.cells {
-            crate::single::save_chain_snapshot(w, &cell.snap);
+            checkpoint::save_chain(w, &cell.snap, |w, &v| w.u32(v));
             w.f64(cell.sum_delta);
             w.u64(cell.counted);
             w.u64(cell.proposals_support);
@@ -388,24 +340,15 @@ impl CheckpointDriver for EnsembleDriver<'_> {
             w.u64(mean);
             w.u64(m2);
         }
-        save_oracle(
-            w,
-            self.oracle.cached_sources() as u64,
-            self.oracle.stats(),
-            self.oracle.snapshot_rows(),
-        );
+        self.oracle.save(w);
     }
 }
 
 impl<'g> EnsembleDriver<'g> {
     /// Rebuilds a driver from a checkpoint payload (see
-    /// `SingleDriver::restore_from`); the prefetch setting is a runtime
-    /// knob supplied by the caller, not part of the checkpoint.
-    pub(crate) fn restore_from(
-        view: SpdView<'g>,
-        r: &mut crate::checkpoint::Reader<'_>,
-        prefetch: PrefetchConfig,
-    ) -> Result<Self, CoreError> {
+    /// `SingleDriver::restore_from`), prefetching sequentially until told
+    /// otherwise.
+    fn restore_from(view: SpdView<'g>, r: &mut checkpoint::Reader<'_>) -> Result<Self, CoreError> {
         let probe = r.u32()?;
         let chains = r.u64()? as usize;
         let budget = r.u64()?;
@@ -413,16 +356,15 @@ impl<'g> EnsembleDriver<'g> {
         let done_per_chain = r.u64()?;
         let n = view.num_vertices();
         if probe as usize >= n || !view.is_retained(probe) || chains == 0 {
-            return Err(crate::checkpoint::corrupt("invalid ensemble header"));
+            return Err(checkpoint::corrupt("invalid ensemble header"));
         }
         if chains > r.remaining() / (14 * 8) {
-            return Err(crate::checkpoint::corrupt("chain table longer than the checkpoint"));
+            return Err(checkpoint::corrupt("chain table longer than the checkpoint"));
         }
         let cells: Vec<ChainCell> = (0..chains)
             .map(|_| -> Result<ChainCell, CoreError> {
-                let snap = crate::single::restore_chain_snapshot(r)?;
                 Ok(ChainCell {
-                    snap,
+                    snap: checkpoint::read_chain(r, |r| r.u32())?,
                     sum_delta: r.f64()?,
                     counted: r.u64()?,
                     proposals_support: r.u64()?,
@@ -432,19 +374,15 @@ impl<'g> EnsembleDriver<'g> {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let (_passes, stats, rows) = restore_oracle(r)?;
-        let oracle = SharedProbeOracle::for_view(view, &[probe]);
-        oracle.restore_cache(rows, stats);
-        let pool = SpdWorkspacePool::for_view_workers(view, chains * prefetch.threads.max(1));
+        let mut oracle = ProbeOracle::for_view(view, &[probe]);
+        oracle.restore(r)?;
         Ok(EnsembleDriver {
             view,
             r: probe,
             n,
-            chains,
             seed,
-            prefetch,
+            prefetch: PrefetchConfig::sequential(),
             oracle,
-            pool,
             cells,
             done_per_chain,
             budget,
@@ -452,22 +390,12 @@ impl<'g> EnsembleDriver<'g> {
     }
 }
 
-/// Runs `chains` independent single-space chains of `iterations` steps each,
-/// sharing one dependency cache, with optional per-chain prefetch squads
-/// (see [`EnsembleConfig`]). Deterministic given the seed; the prefetch
-/// setting changes timing only, never any estimate.
-pub fn run_ensemble(
-    g: &CsrGraph,
-    r: Vertex,
-    config: &EnsembleConfig,
-) -> Result<EnsembleEstimate, CoreError> {
-    run_ensemble_view(SpdView::direct(g), r, config)
-}
-
-/// [`run_ensemble`] evaluating densities through `view` (direct or
-/// reduced); chains keep their original-id state space, so estimates are
-/// bit-identical to the direct run whenever the view's densities are (see
-/// [`crate::SingleSpaceSampler::for_view`]).
+/// Runs `config.chains` independent single-space chains of
+/// `config.iterations` steps each through `view` (direct or reduced),
+/// sharing one dependency cache. Chains keep their original-id state
+/// space, so estimates are bit-identical to the direct run whenever the
+/// view's densities are (see [`crate::SingleSpaceSampler::for_view`]), and
+/// the prefetch setting changes timing only, never any estimate.
 pub fn run_ensemble_view(
     view: SpdView<'_>,
     r: Vertex,
@@ -486,42 +414,28 @@ pub fn run_ensemble_view_adaptive(
     engine_cfg: EngineConfig,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(EnsembleEstimate, AdaptiveReport), CoreError> {
-    let engine = EnsembleDriver::create(view, r, config)?.into_engine(engine_cfg);
-    match sink {
-        None => Ok(engine.run()),
-        Some(f) => engine.run_with(|e| f(e.checkpoint())),
-    }
+    let driver = EnsembleDriver::create(view, r, config)?;
+    EstimationEngine::new(driver, config.iterations, engine_cfg).run_checkpointed(sink)
 }
 
 /// Resumes a checkpointed ensemble run (see
-/// [`crate::pipeline::resume_single_view`] for the identity guarantees);
-/// `prefetch` re-attaches per-chain prefetch squads — a runtime knob that
-/// never changes any estimate.
+/// [`crate::pipeline::resume_single_view`] for the identity guarantees)
+/// with `prefetch` — a runtime knob that never changes any estimate.
 pub fn resume_ensemble<'g>(
     view: SpdView<'g>,
     bytes: &[u8],
     prefetch: PrefetchConfig,
 ) -> Result<EstimationEngine<EnsembleDriver<'g>>, CoreError> {
     let (state, mut r) = open_checkpoint(&view, bytes, CheckpointKind::Ensemble)?;
-    let driver = EnsembleDriver::restore_from(view, &mut r, prefetch)?;
-    Ok(EstimationEngine::with_state(
+    let driver = EnsembleDriver::restore_from(view, &mut r)?;
+    let engine = EstimationEngine::with_state(
         driver,
         state.budget,
         state.config,
         state.monitor,
         state.segments,
-    ))
-}
-
-/// Back-compatible entry point: `chains` sequential chains, no prefetch.
-pub fn run_parallel_ensemble(
-    g: &CsrGraph,
-    r: Vertex,
-    chains: usize,
-    iterations: u64,
-    seed: u64,
-) -> Result<EnsembleEstimate, CoreError> {
-    run_ensemble(g, r, &EnsembleConfig::new(chains, iterations, seed))
+    );
+    Ok(engine.with_prefetch(prefetch))
 }
 
 #[cfg(test)]
@@ -534,7 +448,8 @@ mod tests {
     fn pooled_estimate_converges() {
         let g = generators::barbell(8, 1);
         let limit = eq7_limit(&mhbc_spd::dependency_profile_par(&g, 8, 0));
-        let est = run_parallel_ensemble(&g, 8, 4, 8_000, 3).expect("valid config");
+        let est = run_ensemble_view(SpdView::direct(&g), 8, &EnsembleConfig::new(4, 8_000, 3))
+            .expect("valid config");
         assert!((est.bc - limit).abs() < 0.02, "pooled {} vs limit {limit}", est.bc);
         assert_eq!(est.per_chain.len(), 4);
         assert_eq!(est.iterations_per_chain, 8_000);
@@ -549,7 +464,8 @@ mod tests {
         // density series, so within-chain variance is positive and R-hat
         // is defined.
         let g = generators::lollipop(8, 4);
-        let est = run_parallel_ensemble(&g, 9, 4, 20_000, 5).expect("valid config");
+        let est = run_ensemble_view(SpdView::direct(&g), 9, &EnsembleConfig::new(4, 20_000, 5))
+            .expect("valid config");
         assert!(
             est.r_hat.is_finite() && (est.r_hat - 1.0).abs() < 0.05,
             "R-hat {} should be near 1",
@@ -560,7 +476,8 @@ mod tests {
     #[test]
     fn shared_cache_bounds_total_passes() {
         let g = generators::barbell(6, 2);
-        let est = run_parallel_ensemble(&g, 6, 6, 3_000, 7).expect("valid config");
+        let est = run_ensemble_view(SpdView::direct(&g), 6, &EnsembleConfig::new(6, 3_000, 7))
+            .expect("valid config");
         // 6 chains x 3000 iterations, but the state space has only 16
         // vertices: the shared cache caps the distinct SPD passes.
         assert!(
@@ -574,10 +491,14 @@ mod tests {
     #[test]
     fn prefetch_squads_do_not_change_any_estimate() {
         let g = generators::lollipop(6, 3);
-        let base = EnsembleConfig::new(3, 2_000, 11);
-        let seq = run_ensemble(&g, 7, &base).expect("valid config");
-        let pre = run_ensemble(&g, 7, &base.clone().with_prefetch(PrefetchConfig::with_threads(3)))
-            .expect("valid config");
+        let base = EnsembleConfig::new(3, 2_000, 11).with_prefetch(PrefetchConfig::sequential());
+        let seq = run_ensemble_view(SpdView::direct(&g), 7, &base).expect("valid config");
+        let pre = run_ensemble_view(
+            SpdView::direct(&g),
+            7,
+            &base.clone().with_prefetch(PrefetchConfig::with_threads(3)),
+        )
+        .expect("valid config");
         assert_eq!(seq.bc.to_bits(), pre.bc.to_bits());
         assert_eq!(seq.bc_corrected.to_bits(), pre.bc_corrected.to_bits());
         assert_eq!(seq.acceptance_rate.to_bits(), pre.acceptance_rate.to_bits());
@@ -681,7 +602,7 @@ mod tests {
         let g = generators::lollipop(6, 3);
         let red = reduce(&g, ReduceLevel::Full).unwrap();
         let view = SpdView::preprocessed(&g, &red);
-        let base = EnsembleConfig::new(3, 1_500, 4);
+        let base = EnsembleConfig::new(3, 1_500, 4).with_prefetch(PrefetchConfig::sequential());
         let seq = run_ensemble_view(view, 0, &base).expect("valid config");
         let pre = run_ensemble_view(
             view,
@@ -699,7 +620,8 @@ mod tests {
     #[test]
     fn single_chain_has_nan_r_hat() {
         let g = generators::barbell(4, 1);
-        let est = run_parallel_ensemble(&g, 4, 1, 200, 1).expect("valid config");
+        let est = run_ensemble_view(SpdView::direct(&g), 4, &EnsembleConfig::new(1, 200, 1))
+            .expect("valid config");
         assert!(est.r_hat.is_nan());
     }
 
@@ -707,12 +629,12 @@ mod tests {
     fn validation_errors() {
         let g = generators::path(10);
         assert!(matches!(
-            run_parallel_ensemble(&g, 99, 2, 10, 0),
+            run_ensemble_view(SpdView::direct(&g), 99, &EnsembleConfig::new(2, 10, 0)),
             Err(CoreError::ProbeOutOfRange { .. })
         ));
         let tiny = generators::path(2);
         assert!(matches!(
-            run_parallel_ensemble(&tiny, 0, 2, 10, 0),
+            run_ensemble_view(SpdView::direct(&tiny), 0, &EnsembleConfig::new(2, 10, 0)),
             Err(CoreError::GraphTooSmall { .. })
         ));
     }

@@ -1,25 +1,25 @@
 //! The joint-space MCMC sampler (§4.3).
 
-use crate::checkpoint::{CheckpointKind, Reader, Writer};
+use crate::checkpoint::{self, CheckpointKind, Reader, Writer};
 use crate::engine::{CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine};
 use crate::optimal::min_dependency_ratio;
 use crate::oracle::{OracleStats, ProbeOracle};
-use crate::single::{restore_oracle, save_oracle};
+use crate::pipeline::{self, PrefetchConfig};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{ChainSnapshot, MetropolisHastings, Proposal, TargetDensity};
+use mhbc_mcmc::{MetropolisHastings, Proposal, StreamSplit, TargetDensity};
 use mhbc_spd::SpdView;
-use rand::{rngs::SmallRng, Rng, RngExt};
+use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
 
 /// Chain state: `(probe index into R, source vertex)` — the pair `⟨r, v⟩`
 /// of §4.3.
-pub(crate) type JointState = (u32, Vertex);
+type JointState = (u32, Vertex);
 
 /// Uniform independence proposal over `R × V(G)` (both coordinates drawn
 /// uniformly, as in the paper).
-pub(crate) struct JointProposal {
-    pub(crate) k: u32,
-    pub(crate) n: u32,
+struct JointProposal {
+    k: u32,
+    n: u32,
 }
 
 impl Proposal<JointState> for JointProposal {
@@ -130,10 +130,8 @@ impl JointSpaceEstimate {
     }
 }
 
-/// The Eq 22/23 estimator state, factored out of the sampler so the
-/// sequential path and the prefetch pipeline run the same accumulation code
-/// in the same order (the pipeline's bit-identical-output guarantee).
-pub(crate) struct JointAccumulator {
+/// The Eq 22/23 estimator state.
+struct JointAccumulator {
     k: usize,
     /// `acc[i * k + j]` accumulates `min{1, δ(r_i)/δ(r_j)}` over `M(j)`.
     acc: Vec<f64>,
@@ -143,7 +141,7 @@ pub(crate) struct JointAccumulator {
 }
 
 impl JointAccumulator {
-    pub(crate) fn new(k: usize, trace_pair: Option<(usize, usize)>) -> Self {
+    fn new(k: usize, trace_pair: Option<(usize, usize)>) -> Self {
         JointAccumulator {
             k,
             acc: vec![0.0; k * k],
@@ -155,7 +153,7 @@ impl JointAccumulator {
 
     /// Adds one occupied state to the estimator multisets: `j` is the probe
     /// index, `deps` the full dependency row `δ_{v•}(probes)` of its source.
-    pub(crate) fn absorb(&mut self, j: usize, deps: &[f64]) {
+    fn absorb(&mut self, j: usize, deps: &[f64]) {
         let den = deps[j];
         for (i, &dep) in deps.iter().enumerate() {
             self.acc[i * self.k + j] += min_dependency_ratio(dep, den);
@@ -167,15 +165,15 @@ impl JointAccumulator {
     }
 
     /// Current estimate of `BC_{r_j}(r_i)`; `NaN` while `M(j)` is empty.
-    pub(crate) fn relative_estimate(&self, i: usize, j: usize) -> f64 {
+    fn relative_estimate(&self, i: usize, j: usize) -> f64 {
         if self.counts[j] == 0 {
             return f64::NAN;
         }
         self.acc[i * self.k + j] / self.counts[j] as f64
     }
 
-    /// Finalises into the public estimate (shared by both execution modes).
-    pub(crate) fn finish(
+    /// Finalises into the public estimate.
+    fn finish(
         self,
         probes: Vec<Vertex>,
         iterations: u64,
@@ -216,8 +214,8 @@ impl JointAccumulator {
 /// simultaneously (the backward accumulation yields the whole dependency
 /// vector).
 ///
-/// This type is the *sequential* streaming sampler; see
-/// [`crate::pipeline::run_joint`] for the bit-identical multi-threaded run.
+/// This type is the streaming sampler; [`JointSpaceSampler::into_engine`]
+/// runs it in segments, at any thread count (see [`crate::pipeline`]).
 pub struct JointSpaceSampler<'g> {
     chain: MetropolisHastings<JointTarget<'g>, JointProposal, SmallRng>,
     probes: Vec<Vertex>,
@@ -227,7 +225,7 @@ pub struct JointSpaceSampler<'g> {
 }
 
 /// Validates a joint-space configuration, returning `(n, k)`.
-pub(crate) fn validate_joint(
+fn validate_joint(
     view: &SpdView<'_>,
     probes: &[Vertex],
     config: &JointSpaceConfig,
@@ -294,14 +292,18 @@ impl<'g> JointSpaceSampler<'g> {
         config: JointSpaceConfig,
     ) -> Result<Self, CoreError> {
         let (n, k) = validate_joint(&view, probes, &config)?;
-        let (initial, prop_rng, acc_rng) =
-            crate::pipeline::derive_joint_streams(config.seed, config.initial, k, n);
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let initial: JointState = match config.initial {
+            Some((i, v)) => (i as u32, v),
+            None => (rng.random_range(0..k as u32), rng.random_range(0..n as Vertex)),
+        };
+        let acc_rng = rng.split_stream();
         let target = JointTarget { oracle: ProbeOracle::for_view(view, probes) };
         let chain = MetropolisHastings::with_streams(
             target,
             JointProposal { k: k as u32, n: n as u32 },
             initial,
-            prop_rng,
+            rng,
             acc_rng,
         );
 
@@ -321,12 +323,16 @@ impl<'g> JointSpaceSampler<'g> {
         &self.probes
     }
 
+    fn view(&self) -> SpdView<'g> {
+        self.chain.target().oracle.view()
+    }
+
     /// Adds the chain's current state to the estimator multisets.
     fn absorb_current_state(&mut self) {
         let (j, v) = *self.chain.state();
         // One cached lookup returns delta_v on every probe.
-        let deps = self.chain.target_mut().oracle.deps(v).to_vec();
-        self.acc.absorb(j as usize, &deps);
+        let deps = self.chain.target_mut().oracle.deps(v);
+        self.acc.absorb(j as usize, deps);
     }
 
     /// Current estimate of `BC_{r_j}(r_i)`; `NaN` while `M(j)` is empty.
@@ -342,7 +348,7 @@ impl<'g> JointSpaceSampler<'g> {
 
     /// One MH iteration; returns whether the proposal was accepted. The
     /// engine driver reads the occupied density off the chain afterwards.
-    pub(crate) fn step_raw(&mut self) -> bool {
+    fn step_raw(&mut self) -> bool {
         let out = self.chain.step();
         self.iteration += 1;
         self.absorb_current_state();
@@ -362,7 +368,8 @@ impl<'g> JointSpaceSampler<'g> {
     /// stopping and checkpointing.
     pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<JointDriver<'g>> {
         let budget = self.config.iterations;
-        EstimationEngine::new(JointDriver { sampler: self }, budget, engine)
+        let driver = JointDriver { sampler: self, prefetch: PrefetchConfig::sequential() };
+        EstimationEngine::new(driver, budget, engine)
     }
 
     /// Finalises early.
@@ -379,19 +386,26 @@ impl<'g> JointSpaceSampler<'g> {
     }
 }
 
-/// [`EngineDriver`] for the sequential joint-space sampler. The monitored
-/// series is the occupied state's dependency `δ_{v•}(r_j)` — the same
-/// series the single-space diagnostics use; a stderr target applies to its
-/// normalised mean (a proxy for overall chain stability, since the joint
-/// estimate is a matrix rather than one scalar).
+/// [`EngineDriver`] for the joint-space sampler at every thread count (the
+/// batch prefetch of [`crate::pipeline`] runs in front of each chunk of
+/// steps). The monitored series is the occupied state's dependency
+/// `δ_{v•}(r_j)` — the same series the single-space diagnostics use; a
+/// stderr target applies to its normalised mean (a proxy for overall chain
+/// stability, since the joint estimate is a matrix rather than one scalar).
 pub struct JointDriver<'g> {
     sampler: JointSpaceSampler<'g>,
+    prefetch: PrefetchConfig,
 }
 
 impl JointDriver<'_> {
     /// The wrapped sampler's probe set.
     pub fn probes(&self) -> &[Vertex] {
         self.sampler.probes()
+    }
+
+    /// The density oracle (its counters are the run's SPD-pass record).
+    pub fn oracle(&self) -> &ProbeOracle<'_> {
+        &self.sampler.chain.target().oracle
     }
 }
 
@@ -406,10 +420,24 @@ impl EngineDriver for JointDriver<'_> {
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        for _ in 0..iters {
-            self.sampler.step_raw();
-            out.push(self.sampler.chain.current_density());
+        let (k, n) = (self.sampler.probes.len() as u32, self.sampler.view().num_vertices() as u32);
+        for chunk in self.prefetch.chunks(iters) {
+            if self.prefetch.is_parallel() {
+                let chain = &mut self.sampler.chain;
+                let upcoming =
+                    pipeline::upcoming(JointProposal { k, n }, chain.proposal_rng().clone(), chunk);
+                let sources = upcoming.map(|(_, v): JointState| v);
+                chain.target_mut().oracle.prefetch(sources, self.prefetch.threads);
+            }
+            for _ in 0..chunk {
+                self.sampler.step_raw();
+                out.push(self.sampler.chain.current_density());
+            }
         }
+    }
+
+    fn set_prefetch(&mut self, prefetch: PrefetchConfig) {
+        self.prefetch = prefetch;
     }
 
     fn iterations(&self) -> u64 {
@@ -417,7 +445,7 @@ impl EngineDriver for JointDriver<'_> {
     }
 
     fn scale(&self) -> f64 {
-        self.sampler.chain.target().oracle.view().num_vertices() as f64 - 1.0
+        self.sampler.view().num_vertices() as f64 - 1.0
     }
 
     fn finish(self) -> JointSpaceEstimate {
@@ -462,7 +490,7 @@ impl CheckpointDriver for JointDriver<'_> {
     }
 
     fn view(&self) -> SpdView<'_> {
-        self.sampler.chain.target().oracle.view()
+        self.sampler.view()
     }
 
     fn save(&self, w: &mut Writer) {
@@ -482,18 +510,12 @@ impl CheckpointDriver for JointDriver<'_> {
             }
         }
         w.u64(s.iteration);
-        let snap = s.chain.snapshot();
-        w.u32(snap.state.0);
-        w.u32(snap.state.1);
-        w.f64(snap.density);
-        w.u64(snap.stats.steps);
-        w.u64(snap.stats.accepted);
-        for x in snap.proposal_rng.iter().chain(&snap.accept_rng) {
-            w.u64(*x);
-        }
+        checkpoint::save_chain(w, &s.chain.snapshot(), |w, &(j, v)| {
+            w.u32(j);
+            w.u32(v);
+        });
         s.acc.save_into(w);
-        let oracle = &s.chain.target().oracle;
-        save_oracle(w, oracle.spd_passes(), oracle.stats(), oracle.snapshot_rows());
+        self.oracle().save(w);
     }
 }
 
@@ -512,42 +534,23 @@ impl<'g> JointDriver<'g> {
         }
         let (n, k) = validate_joint(&view, &probes, &config)?;
         let iteration = r.u64()?;
-        let state = (r.u32()?, r.u32()?);
-        if state.0 as usize >= k || state.1 as usize >= n {
-            return Err(crate::checkpoint::corrupt("chain state out of range"));
+        let snap = checkpoint::read_chain(r, |r| Ok((r.u32()?, r.u32()?)))?;
+        if snap.state.0 as usize >= k || snap.state.1 as usize >= n {
+            return Err(checkpoint::corrupt("chain state out of range"));
         }
-        let snap = ChainSnapshot {
-            state,
-            density: r.f64()?,
-            stats: mhbc_mcmc::ChainStats { steps: r.u64()?, accepted: r.u64()? },
-            proposal_rng: {
-                let mut words = [0u64; 4];
-                for x in &mut words {
-                    *x = r.u64()?;
-                }
-                words
-            },
-            accept_rng: {
-                let mut words = [0u64; 4];
-                for x in &mut words {
-                    *x = r.u64()?;
-                }
-                words
-            },
-        };
         let acc = JointAccumulator::restore_from(config.trace_pair, r)?;
         if acc.k != k {
             return Err(crate::checkpoint::corrupt("probe count does not match accumulator"));
         }
-        let (passes, stats, rows) = restore_oracle(r)?;
         let mut oracle = ProbeOracle::for_view(view, &probes);
-        oracle.restore_cache(rows, stats, passes);
+        oracle.restore(r)?;
         let chain = MetropolisHastings::restore(
             JointTarget { oracle },
             JointProposal { k: k as u32, n: n as u32 },
             snap,
         );
-        Ok(JointDriver { sampler: JointSpaceSampler { chain, probes, config, iteration, acc } })
+        let sampler = JointSpaceSampler { chain, probes, config, iteration, acc };
+        Ok(JointDriver { sampler, prefetch: PrefetchConfig::sequential() })
     }
 }
 

@@ -21,12 +21,14 @@
 //! Supporting modules:
 //!
 //! - [`oracle`] — memoised dependency-score evaluation (the chain revisits
-//!   states; re-evaluating `δ_{v•}(r)` would waste SPD passes), with
-//!   second-chance eviction for capacity-limited caches;
-//! - [`pipeline`] — speculative density prefetching: worker threads replay
-//!   the independence chain's proposal stream and evaluate upcoming
-//!   densities ahead of the chain thread, with bit-identical results to the
-//!   sequential samplers;
+//!   states; re-evaluating `δ_{v•}(r)` would waste SPD passes);
+//! - [`engine`] — the segmented [`EstimationEngine`] every sampler runs
+//!   under: adaptive stopping, diagnostics, and checkpoints;
+//! - [`pipeline`] — the batch prefetch behind `--threads`: before each
+//!   chunk of at most `K` steps, a driver replays its chain's next
+//!   proposals, `T` threads split their distinct uncached sources, and the
+//!   chain then consumes them — bit-identical results at every thread
+//!   count, set per engine with [`EstimationEngine::with_prefetch`];
 //! - [`optimal`] — exact ground-truth quantities: the optimal distribution,
 //!   `µ(r)`, exact relative scores, and the Theorem 2 separator checker;
 //! - [`planner`] — the (ε, δ) sample-size planner built on Ineq 14/27.
@@ -36,7 +38,7 @@
 //!
 //! ## Preprocessing (graph reduction)
 //!
-//! Every sampler and pipeline entry point has a `*_view` / `for_view`
+//! Every sampler entry point has a `*_view` / `for_view`
 //! variant taking an [`mhbc_spd::SpdView`]: the graph together with an
 //! optional [`mhbc_graph::reduce::ReducedGraph`] (degree-1 pruning, twin
 //! collapsing, BFS relabelling). The chain's state space, proposal stream,
@@ -48,7 +50,7 @@
 //!
 //! The view also carries the SPD [`mhbc_spd::KernelMode`]
 //! ([`mhbc_spd::SpdView::with_kernel`]): everything built from it —
-//! oracles, workspace pools, the prefetch pipeline, the ensembles —
+//! oracles, workspace pools, the samplers, the ensembles —
 //! inherits the forward-pass strategy, and because every mode is
 //! bit-identical the choice can never change a sampler's output.
 //!
@@ -109,16 +111,14 @@ mod single;
 pub use engine::{
     resume_joint, resume_single, AdaptiveReport, EngineConfig, EstimationEngine, StopReason,
 };
-pub use ensemble::{
-    run_ensemble, run_ensemble_view, run_parallel_ensemble, EnsembleConfig, EnsembleEstimate,
-};
+pub use ensemble::{run_ensemble_view, EnsembleConfig, EnsembleEstimate};
 pub use error::CoreError;
 pub use extended::{extended_relative_sampled, ExtendedEstimate};
 pub use joint::{
     JointDriver, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, JointStepInfo,
 };
 pub use mhbc_mcmc::StoppingRule;
-pub use pipeline::{run_joint, run_joint_view, run_single, run_single_view, PrefetchConfig};
+pub use pipeline::{run_joint_view, run_single_view, PrefetchConfig};
 pub use single::{
     SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler, SingleStepInfo,
 };

@@ -11,7 +11,7 @@
 //! produces `δ_{v•}(x)` for every `x` (Eq 4), so the per-probe marginal cost
 //! is zero.
 //!
-//! Both oracles evaluate through an [`SpdView`] — a graph together with
+//! The oracle evaluates through an [`SpdView`] — a graph together with
 //! (optionally) its reduction from `mhbc_graph::reduce`. With a reduction
 //! active, cache entries are keyed by [`SpdView::row_key`] rather than by
 //! source vertex: structurally equivalent sources (twins of equal pendant
@@ -20,17 +20,16 @@
 //! pass over the reduced CSR instead of one per member. Direct views key by
 //! vertex id, which reproduces the pre-reduction behaviour exactly.
 //!
-//! Capacity-limited oracles evict with a second-chance (CLOCK) policy: each
-//! cached row carries a referenced bit that hits set and the clock hand
-//! clears, so the chain's hot working set — exactly the high-dependency
-//! sources the stationary law revisits — survives evictions that a
-//! wholesale flush would destroy.
+//! Rows are never evicted and never computed twice, so the number of
+//! cached rows *is* the run's SPD-pass count, whichever thread computed
+//! them (see [`ProbeOracle::prefetch`]).
 
+use crate::checkpoint::{corrupt, Reader, Writer};
+use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_spd::{SpdView, ViewCalculator};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,32 +70,24 @@ fn validate_probes(view: &SpdView<'_>, probes: &[Vertex]) -> Vec<bool> {
     flag
 }
 
-/// One CLOCK ring slot: a cached dependency row plus its second-chance bit.
-struct Slot {
-    key: u64,
-    row: Box<[f64]>,
-    referenced: bool,
+/// One SPD pass: `δ_{source•}(probes)`.
+fn compute_row(calc: &mut ViewCalculator<'_>, probes: &[Vertex], source: Vertex) -> Box<[f64]> {
+    let mut row = Vec::with_capacity(probes.len());
+    calc.dependency_on_many(source, probes, &mut row);
+    row.into_boxed_slice()
 }
 
 /// Memoises `δ_{source•}(r)` for a fixed probe set, keyed by the source's
 /// [`SpdView::row_key`] (equal to the vertex id on direct views).
-///
-/// Unbounded by default; [`ProbeOracle::with_capacity_limit`] bounds the
-/// number of cached rows with second-chance eviction (see module docs).
 pub struct ProbeOracle<'g> {
     view: SpdView<'g>,
     probes: Vec<Vertex>,
     probe_flag: Vec<bool>,
-    calc: ViewCalculator<'g>,
-    index: HashMap<u64, usize>,
-    slots: Vec<Slot>,
-    hand: usize,
+    /// `calcs[0]` serves cache misses; [`ProbeOracle::prefetch`] adds one
+    /// workspace per extra thread on first use.
+    calcs: Vec<ViewCalculator<'g>>,
+    rows: HashMap<u64, Box<[f64]>>,
     stats: OracleStats,
-    capacity: usize,
-    /// SPD passes performed before this oracle existed — restored from a
-    /// checkpoint so [`ProbeOracle::spd_passes`] keeps counting across
-    /// save/resume boundaries.
-    passes_base: u64,
 }
 
 impl<'g> ProbeOracle<'g> {
@@ -115,24 +106,10 @@ impl<'g> ProbeOracle<'g> {
             view,
             probes: probes.to_vec(),
             probe_flag,
-            calc: ViewCalculator::new(view),
-            index: HashMap::new(),
-            slots: Vec::new(),
-            hand: 0,
+            calcs: vec![ViewCalculator::new(view)],
+            rows: HashMap::new(),
             stats: OracleStats::default(),
-            capacity: usize::MAX,
-            passes_base: 0,
         }
-    }
-
-    /// Bounds the cache to `entries` rows, evicted one at a time by the
-    /// second-chance (CLOCK) policy: the hand sweeps the ring clearing
-    /// referenced bits and replaces the first slot whose bit is already
-    /// clear. Sources the chain keeps revisiting keep their bit set and
-    /// survive; one-shot proposals are recycled first.
-    pub fn with_capacity_limit(mut self, entries: usize) -> Self {
-        self.capacity = entries.max(1);
-        self
     }
 
     /// The probe set.
@@ -145,38 +122,22 @@ impl<'g> ProbeOracle<'g> {
         self.view
     }
 
+    fn key(&self, source: Vertex) -> u64 {
+        self.view.row_key(source, self.probe_flag[source as usize])
+    }
+
     /// `δ_{source•}(r)` for every probe `r`, cached.
     pub fn deps(&mut self, source: Vertex) -> &[f64] {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        if let Some(&i) = self.index.get(&key) {
-            self.stats.hits += 1;
-            self.slots[i].referenced = true;
-            return &self.slots[i].row;
-        }
-        self.stats.misses += 1;
-        let mut row = Vec::with_capacity(self.probes.len());
-        self.calc.dependency_on_many(source, &self.probes, &mut row);
-        let slot = Slot { key, row: row.into_boxed_slice(), referenced: false };
-        let i = if self.slots.len() < self.capacity {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        } else {
-            // Second-chance sweep: clear referenced bits until an
-            // unreferenced victim comes under the hand.
-            loop {
-                let h = self.hand;
-                self.hand = (self.hand + 1) % self.slots.len();
-                if self.slots[h].referenced {
-                    self.slots[h].referenced = false;
-                } else {
-                    self.index.remove(&self.slots[h].key);
-                    self.slots[h] = slot;
-                    break h;
-                }
+        match self.rows.entry(self.key(source)) {
+            Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                e.into_mut()
             }
-        };
-        self.index.insert(key, i);
-        &self.slots[i].row
+            Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                e.insert(compute_row(&mut self.calcs[0], &self.probes, source))
+            }
+        }
     }
 
     /// `δ_{source•}(probes[idx])`, cached.
@@ -184,185 +145,94 @@ impl<'g> ProbeOracle<'g> {
         self.deps(source)[idx]
     }
 
+    /// Caches the rows of `sources` that are not cached yet: the distinct
+    /// missing row keys are split across `threads` calculators in a scoped
+    /// fork-join, the calling thread computing one share. Touches no
+    /// hit/miss counter, so warming the cache never changes what a chain
+    /// observes — only how long its lookups take.
+    pub fn prefetch(&mut self, sources: impl IntoIterator<Item = Vertex>, threads: usize) {
+        let mut seen = HashSet::new();
+        let missing: Vec<(u64, Vertex)> = sources
+            .into_iter()
+            .map(|v| (self.key(v), v))
+            .filter(|&(key, _)| !self.rows.contains_key(&key) && seen.insert(key))
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let threads = threads.clamp(1, missing.len());
+        while self.calcs.len() < threads {
+            self.calcs.push(ViewCalculator::new(self.view));
+        }
+        let probes = &self.probes;
+        let share = |calc: &mut ViewCalculator<'g>, part: &[(u64, Vertex)]| {
+            part.iter().map(|&(key, v)| (key, compute_row(calc, probes, v))).collect::<Vec<_>>()
+        };
+        let mut parts = missing.chunks(missing.len().div_ceil(threads)).zip(&mut self.calcs);
+        let (own, own_calc) = parts.next().expect("at least one missing row");
+        let computed = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                parts.map(|(part, calc)| s.spawn(move || share(calc, part))).collect();
+            let mut rows = share(own_calc, own);
+            for h in handles {
+                rows.extend(h.join().expect("prefetch thread panicked"));
+            }
+            rows
+        });
+        self.rows.extend(computed);
+    }
+
     /// Cache statistics.
     pub fn stats(&self) -> OracleStats {
         self.stats
     }
 
-    /// Number of SPD passes performed (equals `stats().misses` while the
-    /// cache is unbounded), counted across checkpoint/resume boundaries.
+    /// SPD passes spent on this run: the number of cached rows, counted
+    /// across checkpoint/resume boundaries (restored rows included).
     pub fn spd_passes(&self) -> u64 {
-        self.passes_base + self.calc.passes()
+        self.rows.len() as u64
     }
 
-    /// Number of distinct dependency rows currently cached.
-    pub fn cached_sources(&self) -> usize {
-        self.slots.len()
+    /// SPD passes this oracle's calculators actually performed (restored
+    /// rows excluded). Equals [`ProbeOracle::spd_passes`] on a fresh run at
+    /// any thread count: no row is ever computed twice.
+    pub fn computed_passes(&self) -> u64 {
+        self.calcs.iter().map(ViewCalculator::passes).sum()
     }
 
-    /// The cached rows as `(row key, dependency row)` pairs, sorted by key —
-    /// a deterministic snapshot for checkpointing (insertion order is a
-    /// timing artifact under the shared oracle; key order is canonical).
-    pub fn snapshot_rows(&self) -> Vec<(u64, Vec<f64>)> {
-        let mut rows: Vec<(u64, Vec<f64>)> =
-            self.slots.iter().map(|s| (s.key, s.row.to_vec())).collect();
-        rows.sort_by_key(|&(k, _)| k);
-        rows
-    }
-
-    /// Restores a checkpointed cache: the given rows become the cache
-    /// contents (referenced bits cleared — only meaningful under a capacity
-    /// limit, which the samplers never set), and the counters resume from
-    /// the checkpointed values so `stats()` / [`ProbeOracle::spd_passes`]
-    /// continue as if the run had never stopped.
-    pub fn restore_cache(&mut self, rows: Vec<(u64, Vec<f64>)>, stats: OracleStats, passes: u64) {
-        debug_assert!(self.slots.is_empty(), "restore into a fresh oracle");
-        for (key, row) in rows {
-            let slot = Slot { key, row: row.into_boxed_slice(), referenced: false };
-            self.index.insert(key, self.slots.len());
-            self.slots.push(slot);
-        }
-        self.stats = stats;
-        self.passes_base = passes;
-    }
-}
-
-/// Thread-safe memoised dependency oracle shared by *parallel* consumers:
-/// chain ensembles (many chains over one probe set share every density
-/// evaluation) and the speculative prefetch pipeline (workers warm the
-/// cache ahead of the chain thread).
-///
-/// Lookups take a read lock; misses compute the SPD pass *outside* any lock
-/// (each caller thread supplies its own [`ViewCalculator`], usually checked
-/// out of an [`mhbc_spd::SpdWorkspacePool`] bound to the same view) and
-/// then insert under a short write lock. Duplicate concurrent computations
-/// of the same row are possible but harmless (last write wins with equal
-/// values — rows are a pure function of the view and the row key) — which
-/// is why [`SharedProbeOracle::cached_sources`], not the miss counter, is
-/// the deterministic "distinct SPD passes" figure the pipelined samplers
-/// report.
-pub struct SharedProbeOracle<'g> {
-    view: SpdView<'g>,
-    probes: Vec<Vertex>,
-    probe_flag: Vec<bool>,
-    cache: RwLock<HashMap<u64, Box<[f64]>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<'g> SharedProbeOracle<'g> {
-    /// Shared oracle evaluating directly on `graph`.
-    pub fn new(graph: &'g CsrGraph, probes: &[Vertex]) -> Self {
-        Self::for_view(SpdView::direct(graph), probes)
-    }
-
-    /// Shared oracle evaluating through `view` (direct or reduced). With a
-    /// reduction, every probe must be retained.
-    pub fn for_view(view: SpdView<'g>, probes: &[Vertex]) -> Self {
-        let probe_flag = validate_probes(&view, probes);
-        SharedProbeOracle {
-            view,
-            probes: probes.to_vec(),
-            probe_flag,
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+    /// Writes the cache into a checkpoint: SPD passes, hit/miss counters,
+    /// and the rows in key order (a canonical image, whatever order they
+    /// were computed in).
+    pub(crate) fn save(&self, w: &mut Writer) {
+        let mut rows: Vec<_> = self.rows.iter().collect();
+        rows.sort_unstable_by_key(|&(&key, _)| key);
+        w.u64(self.spd_passes());
+        w.u64(self.stats.hits);
+        w.u64(self.stats.misses);
+        w.u64(rows.len() as u64);
+        for (&key, row) in rows {
+            w.u64(key);
+            w.f64s(row);
         }
     }
 
-    /// The probe set.
-    pub fn probes(&self) -> &[Vertex] {
-        &self.probes
-    }
-
-    /// The view this oracle evaluates against.
-    pub fn view(&self) -> SpdView<'g> {
-        self.view
-    }
-
-    /// Runs `f` over the cached (or freshly computed) row
-    /// `δ_{source•}(probes)` without copying it out.
-    pub fn with_deps<T>(
-        &self,
-        source: Vertex,
-        calc: &mut ViewCalculator<'g>,
-        f: impl FnOnce(&[f64]) -> T,
-    ) -> T {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        if let Some(row) = self.cache.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return f(row);
+    /// Restores a cache written by [`ProbeOracle::save`] into this fresh
+    /// oracle, so `stats()` and [`ProbeOracle::spd_passes`] continue as if
+    /// the run had never stopped. The recorded SPD-pass count is the row
+    /// count (rows are never evicted), so the rows alone restore it.
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CoreError> {
+        debug_assert!(self.rows.is_empty(), "restore into a fresh oracle");
+        let _passes = r.u64()?;
+        self.stats = OracleStats { hits: r.u64()?, misses: r.u64()? };
+        let n = r.u64()? as usize;
+        if n > r.remaining() / 16 {
+            return Err(corrupt("row table longer than the checkpoint"));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut row = Vec::with_capacity(self.probes.len());
-        calc.dependency_on_many(source, &self.probes, &mut row);
-        let out = f(&row);
-        self.cache.write().insert(key, row.into_boxed_slice());
-        out
-    }
-
-    /// `δ_{source•}(r)` for every probe, using `calc` for cache misses.
-    pub fn deps(&self, source: Vertex, calc: &mut ViewCalculator<'g>) -> Vec<f64> {
-        self.with_deps(source, calc, |row| row.to_vec())
-    }
-
-    /// Single-probe convenience (no allocation).
-    pub fn dep(&self, source: Vertex, idx: usize, calc: &mut ViewCalculator<'g>) -> f64 {
-        self.with_deps(source, calc, |row| row[idx])
-    }
-
-    /// Ensures `source`'s row is cached, computing it with `calc` if
-    /// needed; returns whether a computation happened. This is the prefetch
-    /// workers' entry point: it touches no statistics, so warming the cache
-    /// never perturbs the chain-observable hit/miss history.
-    pub fn warm(&self, source: Vertex, calc: &mut ViewCalculator<'g>) -> bool {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        if self.cache.read().contains_key(&key) {
-            return false;
+        for _ in 0..n {
+            let key = r.u64()?;
+            self.rows.insert(key, r.f64s()?.into_boxed_slice());
         }
-        let mut row = Vec::with_capacity(self.probes.len());
-        calc.dependency_on_many(source, &self.probes, &mut row);
-        self.cache.write().insert(key, row.into_boxed_slice());
-        true
-    }
-
-    /// Cache statistics (aggregated over all threads).
-    pub fn stats(&self) -> OracleStats {
-        OracleStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct dependency rows cached — the deterministic
-    /// SPD-pass count for a run whose proposal set is fixed (see type docs).
-    pub fn cached_sources(&self) -> usize {
-        self.cache.read().len()
-    }
-
-    /// The cached rows as `(row key, dependency row)` pairs, sorted by key
-    /// (see [`ProbeOracle::snapshot_rows`]). At a segment boundary of the
-    /// speculative pipeline this set is deterministic: it equals the rows
-    /// of every proposal consumed so far, whatever the thread count —
-    /// workers never speculate past the committed iteration bound.
-    pub fn snapshot_rows(&self) -> Vec<(u64, Vec<f64>)> {
-        let cache = self.cache.read();
-        let mut rows: Vec<(u64, Vec<f64>)> =
-            cache.iter().map(|(&k, row)| (k, row.to_vec())).collect();
-        rows.sort_by_key(|&(k, _)| k);
-        rows
-    }
-
-    /// Restores a checkpointed cache (counterpart of
-    /// [`ProbeOracle::restore_cache`] for the shared oracle).
-    pub fn restore_cache(&self, rows: Vec<(u64, Vec<f64>)>, stats: OracleStats) {
-        let mut cache = self.cache.write();
-        debug_assert!(cache.is_empty(), "restore into a fresh oracle");
-        for (key, row) in rows {
-            cache.insert(key, row.into_boxed_slice());
-        }
-        self.hits.store(stats.hits, Ordering::Relaxed);
-        self.misses.store(stats.misses, Ordering::Relaxed);
+        Ok(())
     }
 }
 
@@ -416,7 +286,7 @@ mod tests {
             assert!((got - want).abs() < 1e-12, "source {v}: {got} vs {want}");
         }
         // 8 sources evaluated, but leaves coalesce: centre + leaf class.
-        assert_eq!(o.cached_sources(), 2);
+        assert_eq!(o.spd_passes(), 2);
         assert_eq!(o.stats().misses, 2);
         assert_eq!(o.stats().hits, 6);
     }
@@ -430,124 +300,63 @@ mod tests {
     }
 
     #[test]
-    fn capacity_limit_evicts_one_at_a_time() {
-        let g = generators::cycle(10);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(3);
-        for v in 0..9u32 {
-            let _ = o.dep(v, 0);
-        }
-        assert_eq!(o.cached_sources(), 3, "ring stays full, never flushed");
-        // Values still correct after evictions.
-        let mut calc = DependencyCalculator::new(&g);
-        assert_eq!(o.dep(7, 0), calc.dependency_on(&g, 7, 0));
-    }
-
-    #[test]
-    fn second_chance_keeps_the_hot_working_set() {
-        let g = generators::cycle(16);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(4);
-        // Establish a hot pair {1, 2} and keep touching it while a stream
-        // of one-shot sources (3..11) flows through the cache.
-        let _ = o.dep(1, 0);
-        let _ = o.dep(2, 0);
-        for v in 3..11u32 {
-            let _ = o.dep(v, 0);
-            let _ = o.dep(1, 0);
-            let _ = o.dep(2, 0);
-        }
-        let stats = o.stats();
-        // Every re-touch of 1 and 2 must have been a hit: the CLOCK hand
-        // recycles the unreferenced one-shot slots instead.
-        assert_eq!(stats.hits, 2 * 8, "hot set evicted: {stats:?}");
-        assert_eq!(stats.misses, 2 + 8);
-        assert_eq!(o.cached_sources(), 4);
-    }
-
-    #[test]
-    fn wholesale_flush_would_have_lost_the_hot_set() {
-        // Documentation-by-test of the old behaviour's cost: with the
-        // CLOCK policy the hit rate of a skewed access pattern stays high
-        // even at a tiny capacity.
-        let g = generators::cycle(32);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(2);
-        for round in 0..50u32 {
-            let _ = o.dep(0, 0); // hot
-            let _ = o.dep(1 + (round % 30), 0); // cold stream
-        }
-        assert!(o.stats().hit_rate() > 0.45, "hit rate {:?}", o.stats());
-    }
-
-    #[test]
     fn shared_oracle_matches_direct_kernel() {
         let g = generators::barbell(4, 2);
         let probes = [0u32, 4, 9];
-        let shared = SharedProbeOracle::new(&g, &probes);
-        let mut calc = ViewCalculator::new(SpdView::direct(&g));
+        let n = g.num_vertices() as Vertex;
         let mut reference = DependencyCalculator::new(&g);
-        for src in 0..g.num_vertices() as Vertex {
-            let row = shared.deps(src, &mut calc);
-            for (i, &p) in probes.iter().enumerate() {
-                assert_eq!(row[i], reference.dependency_on(&g, src, p));
+        for threads in [1usize, 2, 4] {
+            let mut o = ProbeOracle::new(&g, &probes);
+            o.prefetch(0..n, threads);
+            for src in 0..n {
+                let row = o.deps(src).to_vec();
+                for (i, &p) in probes.iter().enumerate() {
+                    assert_eq!(row[i], reference.dependency_on(&g, src, p));
+                }
             }
+            // Prefetched rows are pure cache hits for the reader.
+            assert_eq!(o.stats(), OracleStats { hits: n as u64, misses: 0 }, "threads {threads}");
+            assert_eq!(o.spd_passes(), n as u64);
         }
-        // Second sweep is pure cache hits.
-        for src in 0..g.num_vertices() as Vertex {
-            let _ = shared.deps(src, &mut calc);
-        }
-        let stats = shared.stats();
-        assert_eq!(stats.misses, g.num_vertices() as u64);
-        assert_eq!(stats.hits, g.num_vertices() as u64);
-        assert_eq!(shared.cached_sources(), g.num_vertices());
     }
 
     #[test]
     fn shared_reduced_oracle_coalesces_rows() {
         let g = generators::star(8);
         let red = reduce(&g, ReduceLevel::Full).unwrap();
-        let view = SpdView::preprocessed(&g, &red);
-        let shared = SharedProbeOracle::for_view(view, &[0]);
-        let mut calc = ViewCalculator::new(view);
-        for v in 0..g.num_vertices() as Vertex {
-            let _ = shared.dep(v, 0, &mut calc);
+        let mut o = ProbeOracle::for_view(SpdView::preprocessed(&g, &red), &[0]);
+        o.prefetch(0..g.num_vertices() as Vertex, 3);
+        assert_eq!(o.spd_passes(), 2, "centre + coalesced leaf class");
+        assert_eq!(o.computed_passes(), 2);
+    }
+
+    #[test]
+    fn shared_oracle_concurrent_consistency() {
+        // Four threads share one prefetch over a stream full of repeats:
+        // every row is computed exactly once and matches the kernel.
+        let g = generators::barbell(6, 2);
+        let n = g.num_vertices() as Vertex;
+        let mut o = ProbeOracle::new(&g, &[6]);
+        o.prefetch((0..4).flat_map(|t| (0..n).map(move |i| (i + t * 3) % n)), 4);
+        assert_eq!(o.spd_passes(), n as u64);
+        assert_eq!(o.computed_passes(), n as u64);
+        let mut reference = DependencyCalculator::new(&g);
+        for v in 0..n {
+            assert_eq!(o.dep(v, 0), reference.dependency_on(&g, v, 6));
         }
-        assert_eq!(shared.cached_sources(), 2, "centre + coalesced leaf class");
     }
 
     #[test]
     fn warm_populates_without_touching_stats() {
         let g = generators::barbell(4, 1);
-        let shared = SharedProbeOracle::new(&g, &[4]);
-        let mut calc = ViewCalculator::new(SpdView::direct(&g));
-        assert!(shared.warm(0, &mut calc));
-        assert!(!shared.warm(0, &mut calc), "second warm is a no-op");
-        assert_eq!(shared.stats(), OracleStats::default());
+        let mut o = ProbeOracle::new(&g, &[4]);
+        o.prefetch([0], 2);
+        o.prefetch([0], 2);
+        assert_eq!(o.computed_passes(), 1, "second prefetch is a no-op");
+        assert_eq!(o.stats(), OracleStats::default());
         // The chain's subsequent read is a hit.
-        let _ = shared.dep(0, 0, &mut calc);
-        assert_eq!(shared.stats(), OracleStats { hits: 1, misses: 0 });
-    }
-
-    #[test]
-    fn shared_oracle_concurrent_consistency() {
-        let g = generators::barbell(6, 2);
-        let shared = SharedProbeOracle::new(&g, &[6]);
-        let n = g.num_vertices() as Vertex;
-        crossbeam::thread::scope(|scope| {
-            for t in 0..4 {
-                let shared = &shared;
-                let g = &g;
-                scope.spawn(move |_| {
-                    let mut calc = ViewCalculator::new(SpdView::direct(g));
-                    let mut reference = DependencyCalculator::new(g);
-                    for i in 0..n {
-                        let v = (i + t * 3) % n;
-                        let got = shared.dep(v, 0, &mut calc);
-                        assert_eq!(got, reference.dependency_on(g, v, 6));
-                    }
-                });
-            }
-        })
-        .expect("threads joined");
-        assert_eq!(shared.cached_sources(), g.num_vertices());
+        let _ = o.dep(0, 0);
+        assert_eq!(o.stats(), OracleStats { hits: 1, misses: 0 });
     }
 
     #[test]

@@ -1,105 +1,96 @@
-//! Speculative density prefetching for the independence-chain samplers.
+//! Batch density prefetch for the independence-chain samplers.
 //!
 //! Every MH iteration costs one SPD pass for the *proposed* source (§4.1),
-//! and the paper's proposal is an independence chain (`q(·|x) = 1/n`,
-//! §4.2): the proposal at step `t` does not depend on the chain's state, so
-//! the entire proposal sequence is a pure function of the seed. This module
-//! exploits that: worker threads replay the chain's proposal stream (a
-//! [`StreamSplit`] replica), evaluate the upcoming proposals' densities
-//! into a [`SharedProbeOracle`] ahead of time, and the chain thread
-//! consumes accept/reject decisions in order, almost always hitting the
-//! warmed cache.
+//! and the paper's samplers are independence chains (`q(·|x)` uniform,
+//! §4.2–4.3): the proposal at step `t` does not depend on the chain's
+//! state, so the whole proposal sequence is a pure function of the seed.
+//! Every driver (single, joint, ensemble) uses that with one batch model,
+//! set per engine by [`EstimationEngine::with_prefetch`]. Given a
+//! [`PrefetchConfig`] with `threads = T ≥ 2` and `depth = K`, each segment
+//! runs in chunks of at most `K` iterations, and each chunk takes four
+//! steps:
+//!
+//! 1. replay the chain's next proposals from a copy of its proposal stream
+//!    (the accept/reject stream is never touched; an ensemble replays every
+//!    chain);
+//! 2. collect the distinct row keys that are not cached yet;
+//! 3. compute those rows across `T` calculators in a scoped fork-join, the
+//!    calling thread being one of them, and cache them
+//!    ([`ProbeOracle::prefetch`] — no hit/miss counter moves);
+//! 4. step the chain through the chunk exactly as at `T = 1`; every lookup
+//!    is now a hit.
+//!
+//! So T threads split the distinct uncached sources of the next ≤ K
+//! proposals, then the chain consumes them. The speedup is bounded by that
+//! count: once a chain's working set is cached, a chunk has nothing left to
+//! split and costs what it costs at `T = 1`.
 //!
 //! ## Determinism guarantee
 //!
-//! The pipelined run is **bit-identical** to the sequential sampler, by
-//! construction rather than by tolerance:
+//! A chunk never crosses the segment the engine asked for, so the cache at
+//! every segment boundary holds exactly the rows of the proposals consumed
+//! so far. Rows are a pure function of the view and the row key, so a
+//! prefetched row equals the row the chain would have computed itself, and
+//! the chain code is the same at every `T`. Hence `bc`, `bc_corrected`,
+//! acceptance, adaptive stopping points, checkpoints, and `spd_passes` (the
+//! number of cached rows) agree bit for bit across `threads = 1, 2, 8, …` —
+//! the property the `prefetch_determinism` integration tests pin down. Only
+//! the hit/miss split differs: prefetched rows count as hits.
 //!
-//! - the accept/reject RNG stream never leaves the chain thread (see
-//!   [`mhbc_mcmc::MetropolisHastings`]'s split streams);
-//! - workers only *warm* the cache — dependency rows are a deterministic
-//!   function of the evaluation view and the source's row key (graph and
-//!   source directly; with a reduction active, the reduced CSR and the
-//!   source's equivalence class), so a warmed value equals the value the
-//!   chain would have computed itself;
-//! - the chain thread runs the exact same accumulation code
-//!   (`SingleAccumulator` / `JointAccumulator`) in the exact same order as
-//!   the sequential sampler; and
-//! - the reported `spd_passes` is the number of *distinct* sources
-//!   evaluated (`SharedProbeOracle::cached_sources`), which equals the
-//!   sequential miss count because the proposal set is identical.
-//!
-//! Hence `bc`, `bc_corrected`, acceptance counts, and `spd_passes` agree
-//! exactly across `threads = 1, 2, 8, …` — the property the
-//! `prefetch_determinism` integration tests pin down. Only the cache
-//! hit/miss *split* (an implementation statistic) may vary with timing.
-//!
-//! ## Speculation window and fallback
-//!
-//! Workers run at most [`PrefetchConfig::depth`] proposals ahead of the
-//! chain (a courtesy bound on cache growth ahead of consumption), yielding
-//! when the window is full. If the chain outpaces its workers it computes
-//! the density itself — nobody ever blocks on a slow worker. Proposals that
-//! are *state-dependent* (the F8 degree-walk ablation) cannot be replayed
-//! ahead of time; [`mhbc_mcmc::Proposal::propose_iid`] returns `None` for
-//! them and the entry points here fall back to the sequential samplers, as
-//! they also do for `threads <= 1`.
+//! [`EstimationEngine::with_prefetch`]: crate::EstimationEngine::with_prefetch
+//! [`ProbeOracle::prefetch`]: crate::oracle::ProbeOracle::prefetch
 
-use crate::checkpoint::CheckpointKind;
-use crate::engine::{
-    open_checkpoint, AdaptiveReport, CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine,
-};
-use crate::joint::{self, JointAccumulator, JointProposal, JointState};
-use crate::oracle::SharedProbeOracle;
-use crate::single::{self, SingleAccumulator, SingleSpaceConfig, SingleSpaceEstimate};
+use crate::engine::{AdaptiveReport, CheckpointSink, EngineConfig};
 use crate::{
-    CoreError, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, SingleSpaceSampler,
+    CoreError, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, SingleSpaceConfig,
+    SingleSpaceEstimate, SingleSpaceSampler,
 };
-use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{
-    fn_target, FnTarget, MetropolisHastings, Proposal, RngSnapshot, StreamSplit, UniformProposal,
-};
-use mhbc_spd::{SpdView, SpdWorkspacePool};
-use rand::{rngs::SmallRng, RngExt, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use mhbc_graph::Vertex;
+use mhbc_mcmc::Proposal;
+use mhbc_spd::SpdView;
+use rand::rngs::SmallRng;
 
-/// Threading knobs for the speculative pipeline.
+/// Threading knobs for the batch prefetch (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Total density-evaluation threads, chain thread included: `threads`
-    /// of 0 or 1 runs the plain sequential sampler; `t >= 2` spawns
-    /// `t - 1` prefetch workers alongside the chain thread.
+    /// Threads computing prefetched rows, the calling thread included. 0 or
+    /// 1 disables prefetch: the chain computes each row on its first miss.
     pub threads: usize,
-    /// How many proposals ahead of the chain the workers may speculate
-    /// (clamped to at least the worker count). Larger windows tolerate
-    /// burstier schedulers; the cache holds at most `depth` rows beyond
-    /// what the chain has consumed.
+    /// Iterations per prefetch chunk (per chain, for an ensemble): how far
+    /// ahead of the chain rows are computed.
     pub depth: u64,
 }
 
 impl PrefetchConfig {
-    /// Default speculation depth.
+    /// Default chunk length.
     pub const DEFAULT_DEPTH: u64 = 1024;
 
-    /// Sequential execution (no workers).
+    /// No prefetch.
     pub fn sequential() -> Self {
         PrefetchConfig { threads: 1, depth: Self::DEFAULT_DEPTH }
     }
 
-    /// `threads` total evaluation threads with the default window.
+    /// `threads` prefetch threads with the default chunk length.
     pub fn with_threads(threads: usize) -> Self {
         PrefetchConfig { threads, depth: Self::DEFAULT_DEPTH }
     }
 
-    /// Overrides the speculation window.
+    /// Overrides the chunk length.
     pub fn with_depth(mut self, depth: u64) -> Self {
         self.depth = depth;
         self
     }
 
-    /// Whether this configuration actually spawns workers.
+    /// Whether this configuration prefetches at all.
     pub fn is_parallel(&self) -> bool {
         self.threads >= 2
+    }
+
+    /// Splits a segment of `iters` iterations into prefetch chunks: the
+    /// whole segment when sequential, pieces of at most `depth` otherwise.
+    pub(crate) fn chunks(&self, iters: u64) -> impl Iterator<Item = u64> {
+        let size = if self.is_parallel() { self.depth.max(1) } else { iters.max(1) };
+        (0..iters.div_ceil(size)).map(move |i| size.min(iters - i * size))
     }
 }
 
@@ -109,290 +100,23 @@ impl Default for PrefetchConfig {
     }
 }
 
-/// Validates a single-space configuration, returning `n` (the *original*
-/// vertex count — the sampler state space, whatever the view's reduction).
-pub(crate) fn validate_single(
-    view: &SpdView<'_>,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-) -> Result<usize, CoreError> {
-    let n = view.num_vertices();
-    if n < 3 {
-        return Err(CoreError::GraphTooSmall { num_vertices: n });
-    }
-    if r as usize >= n {
-        return Err(CoreError::ProbeOutOfRange { probe: r, num_vertices: n });
-    }
-    if !view.is_retained(r) {
-        return Err(CoreError::PrunedProbe { probe: r });
-    }
-    if let Some(v0) = config.initial {
-        if v0 as usize >= n {
-            return Err(CoreError::ProbeOutOfRange { probe: v0, num_vertices: n });
-        }
-    }
-    Ok(n)
-}
-
-/// Derives a single-space chain's `(initial state, proposal stream,
-/// acceptance stream)` from its seed — the one canonical derivation used by
-/// the sequential sampler, the pipelined chain thread, *and* the workers'
-/// stream replicas, so all three agree draw for draw.
-pub(crate) fn derive_streams(
-    seed: u64,
-    initial: Option<Vertex>,
-    n: usize,
-) -> (Vertex, SmallRng, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let initial = initial.unwrap_or_else(|| rng.random_range(0..n as Vertex));
-    let accept_rng = rng.split_stream();
-    (initial, rng, accept_rng)
-}
-
-/// Joint-space analogue of [`derive_streams`].
-pub(crate) fn derive_joint_streams(
-    seed: u64,
-    initial: Option<(usize, Vertex)>,
-    k: usize,
-    n: usize,
-) -> (JointState, SmallRng, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let initial: JointState = match initial {
-        Some((i, v)) => (i as u32, v),
-        None => (rng.random_range(0..k as u32), rng.random_range(0..n as Vertex)),
-    };
-    let accept_rng = rng.split_stream();
-    (initial, rng, accept_rng)
-}
-
-/// [`EngineDriver`] for the chain thread of the speculative single-space
-/// pipeline: the same accumulation code as the sequential sampler, reading
-/// densities through the shared pre-warmed cache, with segment boundaries
-/// publishing the committed iteration bound to the workers.
-struct PipelineSingleDriver<'a, 'g, F: FnMut(&Vertex) -> f64> {
-    chain: MetropolisHastings<FnTarget<Vertex, F>, UniformProposal, SmallRng>,
-    acc: SingleAccumulator,
-    burn_in: u64,
-    n: usize,
-    pacing: &'a Pacing,
-    proposal_sum: f64,
-    max_proposed: f64,
-    // Checkpoint context (header + payload identity).
-    oracle: &'a SharedProbeOracle<'g>,
-    config: &'a SingleSpaceConfig,
-    r: Vertex,
-}
-
-impl<F: FnMut(&Vertex) -> f64> EngineDriver for PipelineSingleDriver<'_, '_, F> {
-    type Output = (SingleAccumulator, f64);
-
-    fn prime(&mut self, out: &mut Vec<f64>) {
-        if self.acc.iteration() == 0 && self.acc.counted() == 1 {
-            out.push(self.chain.current_density());
-        }
-    }
-
-    fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let start = self.acc.iteration();
-        // Monotone raise (fixed-budget runs pre-commit everything; never
-        // lower the bound back to a segment edge).
-        self.pacing.committed.fetch_max(start + iters, Ordering::AcqRel);
-        for t in start + 1..=start + iters {
-            self.pacing.progress.store(t, Ordering::Release);
-            let o = self.chain.step();
-            self.acc.absorb(&o);
-            self.proposal_sum += o.proposed_density;
-            if o.proposed_density > self.max_proposed {
-                self.max_proposed = o.proposed_density;
-            }
-            if self.acc.iteration() > self.burn_in {
-                out.push(o.density);
-            }
-        }
-    }
-
-    fn iterations(&self) -> u64 {
-        self.acc.iteration()
-    }
-
-    fn scale(&self) -> f64 {
-        self.n as f64 - 1.0
-    }
-
-    fn observed_mu(&self) -> Option<f64> {
-        let t = self.acc.iteration();
-        if t == 0 || self.proposal_sum <= 0.0 {
-            return None;
-        }
-        Some(self.max_proposed / (self.proposal_sum / t as f64))
-    }
-
-    fn finish(self) -> (SingleAccumulator, f64) {
-        (self.acc, self.chain.stats().acceptance_rate())
-    }
-}
-
-impl<F: FnMut(&Vertex) -> f64> CheckpointDriver for PipelineSingleDriver<'_, '_, F> {
-    fn kind(&self) -> CheckpointKind {
-        CheckpointKind::Single
-    }
-
-    fn view(&self) -> SpdView<'_> {
-        self.oracle.view()
-    }
-
-    fn save(&self, w: &mut crate::checkpoint::Writer) {
-        // Same payload as the sequential driver; at a segment boundary the
-        // shared cache deterministically holds the rows of every consumed
-        // proposal (see [`Pacing`]), so `cached_sources` plays the role of
-        // the sequential `spd_passes`.
-        single::save_single_payload(
-            w,
-            self.r,
-            self.config,
-            &self.chain.snapshot(),
-            &self.acc,
-            self.proposal_sum,
-            self.max_proposed,
-            self.oracle.cached_sources() as u64,
-            self.oracle.stats(),
-            self.oracle.snapshot_rows(),
-        );
-    }
-}
-
-/// Shared pacing state between the chain thread and its prefetch workers.
-///
-/// `progress` is how far the chain has consumed; `committed` is how far the
-/// engine has *guaranteed* execution (raised segment by segment); `done`
-/// flips when no further iterations will ever be committed. Workers warm
-/// only proposals with `t ≤ committed` — under adaptive stopping the total
-/// iteration count is unknown upfront, and a worker that warmed past an
-/// early stop would inflate the cache (and with it the deterministic
-/// `spd_passes` figure) relative to the sequential run. At every segment
-/// boundary the cache therefore holds *exactly* the rows of the proposals
-/// consumed so far, whatever the thread count.
-pub(crate) struct Pacing {
-    pub(crate) progress: AtomicU64,
-    pub(crate) committed: AtomicU64,
-    pub(crate) done: AtomicBool,
-}
-
-impl Pacing {
-    /// Pacing with `committed` pre-set (fixed-budget runs commit the whole
-    /// budget upfront, reproducing the pre-adaptive protocol exactly).
-    pub(crate) fn committed_to(limit: u64) -> Self {
-        Pacing {
-            progress: AtomicU64::new(0),
-            committed: AtomicU64::new(limit),
-            done: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Releases prefetch workers on drop (normal completion *or* panic): no
-/// further iterations will be committed, so workers waiting past
-/// `committed` exit instead of spinning forever.
-pub(crate) struct PacingGuard<'a>(pub(crate) &'a Pacing);
-
-impl Drop for PacingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.done.store(true, Ordering::Release);
-        // Also release the depth window (mirrors the old Progress drop).
-        self.0.progress.store(u64::MAX, Ordering::Release);
-    }
-}
-
-/// A worker's view of the speculation window: which strided share of the
-/// proposal stream it owns and how far past the chain it may run.
-pub(crate) struct Lane<'a> {
-    pub(crate) lane: u64,
-    pub(crate) lanes: u64,
-    pub(crate) depth: u64,
-    pub(crate) pacing: &'a Pacing,
-}
-
-/// One prefetch worker: replays the proposal stream from iteration `start`
-/// to at most `max`, warming its strided share
-/// `{t : (t - 1) ≡ lane (mod lanes)}` of the upcoming proposals, never
-/// speculating more than `depth` past the chain's progress nor past the
-/// committed iteration bound (see [`Pacing`]). The one copy of the
-/// speculation-window protocol — `run_single`, `run_joint`, and the
-/// ensemble's per-chain squads all spawn exactly this.
-pub(crate) fn prefetch_lane<P, S>(
+/// The next `count` proposals of an independence chain whose proposal
+/// stream is in state `rng` (pass a copy: the chain's own stream must not
+/// advance).
+pub(crate) fn upcoming<S, P: Proposal<S>>(
     mut proposal: P,
     mut rng: SmallRng,
-    start: u64,
-    max: u64,
-    window: Lane<'_>,
-    mut warm: impl FnMut(S),
-) where
-    P: Proposal<S>,
-{
-    for t in start..=max {
-        let Some(state) = proposal.propose_iid(&mut rng) else {
-            return; // state-dependent proposal: nothing to speculate on
-        };
-        if (t - 1) % window.lanes == window.lane {
-            loop {
-                let committed = window.committed();
-                if t <= committed && t <= window.window_edge() {
-                    break;
-                }
-                if t > committed && window.pacing.done.load(Ordering::Acquire) {
-                    return; // the run stopped before iteration t
-                }
-                std::thread::yield_now();
-            }
-            warm(state);
-        }
-    }
+    count: u64,
+) -> impl Iterator<Item = S> {
+    (0..count).map(move |_| proposal.propose_iid(&mut rng).expect("independence proposal"))
 }
 
-impl Lane<'_> {
-    fn committed(&self) -> u64 {
-        self.pacing.committed.load(Ordering::Acquire)
-    }
-
-    fn window_edge(&self) -> u64 {
-        self.pacing.progress.load(Ordering::Acquire).saturating_add(self.depth)
-    }
-}
-
-/// A consumer of checkpoint file images, called at every segment boundary
-/// (the CLI writes them to disk).
-pub type CheckpointSink<'x> = dyn FnMut(Vec<u8>) -> Result<(), CoreError> + 'x;
-
-/// Runs a checkpointable engine to completion, feeding every segment
-/// boundary's checkpoint to `sink` when one is given.
-fn drive<D: CheckpointDriver>(
-    engine: EstimationEngine<D>,
-    sink: Option<&mut CheckpointSink<'_>>,
-) -> Result<(D::Output, AdaptiveReport), CoreError> {
-    match sink {
-        None => Ok(engine.run()),
-        Some(f) => engine.run_with(|e| f(e.checkpoint())),
-    }
-}
-
-/// Runs the single-space sampler (§4.2) with `prefetch.threads` evaluation
-/// threads. Bit-identical to `SingleSpaceSampler::run` for every thread
-/// count — see the module docs for why — and falls back to the sequential
-/// sampler when `threads <= 1`.
-pub fn run_single(
-    g: &CsrGraph,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    prefetch: &PrefetchConfig,
-) -> Result<SingleSpaceEstimate, CoreError> {
-    run_single_view(SpdView::direct(g), r, config, prefetch)
-}
-
-/// [`run_single`] evaluating densities through `view` — the preprocessing
-/// entry point. The chain, its proposal stream, and the estimator all live
-/// in **original** vertex ids; see [`SingleSpaceSampler::for_view`] for why
-/// the stationary distribution needs no correction. Output is bit-identical
-/// across thread counts for a fixed view.
+/// Runs the single-space sampler (§4.2) through `view` with
+/// `prefetch.threads` threads. The chain, its proposal stream, and the
+/// estimator all live in **original** vertex ids; see
+/// [`SingleSpaceSampler::for_view`] for why a reduction needs no
+/// stationary-distribution correction. Output is bit-identical across
+/// thread counts.
 pub fn run_single_view(
     view: SpdView<'_>,
     r: Vertex,
@@ -403,19 +127,10 @@ pub fn run_single_view(
         .map(|(est, _)| est)
 }
 
-/// The adaptive entry point of the single-space pipeline: executes through
-/// a segmented [`EstimationEngine`] (so a [`mhbc_mcmc::StoppingRule`] can
-/// end the run early), optionally writing a checkpoint at every segment
-/// boundary, with `prefetch.threads` evaluation threads.
-///
-/// Bit-identity holds in both directions: a `FixedIterations` run equals
-/// the pre-engine pipeline exactly, and an adaptive run's estimates,
-/// stopping point, and `spd_passes` agree across all thread counts —
-/// stopping decisions are pure functions of the observation series, and
-/// workers never warm past the committed iteration bound (the pacing
-/// protocol),
-/// so the cache holds exactly the consumed proposals' rows at every
-/// boundary.
+/// [`run_single_view`] under a segmented engine: a
+/// [`mhbc_mcmc::StoppingRule`] can end the run early, and `sink` receives a
+/// checkpoint at every segment boundary when one is given. Estimates,
+/// stopping point, and `spd_passes` agree across all thread counts.
 pub fn run_single_view_adaptive(
     view: SpdView<'_>,
     r: Vertex,
@@ -424,267 +139,41 @@ pub fn run_single_view_adaptive(
     prefetch: &PrefetchConfig,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    let n = validate_single(&view, r, config)?;
-    if !prefetch.is_parallel() {
-        let engine = SingleSpaceSampler::for_view(view, r, config.clone())?.into_engine(engine_cfg);
-        return drive(engine, sink);
-    }
-    let (initial, prop_rng, acc_rng) = derive_streams(config.seed, config.initial, n);
-    let oracle = SharedProbeOracle::for_view(view, &[r]);
-    parallel_single(
-        view, r, config, engine_cfg, prefetch, sink, &oracle, None, initial, prop_rng, acc_rng, n,
-    )
+    SingleSpaceSampler::for_view(view, r, config.clone())?
+        .into_engine(engine_cfg)
+        .with_prefetch(prefetch.clone())
+        .run_checkpointed(sink)
 }
 
 /// Resumes a checkpointed single-space run against `view` (same graph,
 /// same preprocess level — validated; any kernel mode) with
-/// `prefetch.threads` evaluation threads. The resumed run is bit-identical
-/// to an uninterrupted one whatever the thread counts on either side of
-/// the checkpoint.
+/// `prefetch.threads` threads. The resumed run is bit-identical to an
+/// uninterrupted one whatever the thread counts on either side of the
+/// checkpoint.
 pub fn resume_single_view(
     view: SpdView<'_>,
     bytes: &[u8],
     prefetch: &PrefetchConfig,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    if !prefetch.is_parallel() {
-        let engine = crate::engine::resume_single(view, bytes)?;
-        return drive(engine, sink);
-    }
-    let (state, mut rdr) = open_checkpoint(&view, bytes, CheckpointKind::Single)?;
-    let mut parts = single::decode_single_parts(&view, &mut rdr)?;
-    let oracle = SharedProbeOracle::for_view(view, &[parts.r]);
-    // Hand the decoded rows over without duplicating them (a checkpointed
-    // cache can hold thousands of length-k rows).
-    oracle.restore_cache(std::mem::take(&mut parts.rows), parts.stats);
-    let prop_rng = SmallRng::restore_state(parts.snap.proposal_rng);
-    let acc_rng = SmallRng::restore_state(parts.snap.accept_rng);
-    parallel_single(
-        view,
-        parts.r,
-        &parts.config.clone(),
-        state.config,
-        prefetch,
-        sink,
-        &oracle,
-        Some((parts, state.monitor, state.segments, state.budget)),
-        0,
-        prop_rng,
-        acc_rng,
-        view.num_vertices(),
-    )
+    crate::resume_single(view, bytes)?.with_prefetch(prefetch.clone()).run_checkpointed(sink)
 }
 
-/// The shared parallel body of [`run_single_view_adaptive`] and
-/// [`resume_single_view`]: spawns the prefetch squad, then runs the chain
-/// thread through the segmented engine.
-#[allow(clippy::too_many_arguments)]
-fn parallel_single(
-    view: SpdView<'_>,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    engine_cfg: EngineConfig,
-    prefetch: &PrefetchConfig,
-    sink: Option<&mut CheckpointSink<'_>>,
-    oracle: &SharedProbeOracle<'_>,
-    resume: Option<(single::SingleResumeParts, mhbc_mcmc::DiagnosticsMonitor, u64, u64)>,
-    initial: Vertex,
-    prop_rng: SmallRng,
-    acc_rng: SmallRng,
-    n: usize,
-) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    let workers = (prefetch.threads - 1) as u64;
-    let depth = prefetch.depth.max(workers);
-    let budget = match &resume {
-        None => config.iterations,
-        Some((_, _, _, budget)) => *budget,
-    };
-    let start = resume.as_ref().map_or(1, |(parts, _, _, _)| parts.acc.iteration() + 1);
-    // Fixed-budget runs commit everything upfront (the historical
-    // behaviour); adaptive runs commit segment by segment.
-    let committed0 = match engine_cfg.stopping {
-        mhbc_mcmc::StoppingRule::FixedIterations => budget,
-        _ => start.saturating_sub(1),
-    };
-    let pacing = Pacing::committed_to(committed0);
-    let pool = SpdWorkspacePool::for_view_workers(view, prefetch.threads);
-    // Workers replay the proposal stream from the chain's current position.
-    let worker_rng = prop_rng.clone();
-
-    let out = crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
-            let wrng = worker_rng.clone();
-            let (pool, pacing) = (&pool, &pacing);
-            scope.spawn(move |_| {
-                let mut calc = pool.checkout();
-                prefetch_lane(
-                    UniformProposal::new(n),
-                    wrng,
-                    start,
-                    budget,
-                    Lane { lane, lanes: workers, depth, pacing },
-                    |v: Vertex| {
-                        oracle.warm(v, &mut calc);
-                    },
-                );
-            });
-        }
-
-        // The chain thread: identical code path to the sequential sampler,
-        // reading densities through the shared (pre-warmed) cache.
-        let mut calc = pool.checkout();
-        let target = fn_target(|v: &Vertex| oracle.dep(*v, 0, &mut calc));
-        let guard = PacingGuard(&pacing);
-        let (engine, run_config);
-        match resume {
-            None => {
-                let chain = MetropolisHastings::with_streams(
-                    target,
-                    UniformProposal::new(n),
-                    initial,
-                    prop_rng,
-                    acc_rng,
-                );
-                let mut acc = SingleAccumulator::new(config, n);
-                acc.absorb_initial(chain.current_density());
-                run_config = config.clone();
-                let driver = PipelineSingleDriver {
-                    chain,
-                    acc,
-                    burn_in: run_config.burn_in,
-                    n,
-                    pacing: &pacing,
-                    proposal_sum: 0.0,
-                    max_proposed: 0.0,
-                    oracle,
-                    config: &run_config,
-                    r,
-                };
-                engine = EstimationEngine::new(driver, budget, engine_cfg);
-            }
-            Some((parts, monitor, segments, _)) => {
-                let chain =
-                    MetropolisHastings::restore(target, UniformProposal::new(n), parts.snap);
-                run_config = parts.config;
-                let driver = PipelineSingleDriver {
-                    chain,
-                    acc: parts.acc,
-                    burn_in: run_config.burn_in,
-                    n,
-                    pacing: &pacing,
-                    proposal_sum: parts.proposal_sum,
-                    max_proposed: parts.max_proposed,
-                    oracle,
-                    config: &run_config,
-                    r,
-                };
-                engine =
-                    EstimationEngine::with_state(driver, budget, engine_cfg, monitor, segments);
-            }
-        }
-        let out = drive(engine, sink);
-        drop(guard);
-        out
-    })
-    .expect("pipeline threads joined");
-
-    let ((acc, acceptance_rate), report) = out?;
-    Ok((acc.finish(r, acceptance_rate, oracle.cached_sources() as u64, oracle.stats()), report))
-}
-
-/// Runs the joint-space sampler (§4.3) with `prefetch.threads` evaluation
-/// threads; bit-identical to `JointSpaceSampler::run`, with sequential
-/// fallback for `threads <= 1`.
-pub fn run_joint(
-    g: &CsrGraph,
-    probes: &[Vertex],
-    config: &JointSpaceConfig,
-    prefetch: &PrefetchConfig,
-) -> Result<JointSpaceEstimate, CoreError> {
-    run_joint_view(SpdView::direct(g), probes, config, prefetch)
-}
-
-/// [`run_joint`] evaluating densities through `view`; every probe must
-/// survive the reduction ([`CoreError::PrunedProbe`] otherwise).
-///
-/// The threaded joint pipeline runs the full fixed budget (adaptive
-/// stopping for probe sets goes through the per-probe
-/// [`crate::schedule::ProbeScheduler`][sched] instead, and the sequential
-/// joint engine — [`JointSpaceSampler::into_engine`] — supports adaptive
-/// rules and checkpointing directly).
-///
-/// [sched]: crate::schedule::run_probe_schedule
+/// Runs the joint-space sampler (§4.3) through `view` for its full fixed
+/// budget with `prefetch.threads` threads; every probe must survive the
+/// reduction ([`CoreError::PrunedProbe`] otherwise). Bit-identical to
+/// [`JointSpaceSampler::run`] at every thread count. For adaptive stopping
+/// or checkpoints use [`JointSpaceSampler::into_engine`].
 pub fn run_joint_view(
     view: SpdView<'_>,
     probes: &[Vertex],
     config: &JointSpaceConfig,
     prefetch: &PrefetchConfig,
 ) -> Result<JointSpaceEstimate, CoreError> {
-    let (n, k) = joint::validate_joint(&view, probes, config)?;
-    if !prefetch.is_parallel() {
-        return Ok(JointSpaceSampler::for_view(view, probes, config.clone())?.run());
-    }
-    let workers = (prefetch.threads - 1) as u64;
-    let depth = prefetch.depth.max(workers);
-    let (initial, prop_rng, acc_rng) = derive_joint_streams(config.seed, config.initial, k, n);
-    let oracle = SharedProbeOracle::for_view(view, probes);
-    let pool = SpdWorkspacePool::for_view_workers(view, prefetch.threads + 1);
-    let iterations = config.iterations;
-    let pacing = Pacing::committed_to(iterations);
-
-    let (acc, acceptance_rate) = crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
-            let wrng = prop_rng.clone();
-            let (oracle, pool, pacing) = (&oracle, &pool, &pacing);
-            scope.spawn(move |_| {
-                let mut calc = pool.checkout();
-                prefetch_lane(
-                    JointProposal { k: k as u32, n: n as u32 },
-                    wrng,
-                    1,
-                    iterations,
-                    Lane { lane, lanes: workers, depth, pacing },
-                    |(_, v): JointState| {
-                        oracle.warm(v, &mut calc);
-                    },
-                );
-            });
-        }
-
-        let mut calc = pool.checkout();
-        let mut absorb_calc = pool.checkout();
-        let oracle_ref = &oracle;
-        let target = fn_target(|s: &JointState| oracle_ref.dep(s.1, s.0 as usize, &mut calc));
-        let mut chain = MetropolisHastings::with_streams(
-            target,
-            JointProposal { k: k as u32, n: n as u32 },
-            initial,
-            prop_rng,
-            acc_rng,
-        );
-        let mut acc = JointAccumulator::new(k, config.trace_pair);
-        let mut absorb = |chain_state: JointState, acc: &mut JointAccumulator| {
-            let (j, v) = chain_state;
-            oracle_ref.with_deps(v, &mut absorb_calc, |row| acc.absorb(j as usize, row));
-        };
-        absorb(*chain.state(), &mut acc);
-        let guard = PacingGuard(&pacing);
-        for t in 1..=iterations {
-            guard.0.progress.store(t, Ordering::Release);
-            chain.step();
-            absorb(*chain.state(), &mut acc);
-        }
-        (acc, chain.stats().acceptance_rate())
-    })
-    .expect("pipeline threads joined");
-
-    Ok(acc.finish(
-        probes.to_vec(),
-        iterations,
-        acceptance_rate,
-        oracle.cached_sources() as u64,
-        oracle.stats(),
-    ))
+    let engine = JointSpaceSampler::for_view(view, probes, config.clone())?
+        .into_engine(EngineConfig::fixed())
+        .with_prefetch(prefetch.clone());
+    Ok(engine.run().0)
 }
 
 #[cfg(test)]
@@ -702,7 +191,13 @@ mod tests {
         let config = SingleSpaceConfig::new(2_500, 97);
         let seq = SingleSpaceSampler::new(&g, 6, config.clone()).unwrap().run();
         for threads in [2usize, 3, 5] {
-            let par = run_single(&g, 6, &config, &PrefetchConfig::with_threads(threads)).unwrap();
+            let par = run_single_view(
+                SpdView::direct(&g),
+                6,
+                &config,
+                &PrefetchConfig::with_threads(threads),
+            )
+            .unwrap();
             assert_eq!(fingerprint(&seq), fingerprint(&par), "threads {threads}");
         }
     }
@@ -713,7 +208,9 @@ mod tests {
         let probes = [5u32, 6, 7];
         let config = JointSpaceConfig::new(2_000, 41).with_trace_pair(0, 1);
         let seq = JointSpaceSampler::new(&g, &probes, config.clone()).unwrap().run();
-        let par = run_joint(&g, &probes, &config, &PrefetchConfig::with_threads(3)).unwrap();
+        let par =
+            run_joint_view(SpdView::direct(&g), &probes, &config, &PrefetchConfig::with_threads(3))
+                .unwrap();
         assert_eq!(seq.counts, par.counts);
         assert_eq!(seq.spd_passes, par.spd_passes);
         assert_eq!(seq.acceptance_rate.to_bits(), par.acceptance_rate.to_bits());
@@ -731,7 +228,13 @@ mod tests {
         let config = SingleSpaceConfig::new(300, 5);
         let seq = SingleSpaceSampler::new(&g, 4, config.clone()).unwrap().run();
         for threads in [0usize, 1] {
-            let fb = run_single(&g, 4, &config, &PrefetchConfig::with_threads(threads)).unwrap();
+            let fb = run_single_view(
+                SpdView::direct(&g),
+                4,
+                &config,
+                &PrefetchConfig::with_threads(threads),
+            )
+            .unwrap();
             assert_eq!(fingerprint(&seq), fingerprint(&fb));
         }
     }
@@ -741,8 +244,13 @@ mod tests {
         let g = generators::lollipop(5, 3);
         let config = SingleSpaceConfig::new(800, 13).with_trace();
         let seq = SingleSpaceSampler::new(&g, 5, config.clone()).unwrap().run();
-        let par =
-            run_single(&g, 5, &config, &PrefetchConfig::with_threads(3).with_depth(1)).unwrap();
+        let par = run_single_view(
+            SpdView::direct(&g),
+            5,
+            &config,
+            &PrefetchConfig::with_threads(3).with_depth(1),
+        )
+        .unwrap();
         assert_eq!(fingerprint(&seq), fingerprint(&par));
         assert_eq!(seq.trace.unwrap(), par.trace.unwrap());
         assert_eq!(seq.density_series.unwrap(), par.density_series.unwrap());
@@ -806,8 +314,8 @@ mod tests {
             )
             .unwrap();
             // Same stopping point, same estimates, same distinct SPD
-            // passes: workers never warm past the committed bound, so the
-            // early stop cannot inflate the cache.
+            // passes: prefetch never reaches past the current segment, so
+            // the early stop cannot inflate the cache.
             assert_eq!(seq_report.iterations, par_report.iterations, "threads {threads}");
             assert_eq!(fingerprint(&seq), fingerprint(&par), "threads {threads}");
             assert_eq!(seq_report.stderr.to_bits(), par_report.stderr.to_bits());
@@ -857,13 +365,78 @@ mod tests {
     fn pipeline_validates_like_the_sampler() {
         let g = generators::path(10);
         assert!(matches!(
-            run_single(&g, 99, &SingleSpaceConfig::new(10, 0), &PrefetchConfig::with_threads(2)),
+            run_single_view(
+                SpdView::direct(&g),
+                99,
+                &SingleSpaceConfig::new(10, 0),
+                &PrefetchConfig::with_threads(2)
+            ),
             Err(CoreError::ProbeOutOfRange { .. })
         ));
         let tiny = generators::path(2);
         assert!(matches!(
-            run_single(&tiny, 0, &SingleSpaceConfig::new(10, 0), &PrefetchConfig::with_threads(2)),
+            run_single_view(
+                SpdView::direct(&tiny),
+                0,
+                &SingleSpaceConfig::new(10, 0),
+                &PrefetchConfig::with_threads(2)
+            ),
             Err(CoreError::GraphTooSmall { .. })
         ));
+    }
+
+    /// Runs `engine` to its budget, returning the SPD passes its
+    /// calculators performed and the `spd_passes` its estimate reports.
+    fn passes<D: crate::engine::EngineDriver>(
+        mut engine: crate::EstimationEngine<D>,
+        computed: impl Fn(&D) -> u64,
+        reported: impl Fn(&D::Output) -> u64,
+    ) -> (u64, u64) {
+        while engine.step_segment().is_none() {}
+        let computed = computed(engine.driver());
+        let (est, _) = engine.finalize(crate::StopReason::BudgetExhausted);
+        (computed, reported(&est))
+    }
+
+    #[test]
+    fn no_spd_pass_is_computed_twice() {
+        use crate::ensemble::{EnsembleConfig, EnsembleDriver};
+        use rand::{rngs::SmallRng, SeedableRng};
+        // Large enough that every prefetch chunk splits hundreds of distinct
+        // uncached sources across the threads.
+        let g = generators::barabasi_albert(1_500, 3, &mut SmallRng::seed_from_u64(7));
+        let view = SpdView::direct(&g);
+        let r = (0..g.num_vertices() as Vertex).max_by_key(|&v| g.degree(v)).unwrap();
+        let fixed = EngineConfig::fixed();
+        for threads in [2usize, 4] {
+            let prefetch = PrefetchConfig::with_threads(threads).with_depth(300);
+            let single = SingleSpaceSampler::for_view(view, r, SingleSpaceConfig::new(3_000, 5))
+                .unwrap()
+                .into_engine(fixed)
+                .with_prefetch(prefetch.clone());
+            let (computed, reported) =
+                passes(single, |d| d.oracle().computed_passes(), |e| e.spd_passes);
+            assert!(reported > 1_000, "test premise: {reported} distinct rows");
+            assert_eq!(computed, reported, "single, threads {threads}");
+
+            let probes = [r, (r + 1) % 1_500, (r + 2) % 1_500];
+            let joint = JointSpaceSampler::for_view(view, &probes, JointSpaceConfig::new(3_000, 5))
+                .unwrap()
+                .into_engine(fixed)
+                .with_prefetch(prefetch.clone());
+            let (computed, reported) =
+                passes(joint, |d| d.oracle().computed_passes(), |e| e.spd_passes);
+            assert_eq!(computed, reported, "joint, threads {threads}");
+
+            let config = EnsembleConfig::new(3, 1_000, 5).with_prefetch(prefetch);
+            let ensemble = crate::EstimationEngine::new(
+                EnsembleDriver::create(view, r, &config).unwrap(),
+                config.iterations,
+                fixed,
+            );
+            let (computed, reported) =
+                passes(ensemble, |d| d.oracle().computed_passes(), |e| e.spd_passes);
+            assert_eq!(computed, reported, "ensemble, threads {threads}");
+        }
     }
 }

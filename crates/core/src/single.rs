@@ -1,13 +1,14 @@
 //! The single-space MCMC sampler (§4.2).
 
-use crate::checkpoint::{CheckpointKind, Reader, Writer};
+use crate::checkpoint::{self, CheckpointKind, Reader, Writer};
 use crate::engine::{CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine};
 use crate::oracle::{OracleStats, ProbeOracle};
+use crate::pipeline::{self, PrefetchConfig};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{ChainSnapshot, MetropolisHastings, StepOutcome, TargetDensity, UniformProposal};
+use mhbc_mcmc::{MetropolisHastings, StepOutcome, StreamSplit, TargetDensity, UniformProposal};
 use mhbc_spd::SpdView;
-use rand::rngs::SmallRng;
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
 /// Target density of the single-space chain: `f(v) = δ_{v•}(r)` — the
 /// unnormalised form of the optimal distribution `P_r[v]` (Eq 5).
@@ -131,11 +132,8 @@ pub struct SingleStepInfo {
     pub estimate: f64,
 }
 
-/// The Eq 7 (and support-corrected) estimator state, factored out of the
-/// sampler so the sequential path and the prefetch pipeline run *the same
-/// accumulation code in the same order* — the basis of the pipeline's
-/// bit-identical-output guarantee.
-pub(crate) struct SingleAccumulator {
+/// The Eq 7 (and support-corrected) estimator state.
+struct SingleAccumulator {
     n: usize,
     burn_in: u64,
     count_rejections: bool,
@@ -151,7 +149,7 @@ pub(crate) struct SingleAccumulator {
 }
 
 impl SingleAccumulator {
-    pub(crate) fn new(config: &SingleSpaceConfig, n: usize) -> Self {
+    fn new(config: &SingleSpaceConfig, n: usize) -> Self {
         SingleAccumulator {
             n,
             burn_in: config.burn_in,
@@ -169,7 +167,7 @@ impl SingleAccumulator {
     }
 
     /// Absorbs the initial state (sample 0 of the multiset) unless burnt in.
-    pub(crate) fn absorb_initial(&mut self, d0: f64) {
+    fn absorb_initial(&mut self, d0: f64) {
         if self.burn_in > 0 {
             return;
         }
@@ -186,7 +184,7 @@ impl SingleAccumulator {
     }
 
     /// Absorbs one chain step.
-    pub(crate) fn absorb(&mut self, out: &StepOutcome) {
+    fn absorb(&mut self, out: &StepOutcome) {
         self.iteration += 1;
         if out.proposed_density > 0.0 {
             self.proposals_support += 1;
@@ -207,22 +205,18 @@ impl SingleAccumulator {
         }
     }
 
-    pub(crate) fn iteration(&self) -> u64 {
+    fn iteration(&self) -> u64 {
         self.iteration
     }
 
-    pub(crate) fn counted(&self) -> u64 {
-        self.counted
-    }
-
-    pub(crate) fn estimate(&self) -> f64 {
+    fn estimate(&self) -> f64 {
         if self.counted == 0 {
             return 0.0;
         }
         self.sum_delta / (self.counted as f64 * (self.n as f64 - 1.0))
     }
 
-    pub(crate) fn estimate_corrected(&self) -> f64 {
+    fn estimate_corrected(&self) -> f64 {
         if self.iteration == 0 || self.support_counted == 0 || self.inv_delta_sum <= 0.0 {
             return 0.0;
         }
@@ -230,8 +224,8 @@ impl SingleAccumulator {
         p_hat * self.support_counted as f64 / ((self.n as f64 - 1.0) * self.inv_delta_sum)
     }
 
-    /// Finalises into the public estimate (shared by both execution modes).
-    pub(crate) fn finish(
+    /// Finalises into the public estimate.
+    fn finish(
         self,
         r: Vertex,
         acceptance_rate: f64,
@@ -254,6 +248,44 @@ impl SingleAccumulator {
     }
 }
 
+/// Validates a single-space configuration, returning `n` (the *original*
+/// vertex count — the sampler state space, whatever the view's reduction).
+fn validate_single(
+    view: &SpdView<'_>,
+    r: Vertex,
+    config: &SingleSpaceConfig,
+) -> Result<usize, CoreError> {
+    let n = view.num_vertices();
+    if n < 3 {
+        return Err(CoreError::GraphTooSmall { num_vertices: n });
+    }
+    if r as usize >= n {
+        return Err(CoreError::ProbeOutOfRange { probe: r, num_vertices: n });
+    }
+    if !view.is_retained(r) {
+        return Err(CoreError::PrunedProbe { probe: r });
+    }
+    if let Some(v0) = config.initial {
+        if v0 as usize >= n {
+            return Err(CoreError::ProbeOutOfRange { probe: v0, num_vertices: n });
+        }
+    }
+    Ok(n)
+}
+
+/// Derives a single-space chain's `(initial state, proposal stream,
+/// acceptance stream)` from its seed — shared with the ensemble's chains.
+pub(crate) fn derive_streams(
+    seed: u64,
+    initial: Option<Vertex>,
+    n: usize,
+) -> (Vertex, SmallRng, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let initial = initial.unwrap_or_else(|| rng.random_range(0..n as Vertex));
+    let accept_rng = rng.split_stream();
+    (initial, rng, accept_rng)
+}
+
 /// The paper's single-space Metropolis–Hastings sampler (§4.2).
 ///
 /// State space `V(G)`; proposal uniform over `V(G)` (independence MH);
@@ -262,10 +294,10 @@ impl SingleAccumulator {
 /// with `T ≥ µ(r)²/(2ε²) ln(2/δ)` iterations (Theorem 1 / Ineq 14); see
 /// [`crate::planner`].
 ///
-/// This type is the *sequential* streaming sampler. For a multi-threaded
-/// run with bit-identical output, see [`crate::pipeline::run_single`] —
-/// same chain, same estimates, with proposal densities evaluated
-/// speculatively by worker threads.
+/// This type is the streaming sampler; [`SingleSpaceSampler::into_engine`]
+/// runs it in segments, and [`EstimationEngine::with_prefetch`] computes its
+/// upcoming densities on several threads with bit-identical output (see
+/// [`crate::pipeline`]).
 pub struct SingleSpaceSampler<'g> {
     chain: MetropolisHastings<SingleTarget<'g>, UniformProposal, SmallRng>,
     r: Vertex,
@@ -306,9 +338,8 @@ impl<'g> SingleSpaceSampler<'g> {
         r: Vertex,
         config: SingleSpaceConfig,
     ) -> Result<Self, CoreError> {
-        let n = crate::pipeline::validate_single(&view, r, &config)?;
-        let (initial, prop_rng, acc_rng) =
-            crate::pipeline::derive_streams(config.seed, config.initial, n);
+        let n = validate_single(&view, r, &config)?;
+        let (initial, prop_rng, acc_rng) = derive_streams(config.seed, config.initial, n);
         let target = SingleTarget { oracle: ProbeOracle::for_view(view, &[r]) };
         let chain = MetropolisHastings::with_streams(
             target,
@@ -371,7 +402,13 @@ impl<'g> SingleSpaceSampler<'g> {
     /// config becomes the engine's budget (upper bound).
     pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<SingleDriver<'g>> {
         let budget = self.config.iterations;
-        EstimationEngine::new(SingleDriver::new(self), budget, engine)
+        let driver = SingleDriver {
+            sampler: self,
+            proposal_sum: 0.0,
+            max_proposed: 0.0,
+            prefetch: PrefetchConfig::sequential(),
+        };
+        EstimationEngine::new(driver, budget, engine)
     }
 
     /// Finalises early (fewer than `config.iterations` steps).
@@ -428,85 +465,21 @@ fn restore_config(r: &mut Reader<'_>) -> Result<SingleSpaceConfig, CoreError> {
     Ok(config)
 }
 
-pub(crate) fn save_chain_snapshot(w: &mut Writer, snap: &ChainSnapshot<Vertex>) {
-    w.u32(snap.state);
-    w.f64(snap.density);
-    w.u64(snap.stats.steps);
-    w.u64(snap.stats.accepted);
-    for x in snap.proposal_rng.iter().chain(&snap.accept_rng) {
-        w.u64(*x);
-    }
-}
-
-pub(crate) fn restore_chain_snapshot(
-    r: &mut Reader<'_>,
-) -> Result<ChainSnapshot<Vertex>, CoreError> {
-    let state = r.u32()?;
-    let density = r.f64()?;
-    let stats = mhbc_mcmc::ChainStats { steps: r.u64()?, accepted: r.u64()? };
-    let mut words = [0u64; 8];
-    for x in &mut words {
-        *x = r.u64()?;
-    }
-    Ok(ChainSnapshot {
-        state,
-        density,
-        stats,
-        proposal_rng: words[..4].try_into().expect("4 words"),
-        accept_rng: words[4..].try_into().expect("4 words"),
-    })
-}
-
-pub(crate) fn save_oracle(
-    w: &mut Writer,
-    passes: u64,
-    stats: OracleStats,
-    rows: Vec<(u64, Vec<f64>)>,
-) {
-    w.u64(passes);
-    w.u64(stats.hits);
-    w.u64(stats.misses);
-    w.u64(rows.len() as u64);
-    for (key, row) in rows {
-        w.u64(key);
-        w.f64s(&row);
-    }
-}
-
-/// Decoded oracle state: `(SPD passes, stats, cached rows)`.
-pub(crate) type OracleSnapshot = (u64, OracleStats, Vec<(u64, Vec<f64>)>);
-
-pub(crate) fn restore_oracle(r: &mut Reader<'_>) -> Result<OracleSnapshot, CoreError> {
-    let passes = r.u64()?;
-    let stats = OracleStats { hits: r.u64()?, misses: r.u64()? };
-    let n = r.u64()? as usize;
-    if n > r.remaining() / 16 {
-        return Err(crate::checkpoint::corrupt("row table longer than the checkpoint"));
-    }
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.u64()?;
-        rows.push((key, r.f64s()?));
-    }
-    Ok((passes, stats, rows))
-}
-
-/// [`EngineDriver`] for the sequential single-space sampler: the thin
-/// configuration layer that turns [`SingleSpaceSampler`] into an
-/// [`EstimationEngine`] workload. Also tracks the observed proposal-stream
-/// maximum and mean for the planner's `µ(r)` refit (the proposals are
-/// uniform i.i.d. draws, so `max/mean` is a plug-in for `n·max δ / Σ δ`).
+/// [`EngineDriver`] for the single-space sampler at every thread count: the
+/// thin configuration layer that turns [`SingleSpaceSampler`] into an
+/// [`EstimationEngine`] workload, with the batch prefetch of
+/// [`crate::pipeline`] in front of each chunk of steps. Also tracks the
+/// observed proposal-stream maximum and mean for the planner's `µ(r)` refit
+/// (the proposals are uniform i.i.d. draws, so `max/mean` is a plug-in for
+/// `n·max δ / Σ δ`).
 pub struct SingleDriver<'g> {
     sampler: SingleSpaceSampler<'g>,
     proposal_sum: f64,
     max_proposed: f64,
+    prefetch: PrefetchConfig,
 }
 
-impl<'g> SingleDriver<'g> {
-    pub(crate) fn new(sampler: SingleSpaceSampler<'g>) -> Self {
-        SingleDriver { sampler, proposal_sum: 0.0, max_proposed: 0.0 }
-    }
-
+impl SingleDriver<'_> {
     /// The wrapped sampler's probe vertex.
     pub fn probe(&self) -> Vertex {
         self.sampler.r
@@ -526,6 +499,11 @@ impl<'g> SingleDriver<'g> {
     pub fn estimate_corrected(&self) -> f64 {
         self.sampler.acc.estimate_corrected()
     }
+
+    /// The density oracle (its counters are the run's SPD-pass record).
+    pub fn oracle(&self) -> &ProbeOracle<'_> {
+        &self.sampler.chain.target().oracle
+    }
 }
 
 impl EngineDriver for SingleDriver<'_> {
@@ -541,16 +519,28 @@ impl EngineDriver for SingleDriver<'_> {
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
         let burn_in = self.sampler.config.burn_in;
-        for _ in 0..iters {
-            let o = self.sampler.step_raw();
-            self.proposal_sum += o.proposed_density;
-            if o.proposed_density > self.max_proposed {
-                self.max_proposed = o.proposed_density;
+        for chunk in self.prefetch.chunks(iters) {
+            if self.prefetch.is_parallel() {
+                let chain = &mut self.sampler.chain;
+                let proposal = UniformProposal::new(self.sampler.acc.n);
+                let sources = pipeline::upcoming(proposal, chain.proposal_rng().clone(), chunk);
+                chain.target_mut().oracle.prefetch(sources, self.prefetch.threads);
             }
-            if self.sampler.acc.iteration() > burn_in {
-                out.push(o.density);
+            for _ in 0..chunk {
+                let o = self.sampler.step_raw();
+                self.proposal_sum += o.proposed_density;
+                if o.proposed_density > self.max_proposed {
+                    self.max_proposed = o.proposed_density;
+                }
+                if self.sampler.acc.iteration() > burn_in {
+                    out.push(o.density);
+                }
             }
         }
+    }
+
+    fn set_prefetch(&mut self, prefetch: PrefetchConfig) {
+        self.prefetch = prefetch;
     }
 
     fn iterations(&self) -> u64 {
@@ -580,94 +570,19 @@ impl CheckpointDriver for SingleDriver<'_> {
     }
 
     fn view(&self) -> SpdView<'_> {
-        self.sampler.chain.target().oracle.view()
+        self.oracle().view()
     }
 
     fn save(&self, w: &mut Writer) {
         let s = &self.sampler;
-        let oracle = &s.chain.target().oracle;
-        save_single_payload(
-            w,
-            s.r,
-            &s.config,
-            &s.chain.snapshot(),
-            &s.acc,
-            self.proposal_sum,
-            self.max_proposed,
-            oracle.spd_passes(),
-            oracle.stats(),
-            oracle.snapshot_rows(),
-        );
+        w.u32(s.r);
+        save_config(w, &s.config);
+        checkpoint::save_chain(w, &s.chain.snapshot(), |w, &v| w.u32(v));
+        s.acc.save_into(w);
+        w.f64(self.proposal_sum);
+        w.f64(self.max_proposed);
+        self.oracle().save(w);
     }
-}
-
-/// Serialises a single-space payload — shared by the sequential driver and
-/// the pipeline's parallel chain-thread driver, which must write
-/// interchangeable checkpoints.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn save_single_payload(
-    w: &mut Writer,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    snap: &ChainSnapshot<Vertex>,
-    acc: &SingleAccumulator,
-    proposal_sum: f64,
-    max_proposed: f64,
-    passes: u64,
-    stats: OracleStats,
-    rows: Vec<(u64, Vec<f64>)>,
-) {
-    w.u32(r);
-    save_config(w, config);
-    save_chain_snapshot(w, snap);
-    acc.save_into(w);
-    w.f64(proposal_sum);
-    w.f64(max_proposed);
-    save_oracle(w, passes, stats, rows);
-}
-
-/// Decoded single-space payload: everything either execution mode
-/// (sequential sampler or parallel pipeline) needs to resume.
-pub(crate) struct SingleResumeParts {
-    pub(crate) r: Vertex,
-    pub(crate) config: SingleSpaceConfig,
-    pub(crate) n: usize,
-    pub(crate) snap: ChainSnapshot<Vertex>,
-    pub(crate) acc: SingleAccumulator,
-    pub(crate) proposal_sum: f64,
-    pub(crate) max_proposed: f64,
-    pub(crate) passes: u64,
-    pub(crate) stats: OracleStats,
-    pub(crate) rows: Vec<(u64, Vec<f64>)>,
-}
-
-pub(crate) fn decode_single_parts(
-    view: &SpdView<'_>,
-    r: &mut Reader<'_>,
-) -> Result<SingleResumeParts, CoreError> {
-    let probe = r.u32()?;
-    let config = restore_config(r)?;
-    let n = crate::pipeline::validate_single(view, probe, &config)?;
-    let snap = restore_chain_snapshot(r)?;
-    if (snap.state as usize) >= n {
-        return Err(crate::checkpoint::corrupt("chain state out of range"));
-    }
-    let acc = SingleAccumulator::restore_from(&config, n, r)?;
-    let proposal_sum = r.f64()?;
-    let max_proposed = r.f64()?;
-    let (passes, stats, rows) = restore_oracle(r)?;
-    Ok(SingleResumeParts {
-        r: probe,
-        config,
-        n,
-        snap,
-        acc,
-        proposal_sum,
-        max_proposed,
-        passes,
-        stats,
-        rows,
-    })
 }
 
 impl<'g> SingleDriver<'g> {
@@ -677,20 +592,26 @@ impl<'g> SingleDriver<'g> {
     /// verbatim, so the resumed run is bit-identical to an uninterrupted
     /// one.
     pub(crate) fn restore_from(view: SpdView<'g>, r: &mut Reader<'_>) -> Result<Self, CoreError> {
-        let parts = decode_single_parts(&view, r)?;
-        let mut oracle = ProbeOracle::for_view(view, &[parts.r]);
-        oracle.restore_cache(parts.rows, parts.stats, parts.passes);
-        let chain = MetropolisHastings::restore(
-            SingleTarget { oracle },
-            UniformProposal::new(parts.n),
-            parts.snap,
-        );
-        let sampler =
-            SingleSpaceSampler { chain, r: parts.r, config: parts.config, acc: parts.acc };
+        let probe = r.u32()?;
+        let config = restore_config(r)?;
+        let n = validate_single(&view, probe, &config)?;
+        let snap = checkpoint::read_chain(r, |r| r.u32())?;
+        if (snap.state as usize) >= n {
+            return Err(checkpoint::corrupt("chain state out of range"));
+        }
+        let acc = SingleAccumulator::restore_from(&config, n, r)?;
+        let proposal_sum = r.f64()?;
+        let max_proposed = r.f64()?;
+        let mut oracle = ProbeOracle::for_view(view, &[probe]);
+        oracle.restore(r)?;
+        let chain =
+            MetropolisHastings::restore(SingleTarget { oracle }, UniformProposal::new(n), snap);
+        let sampler = SingleSpaceSampler { chain, r: probe, config, acc };
         Ok(SingleDriver {
             sampler,
-            proposal_sum: parts.proposal_sum,
-            max_proposed: parts.max_proposed,
+            proposal_sum,
+            max_proposed,
+            prefetch: PrefetchConfig::sequential(),
         })
     }
 }

@@ -107,11 +107,10 @@ pub struct StepOutcome {
 /// splits the supplied generator once, keeping the parent as the proposal
 /// stream and the child as the acceptance stream. For independence
 /// proposals this makes the proposal sequence a pure function of the seed,
-/// reproducible by prefetch workers, while the acceptance draws stay on the
-/// chain thread — the property the speculative pipeline in `mhbc-core`
-/// relies on for bit-identical parallel/sequential results. Callers that
-/// need explicit control over the two streams (the pipeline does) can use
-/// [`MetropolisHastings::with_streams`].
+/// reproducible ahead of the chain, while the acceptance draws stay on the
+/// chain — the property the batch prefetch in `mhbc-core` relies on for
+/// bit-identical parallel/sequential results. Callers that need explicit
+/// control over the two streams can use [`MetropolisHastings::with_streams`].
 ///
 /// ## Zero-density states
 ///
@@ -155,8 +154,7 @@ where
     }
 
     /// Starts a chain with explicitly supplied proposal and acceptance
-    /// streams (one density evaluation). Prefetch pipelines use this to
-    /// hold a replica of `proposal_rng` for their workers.
+    /// streams (one density evaluation).
     pub fn with_streams(
         mut target: T,
         proposal: P,
@@ -241,6 +239,13 @@ where
     /// Cached density of the current state.
     pub fn current_density(&self) -> f64 {
         self.current_density
+    }
+
+    /// The proposal stream. For an independence proposal, a clone of it
+    /// replays the chain's upcoming proposals without touching the chain
+    /// (the batch prefetch in `mhbc-core` does exactly this).
+    pub fn proposal_rng(&self) -> &R {
+        &self.proposal_rng
     }
 
     /// Acceptance counters.

@@ -15,7 +15,7 @@
 //!   density so each step costs exactly one density evaluation, and draws
 //!   proposals and accept/reject uniforms from two split RNG streams
 //!   ([`StreamSplit`]) so independence-chain proposal sequences are
-//!   reproducible by prefetch workers.
+//!   reproducible ahead of the chain.
 //! - [`Proposal`] — proposal distributions: [`UniformProposal`] (the paper's
 //!   choice: independence MH with `q = 1/|V|`), [`WeightedProposal`]
 //!   (independence with arbitrary weights, e.g. degree-biased), and

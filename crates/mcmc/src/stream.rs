@@ -1,4 +1,4 @@
-//! Deterministic RNG stream splitting for pipelined chains.
+//! Deterministic RNG stream splitting for prefetching chains.
 //!
 //! The paper's samplers are *independence* chains: the proposal at step `t`
 //! does not depend on the chain's state, so the whole proposal sequence is
@@ -8,8 +8,8 @@
 //! keeps **two** split streams:
 //!
 //! - the *proposal stream*, which deterministically produces `x'_1, x'_2, …`
-//!   and can be cloned by prefetch workers, and
-//! - the *acceptance stream*, which stays on the chain thread and feeds only
+//!   and can be cloned to replay upcoming proposals, and
+//! - the *acceptance stream*, which is never replayed and feeds only
 //!   the `u ~ U[0, 1)` accept/reject draws.
 //!
 //! Splitting is one-way: the child stream is seeded from one draw of the
@@ -25,8 +25,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 /// `split_stream` advances `self` by exactly one draw and returns a child
 /// whose future output is (computationally) independent of the parent's.
 /// Used by [`crate::MetropolisHastings`] to separate the proposal stream
-/// from the acceptance stream, and by prefetch pipelines to hand workers a
-/// replica of the proposal stream.
+/// from the acceptance stream.
 pub trait StreamSplit: Sized {
     /// Forks an independent child generator, advancing `self` by one draw.
     fn split_stream(&mut self) -> Self;

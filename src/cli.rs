@@ -2,6 +2,7 @@
 //! command execution, kept binary-free so the logic is unit-testable.
 
 use mhbc_core::checkpoint::{self, CheckpointKind};
+use mhbc_core::engine::CheckpointSink;
 use mhbc_core::planner::{plan_single_view, refit_plan, MuSource};
 use mhbc_core::schedule::{run_probe_schedule, ScheduleConfig};
 use mhbc_core::{
@@ -148,11 +149,12 @@ pub const USAGE: &str = "usage:
   mhbc resume   <edge-list> <checkpoint> [--threads T] [--prefetch K] [--kernel M] [--checkpoint F]
 
 Edge lists are whitespace-separated `u v [w]` lines; `#`/`%` comments allowed.
---threads T      total density-evaluation threads (default 1 = sequential;
-                 T >= 2 enables the speculative prefetch pipeline — results
-                 are bit-identical to --threads 1).
---prefetch K     speculation window: how many proposals ahead the prefetch
-                 workers may evaluate (default 1024).
+--threads T      density-evaluation threads (default 1). With T >= 2 the
+                 chain replays its next K proposals, T threads split their
+                 distinct uncached sources, then the chain consumes them;
+                 results are bit-identical to --threads 1.
+--prefetch K     prefetch batch: how many upcoming proposals each batch
+                 covers (default 1024).
 --preprocess L   graph reduction before sampling: off (default), prune
                  (degree-1 pruning with exact corrections), full (pruning
                  + twin collapsing + cache relabelling), or auto (build the
@@ -174,10 +176,9 @@ Edge lists are whitespace-separated `u v [w]` lines; `#`/`%` comments allowed.
 --segment B      engine segment length: iterations between diagnostics
                  updates, stopping decisions, and checkpoints (default 1024).
 --checkpoint F   write a resumable checkpoint to F at every segment
-                 boundary (estimate at any thread count; rank needs
-                 --threads 1). `mhbc resume <edge-list> F` continues the
-                 run bit-identically — same estimates, same stopping point,
-                 as if it had never been interrupted.";
+                 boundary (any thread count). `mhbc resume <edge-list> F`
+                 continues the run bit-identically — same estimates, same
+                 stopping point, as if it had never been interrupted.";
 
 /// Parses `args` (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
@@ -521,7 +522,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 &SingleSpaceConfig::new(*iterations, *seed),
                 adaptive.engine(),
                 &prefetch,
-                sink.as_mut().map(|s| s as &mut pipeline::CheckpointSink<'_>),
+                sink.as_mut().map(|s| s as &mut CheckpointSink<'_>),
             )
             .map_err(|e| e.to_string())?;
             out.push(format!(
@@ -621,33 +622,19 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 return Ok(out);
             }
 
-            if adaptive.checkpoint.is_some() && prefetch.is_parallel() {
-                return Err("checkpointing a rank run requires --threads 1 (the joint engine \
-                     checkpoints sequentially; estimate checkpoints at any thread count)"
-                    .into());
-            }
-            let est = if let Some(path) = &adaptive.checkpoint {
-                let sampler = JointSpaceSampler::for_view(
-                    view,
-                    &probes,
-                    JointSpaceConfig::new(*iterations, *seed),
-                )
-                .map_err(|e| e.to_string())?;
-                let mut sink = checkpoint_sink(path);
+            let mut sink = adaptive.checkpoint.as_deref().map(checkpoint_sink);
+            let (est, _) = JointSpaceSampler::for_view(
+                view,
+                &probes,
+                JointSpaceConfig::new(*iterations, *seed),
+            )
+            .and_then(|sampler| {
                 sampler
                     .into_engine(adaptive.engine())
-                    .run_with(|e| sink(e.checkpoint()))
-                    .map_err(|e| e.to_string())?
-                    .0
-            } else {
-                pipeline::run_joint_view(
-                    view,
-                    &probes,
-                    &JointSpaceConfig::new(*iterations, *seed),
-                    &prefetch,
-                )
-                .map_err(|e| e.to_string())?
-            };
+                    .with_prefetch(prefetch)
+                    .run_checkpointed(sink.as_mut().map(|s| s as &mut CheckpointSink<'_>))
+            })
+            .map_err(|e| e.to_string())?;
             let mut ranked: Vec<(Vertex, f64)> =
                 vertices.iter().enumerate().map(|(i, &v)| (v, est.ratio(i, 0))).collect();
             ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -737,16 +724,12 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             // it came from, so a second interruption loses at most one
             // segment (writes are atomic; `--checkpoint` redirects).
             let sink_path = checkpoint.as_deref().unwrap_or(checkpoint_path);
-            let mut sink = Some(checkpoint_sink(sink_path));
+            let mut sink = checkpoint_sink(sink_path);
+            let sink = Some(&mut sink as &mut CheckpointSink<'_>);
             match info.kind {
                 CheckpointKind::Single => {
-                    let (est, report) = pipeline::resume_single_view(
-                        view,
-                        &bytes,
-                        &prefetch,
-                        sink.as_mut().map(|s| s as &mut pipeline::CheckpointSink<'_>),
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let (est, report) = pipeline::resume_single_view(view, &bytes, &prefetch, sink)
+                        .map_err(|e| e.to_string())?;
                     let vertex = external(est.r);
                     out.push(format!(
                         "resumed single-space run at iteration {} of budget {}",
@@ -767,22 +750,15 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     out.push(plan_vs_actual_line(&report));
                 }
                 CheckpointKind::Joint => {
-                    if prefetch.is_parallel() {
-                        return Err("joint checkpoints resume sequentially; drop --threads".into());
-                    }
-                    let engine =
-                        mhbc_core::resume_joint(view, &bytes).map_err(|e| e.to_string())?;
+                    let engine = mhbc_core::resume_joint(view, &bytes)
+                        .map_err(|e| e.to_string())?
+                        .with_prefetch(prefetch);
                     out.push(format!(
                         "resumed joint-space run at iteration {} of budget {}",
                         engine.iterations(),
                         engine.budget()
                     ));
-                    let (est, _) = match sink.as_mut() {
-                        None => engine.run(),
-                        Some(f) => {
-                            engine.run_with(|e| f(e.checkpoint())).map_err(|e| e.to_string())?
-                        }
-                    };
+                    let (est, _) = engine.run_checkpointed(sink).map_err(|e| e.to_string())?;
                     let inputs: Vec<Vertex> = est.probes.iter().map(|&p| external(p)).collect();
                     let mut ranked: Vec<(Vertex, f64)> =
                         inputs.iter().enumerate().map(|(i, &v)| (v, est.ratio(i, 0))).collect();
@@ -804,12 +780,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                         engine.iterations(),
                         engine.budget()
                     ));
-                    let (est, report) = match sink.as_mut() {
-                        None => engine.run(),
-                        Some(f) => {
-                            engine.run_with(|e| f(e.checkpoint())).map_err(|e| e.to_string())?
-                        }
-                    };
+                    let (est, report) = engine.run_checkpointed(sink).map_err(|e| e.to_string())?;
                     out.push(format!(
                         "BC ~ {:.6} (Eq 7, pooled) | {:.6} (corrected) | R-hat {:.4}",
                         est.bc, est.bc_corrected, est.r_hat
@@ -1404,6 +1375,28 @@ mod tests {
             );
             assert!(out.contains(&bc_line), "resume output {out:?} lacks `{bc_line}`");
         }
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
+    fn threaded_rank_checkpoints_and_resumes_to_the_sequential_ranking() {
+        let (lcc, map) = lollipop_fixture();
+        let dir = std::env::temp_dir().join("mhbc_cli_threaded_rank_ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("joint.ckpt");
+        let ckpt_str = ckpt.to_str().unwrap();
+        // The ranking block: its header line and the rows after it.
+        let ranking = |args: &[&str]| -> Vec<String> {
+            let out = execute(&parse(&strs(args)).unwrap(), &lcc, &map).unwrap();
+            out.into_iter().skip_while(|l| !l.starts_with("ranking")).collect()
+        };
+        let rank = ["rank", "g.txt", "8,9,10", "--iters", "3000", "--segment", "500"];
+        let reference = ranking(&[&rank[..], &["--threads", "1"]].concat());
+        assert_eq!(reference.len(), 4, "{reference:?}");
+        let written = ranking(&[&rank[..], &["--threads", "2", "--checkpoint", ckpt_str]].concat());
+        assert_eq!(written, reference);
+        let resumed = ranking(&["resume", "g.txt", ckpt_str, "--threads", "2"]);
+        assert_eq!(resumed, reference);
         std::fs::remove_file(&ckpt).ok();
     }
 

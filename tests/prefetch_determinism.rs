@@ -1,13 +1,14 @@
-//! Tier-1 guarantee of the speculative prefetch pipeline: for every thread
-//! count, the pipelined samplers produce **bit-identical** results to the
+//! Tier-1 guarantee of the batch prefetch: for every thread count, the
+//! threaded samplers produce **bit-identical** results to the
 //! sequential ones — same `bc`, `bc_corrected`, acceptance statistics, and
 //! `spd_passes`. Parallelism buys wall-clock only, never a different answer.
 
 use mhbc_core::{
-    pipeline, run_ensemble, EnsembleConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
-    SingleSpaceConfig, SingleSpaceSampler,
+    pipeline, run_ensemble_view, EnsembleConfig, JointSpaceConfig, JointSpaceSampler,
+    PrefetchConfig, SingleSpaceConfig, SingleSpaceSampler,
 };
 use mhbc_graph::generators;
+use mhbc_spd::SpdView;
 use rand::{rngs::SmallRng, SeedableRng};
 
 /// Everything the determinism guarantee covers, as raw bits.
@@ -35,9 +36,13 @@ fn single_space_bit_identical_across_thread_counts() {
             let config = SingleSpaceConfig::new(1_500, seed);
             let seq = SingleSpaceSampler::new(g, r, config.clone()).unwrap().run();
             for threads in [1usize, 2, 8] {
-                let par =
-                    pipeline::run_single(g, r, &config, &PrefetchConfig::with_threads(threads))
-                        .unwrap();
+                let par = pipeline::run_single_view(
+                    SpdView::direct(g),
+                    r,
+                    &config,
+                    &PrefetchConfig::with_threads(threads),
+                )
+                .unwrap();
                 assert_eq!(
                     single_fingerprint(&seq),
                     single_fingerprint(&par),
@@ -53,7 +58,13 @@ fn single_space_traces_are_bit_identical_too() {
     let g = generators::barbell(8, 2);
     let config = SingleSpaceConfig::new(1_200, 7).with_trace();
     let seq = SingleSpaceSampler::new(&g, 8, config.clone()).unwrap().run();
-    let par = pipeline::run_single(&g, 8, &config, &PrefetchConfig::with_threads(8)).unwrap();
+    let par = pipeline::run_single_view(
+        SpdView::direct(&g),
+        8,
+        &config,
+        &PrefetchConfig::with_threads(8),
+    )
+    .unwrap();
     let (st, pt) = (seq.trace.unwrap(), par.trace.unwrap());
     assert_eq!(st.len(), pt.len());
     for (i, (a, b)) in st.iter().zip(&pt).enumerate() {
@@ -73,7 +84,13 @@ fn single_space_ablation_configs_stay_identical() {
         SingleSpaceConfig::new(900, 3).with_initial(2),
     ] {
         let seq = SingleSpaceSampler::new(&g, 7, config.clone()).unwrap().run();
-        let par = pipeline::run_single(&g, 7, &config, &PrefetchConfig::with_threads(4)).unwrap();
+        let par = pipeline::run_single_view(
+            SpdView::direct(&g),
+            7,
+            &config,
+            &PrefetchConfig::with_threads(4),
+        )
+        .unwrap();
         assert_eq!(single_fingerprint(&seq), single_fingerprint(&par));
     }
 }
@@ -85,8 +102,13 @@ fn joint_space_bit_identical_across_thread_counts() {
     let config = JointSpaceConfig::new(2_000, 17);
     let seq = JointSpaceSampler::new(&g, &probes, config.clone()).unwrap().run();
     for threads in [1usize, 2, 8] {
-        let par = pipeline::run_joint(&g, &probes, &config, &PrefetchConfig::with_threads(threads))
-            .unwrap();
+        let par = pipeline::run_joint_view(
+            SpdView::direct(&g),
+            &probes,
+            &config,
+            &PrefetchConfig::with_threads(threads),
+        )
+        .unwrap();
         assert_eq!(seq.counts, par.counts, "threads {threads}");
         assert_eq!(seq.spd_passes, par.spd_passes, "threads {threads}");
         assert_eq!(
@@ -109,11 +131,11 @@ fn joint_space_bit_identical_across_thread_counts() {
 #[test]
 fn ensemble_bit_identical_with_and_without_prefetch_squads() {
     let g = generators::barbell(6, 2);
-    let base = EnsembleConfig::new(4, 1_000, 23);
-    let seq = run_ensemble(&g, 6, &base).unwrap();
+    let base = EnsembleConfig::new(4, 1_000, 23).with_prefetch(PrefetchConfig::sequential());
+    let seq = run_ensemble_view(SpdView::direct(&g), 6, &base).unwrap();
     for threads in [2usize, 4] {
         let cfg = base.clone().with_prefetch(PrefetchConfig::with_threads(threads));
-        let par = run_ensemble(&g, 6, &cfg).unwrap();
+        let par = run_ensemble_view(SpdView::direct(&g), 6, &cfg).unwrap();
         assert_eq!(seq.bc.to_bits(), par.bc.to_bits(), "threads {threads}");
         assert_eq!(seq.bc_corrected.to_bits(), par.bc_corrected.to_bits());
         assert_eq!(seq.acceptance_rate.to_bits(), par.acceptance_rate.to_bits());
@@ -131,7 +153,13 @@ fn weighted_graphs_flow_through_the_pipeline_unchanged() {
     let g = generators::assign_uniform_weights(&generators::barbell(6, 2), 1.0, 4.0, &mut rng);
     let config = SingleSpaceConfig::new(800, 31);
     let seq = SingleSpaceSampler::new(&g, 6, config.clone()).unwrap().run();
-    let par = pipeline::run_single(&g, 6, &config, &PrefetchConfig::with_threads(4)).unwrap();
+    let par = pipeline::run_single_view(
+        SpdView::direct(&g),
+        6,
+        &config,
+        &PrefetchConfig::with_threads(4),
+    )
+    .unwrap();
     assert_eq!(single_fingerprint(&seq), single_fingerprint(&par));
 }
 
@@ -155,7 +183,6 @@ fn scrambled_cycle(n: usize) -> mhbc_graph::CsrGraph {
 #[test]
 fn preprocessed_runs_bit_identical_across_thread_counts() {
     use mhbc_graph::reduce::{reduce, ReduceLevel};
-    use mhbc_spd::SpdView;
 
     let mut rng = SmallRng::seed_from_u64(77);
     let graphs = [
@@ -195,7 +222,6 @@ fn preprocessed_runs_bit_identical_across_thread_counts() {
 #[test]
 fn preprocess_full_matches_off_run_for_run_on_pendant_free_graphs() {
     use mhbc_graph::reduce::{reduce, ReduceLevel, VertexState};
-    use mhbc_spd::SpdView;
 
     for n in [101usize, 128] {
         let g = scrambled_cycle(n);
@@ -212,7 +238,13 @@ fn preprocess_full_matches_off_run_for_run_on_pendant_free_graphs() {
         let view = SpdView::preprocessed(&g, &red);
         for seed in [2u64, 41, 97] {
             let config = SingleSpaceConfig::new(2_000, seed);
-            let off = pipeline::run_single(&g, 0, &config, &PrefetchConfig::sequential()).unwrap();
+            let off = pipeline::run_single_view(
+                SpdView::direct(&g),
+                0,
+                &config,
+                &PrefetchConfig::sequential(),
+            )
+            .unwrap();
             let full =
                 pipeline::run_single_view(view, 0, &config, &PrefetchConfig::with_threads(2))
                     .unwrap();
@@ -228,7 +260,6 @@ fn preprocess_full_matches_off_run_for_run_on_pendant_free_graphs() {
 #[test]
 fn preprocessed_joint_bit_identical_across_thread_counts() {
     use mhbc_graph::reduce::{reduce, ReduceLevel};
-    use mhbc_spd::SpdView;
 
     let mut rng = SmallRng::seed_from_u64(91);
     let g = generators::preferential_attachment_mixed(300, 1, 3, 0.4, &mut rng);
@@ -268,7 +299,7 @@ fn sampler_pipeline_bit_identical_across_kernel_modes_and_threads() {
     // so the whole sampler pipeline — single and joint, reduced and
     // direct — agrees bit for bit across `--kernel` x `--threads 1/2/8`.
     use mhbc_graph::reduce::{reduce, ReduceLevel};
-    use mhbc_spd::{KernelMode, SpdView};
+    use mhbc_spd::KernelMode;
 
     let mut rng = SmallRng::seed_from_u64(44);
     let g = generators::barabasi_albert(250, 3, &mut rng);
