@@ -135,11 +135,15 @@ impl GraphBuilder {
             offsets[u as usize + 1] += 1;
             offsets[v as usize + 1] += 1;
         }
-        let degrees: Vec<u32> = offsets[1..].to_vec();
         for i in 0..self.n {
             offsets[i + 1] += offsets[i];
         }
 
+        // Edges arrive sorted by `(min, max)`, so every slice is filled in
+        // ascending order: vertex `x` first receives each `a < x` (from the
+        // pairs `(a, x)`, ordered by `a`), then each `b > x` (from the pairs
+        // `(x, b)`, which sort after all of them, ordered by `b`);
+        // `from_sorted_parts` checks it in debug builds.
         let mut targets = vec![0 as Vertex; 2 * m];
         let mut weights = if weighted { vec![0.0f64; 2 * m] } else { Vec::new() };
         let mut cursor = offsets.clone();
@@ -154,35 +158,7 @@ impl GraphBuilder {
             cursor[u as usize] += 1;
             cursor[v as usize] += 1;
         }
-
-        // Edges were inserted in sorted order of (min, max); each adjacency
-        // slice receives its targets in increasing order of the *other*
-        // endpoint only for the `u < v` direction. Sort each slice (cheap:
-        // slices are typically short and nearly sorted).
-        if weighted {
-            for v in 0..self.n {
-                let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-                let mut idx: Vec<usize> = (s..e).collect();
-                idx.sort_unstable_by_key(|&i| targets[i]);
-                let t_sorted: Vec<Vertex> = idx.iter().map(|&i| targets[i]).collect();
-                let w_sorted: Vec<f64> = idx.iter().map(|&i| weights[i]).collect();
-                targets[s..e].copy_from_slice(&t_sorted);
-                weights[s..e].copy_from_slice(&w_sorted);
-            }
-        } else {
-            for v in 0..self.n {
-                let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-                targets[s..e].sort_unstable();
-            }
-        }
-
-        Ok(CsrGraph {
-            offsets: offsets.into_boxed_slice(),
-            degrees: degrees.into_boxed_slice(),
-            targets: targets.into_boxed_slice(),
-            weights: if weighted { Some(weights.into_boxed_slice()) } else { None },
-            num_edges: m,
-        })
+        Ok(CsrGraph::from_sorted_parts(offsets, targets, weighted.then_some(weights)))
     }
 }
 
@@ -265,7 +241,7 @@ mod tests {
 
     #[test]
     fn weighted_adjacency_stays_aligned_after_sorting() {
-        // Insert edges in an order that forces per-slice sorting.
+        // Edges out of order: the edge sort must carry weights along.
         let mut b = GraphBuilder::new(4);
         b.add_weighted_edge(3, 1, 3.0).unwrap();
         b.add_weighted_edge(1, 0, 1.0).unwrap();
@@ -273,5 +249,40 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.neighbors(1), &[0, 2, 3]);
         assert_eq!(g.neighbor_weights(1).unwrap(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn shuffled_duplicated_weighted_edges_build_sorted_aligned_slices() {
+        use rand::{rngs::SmallRng, RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(11);
+        let n = 60u32;
+        // Weight of {u, v} is a function of the pair, so duplicates agree.
+        let weight = |u: u32, v: u32| 1.0 + (u.min(v) * n + u.max(v)) as f64;
+        let mut edges = Vec::new();
+        for _ in 0..400 {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                edges.push((u, v));
+                edges.push((v, u));
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.random_range(0..=i));
+        }
+        let mut b = GraphBuilder::new(n as usize);
+        for &(u, v) in &edges {
+            b.add_weighted_edge(u, v, weight(u, v)).unwrap();
+        }
+        let g = b.build().unwrap();
+        for v in 0..n {
+            let (nbrs, ws) = (g.neighbors(v), g.neighbor_weights(v).unwrap());
+            assert!(nbrs.windows(2).all(|p| p[0] < p[1]), "slice of {v} unsorted: {nbrs:?}");
+            for (&u, &w) in nbrs.iter().zip(ws) {
+                assert_eq!(w, weight(u, v), "weight of {{{u}, {v}}} misaligned");
+            }
+        }
+        let distinct: std::collections::HashSet<(u32, u32)> =
+            edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        assert_eq!(g.num_edges(), distinct.len());
     }
 }

@@ -9,8 +9,10 @@ use crate::{GraphBuilder, GraphError, Vertex};
 /// `O(log deg)` membership tests. Weights, when present, are stored parallel
 /// to the targets so that `neighbors` and `neighbor_weights` zip directly.
 ///
-/// Construction goes through [`GraphBuilder`], which enforces the paper's
-/// structural assumptions (no self-loops, no multi-edges, positive weights).
+/// Public construction goes through [`GraphBuilder`], which enforces the
+/// paper's structural assumptions (no self-loops, no multi-edges, positive
+/// weights); the crate's own derived graphs (the reduction's CSRs) are
+/// assembled already sorted and wrapped as they are.
 ///
 /// # Compact index invariants
 ///
@@ -200,6 +202,29 @@ impl CsrGraph {
             weights: None,
             num_edges: self.num_edges,
         }
+    }
+
+    /// Wraps CSR arrays that already meet the invariants above, with every
+    /// adjacency slice strictly ascending and the edge set symmetric (the
+    /// lengths and the ordering are checked in debug builds); degrees and
+    /// the edge count are derived from `offsets`.
+    pub(crate) fn from_sorted_parts(
+        offsets: Vec<u32>,
+        targets: Vec<Vertex>,
+        weights: Option<Vec<f64>>,
+    ) -> Self {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(targets.len()));
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == targets.len()));
+        let degrees: Box<[u32]> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let g = CsrGraph {
+            offsets: offsets.into_boxed_slice(),
+            degrees,
+            num_edges: targets.len() / 2,
+            targets: targets.into_boxed_slice(),
+            weights: weights.map(Vec::into_boxed_slice),
+        };
+        debug_assert!(g.vertices().all(|v| g.neighbors(v).windows(2).all(|p| p[0] < p[1])));
+        g
     }
 }
 

@@ -56,6 +56,18 @@
 //! consecutive adjacency ranges — the locality the memory-bound BFS kernel
 //! wants. All maps in [`ReducedGraph`] are expressed in the *final* ids.
 //!
+//! # Cost
+//!
+//! Building a reduction takes expected `O(n + m)` time plus, at
+//! [`ReduceLevel::Full`], one sort of at most `n` fixed-size keys for each
+//! twin kind. Each live neighbourhood gets an order-independent 64-bit
+//! fingerprint (a wrapping sum of mixed neighbour ids); sorting
+//! `(fingerprint, degree, id)` only *buckets* candidate twins, and an
+//! exact comparison of the neighbourhoods decides inside each bucket, so a
+//! fingerprint collision costs time, never a wrong class. The collapsed
+//! and relabelled CSRs are assembled by transposition and the row groups
+//! by counting, with no further sort and no hashing.
+//!
 //! # Using a reduction
 //!
 //! `mhbc-spd` consumes [`ReducedGraph`] through its `SpdView` /
@@ -76,8 +88,8 @@
 //! ```
 
 use crate::algo::connected_components;
-use crate::{CsrGraph, GraphBuilder, Vertex};
-use std::collections::{HashMap, VecDeque};
+use crate::{CsrGraph, Vertex};
+use std::collections::VecDeque;
 
 /// How much preprocessing to apply before sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,131 +446,159 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
     }
 
     // ---- Twin classes over the retained subgraph ----------------------
+    // class_pre[v]: pre-relabel class id of retained v. Off / Prune keep
+    // singleton classes in ascending retained order; Full numbers false
+    // classes first (by smallest member), then true and singleton classes
+    // in retained order.
     let retained: Vec<u32> = (0..n as u32).filter(|&v| !pruned[v as usize]).collect();
-    // class_pre[v]: pre-relabel class id of retained v.
     let mut class_pre = vec![u32::MAX; n];
-    let mut classes_pre: Vec<Vec<u32>> = Vec::new();
+    let mut kinds: Vec<TwinKind> = Vec::with_capacity(retained.len());
+    let mut new_class = |kind: TwinKind| {
+        kinds.push(kind);
+        kinds.len() as u32 - 1
+    };
     if level == ReduceLevel::Full {
-        // Live (retained-only) sorted neighbour list per retained vertex.
-        let live: HashMap<u32, Vec<u32>> = retained
-            .iter()
-            .map(|&v| {
-                (v, g.neighbors(v).iter().copied().filter(|&u| !pruned[u as usize]).collect())
-            })
+        // Live (retained-only) sorted neighbour lists in one flat CSR —
+        // `g`'s own when nothing was pruned.
+        let (live_off_buf, live_tgt_buf);
+        let (live_off, live_tgt) = if pruned_count == 0 {
+            g.csr()
+        } else {
+            let mut off = Vec::with_capacity(n + 1);
+            let mut tgt = Vec::with_capacity(g.degree_sum());
+            off.push(0u32);
+            for v in 0..n as u32 {
+                if !pruned[v as usize] {
+                    tgt.extend(g.neighbors(v).iter().filter(|&&u| !pruned[u as usize]));
+                }
+                off.push(tgt.len() as u32);
+            }
+            (live_off_buf, live_tgt_buf) = (off, tgt);
+            (&live_off_buf[..], &live_tgt_buf[..])
+        };
+        let live =
+            |v: u32| &live_tgt[live_off[v as usize] as usize..live_off[v as usize + 1] as usize];
+        let open_fp: Vec<u64> = (0..n as u32)
+            .map(|v| live(v).iter().fold(0, |h: u64, &u| h.wrapping_add(mix(u))))
             .collect();
+
         // False twins: identical open neighbourhoods (degree >= 1 only —
         // degree-0 vertices may sit in different components).
-        let mut open_groups: HashMap<&[u32], Vec<u32>> = HashMap::new();
-        for &v in &retained {
-            let key = &live[&v][..];
-            if !key.is_empty() {
-                open_groups.entry(key).or_default().push(v);
-            }
-        }
-        let mut kinds: Vec<TwinKind> = Vec::new();
-        for &v in &retained {
-            if class_pre[v as usize] != u32::MAX {
-                continue;
-            }
-            if let Some(group) = open_groups.get(&live[&v][..]) {
-                if group.len() >= 2 && group[0] == v {
-                    let id = classes_pre.len() as u32;
-                    for &m in group {
-                        class_pre[m as usize] = id;
-                    }
-                    classes_pre.push(group.clone());
-                    kinds.push(TwinKind::False);
-                }
-            }
-        }
-        // True twins among the rest: identical closed neighbourhoods. Each
-        // vertex's sorted closed key is computed once; `gidx` remembers
-        // which group it landed in so the (deterministic, retained-order)
-        // class assignment below needs no second key construction.
-        let closed_key = |v: u32| -> Vec<u32> {
-            let mut k = live[&v].clone();
-            let pos = k.partition_point(|&u| u < v);
-            k.insert(pos, v);
-            k
-        };
-        let mut closed_groups: Vec<Vec<u32>> = Vec::new();
-        let mut group_of: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut gidx = vec![usize::MAX; n];
-        for &v in &retained {
-            if class_pre[v as usize] == u32::MAX && !live[&v].is_empty() {
-                let i = *group_of.entry(closed_key(v)).or_insert_with(|| {
-                    closed_groups.push(Vec::new());
-                    closed_groups.len() - 1
-                });
-                closed_groups[i].push(v);
-                gidx[v as usize] = i;
-            }
-        }
-        for &v in &retained {
-            if class_pre[v as usize] != u32::MAX {
-                continue;
-            }
-            if gidx[v as usize] != usize::MAX {
-                let group = &closed_groups[gidx[v as usize]];
-                if group.len() >= 2 && group[0] == v {
-                    let id = classes_pre.len() as u32;
-                    for &m in group {
-                        class_pre[m as usize] = id;
-                    }
-                    classes_pre.push(group.clone());
-                    kinds.push(TwinKind::True);
-                    continue;
-                }
-            }
-            let id = classes_pre.len() as u32;
-            class_pre[v as usize] = id;
-            classes_pre.push(vec![v]);
-            kinds.push(TwinKind::Single);
-        }
-        debug_assert_eq!(kinds.len(), classes_pre.len());
-        // Build the reduction below with per-class kinds.
-        return assemble(
-            g,
-            level,
+        let open: Vec<u32> = retained.iter().copied().filter(|&v| !live(v).is_empty()).collect();
+        let lead = twin_leaders(
             n,
-            &comps.labels,
-            &comp_sizes,
-            &omega,
-            corrections,
-            &pruned,
-            pruned_count,
-            &att,
-            &broot,
-            &branch_size,
-            class_pre,
-            classes_pre,
-            kinds,
+            &open,
+            |v| open_fp[v as usize],
+            |v| live(v).len() as u32,
+            |a, b| live(a) == live(b),
         );
-    }
-    // Off / Prune: singleton classes in ascending retained order.
-    let mut kinds = Vec::with_capacity(retained.len());
-    for &v in &retained {
-        class_pre[v as usize] = classes_pre.len() as u32;
-        classes_pre.push(vec![v]);
-        kinds.push(TwinKind::Single);
+        for &v in &open {
+            let l = lead[v as usize];
+            if l != u32::MAX {
+                class_pre[v as usize] =
+                    if l == v { new_class(TwinKind::False) } else { class_pre[l as usize] };
+            }
+        }
+        // True twins among the rest: identical closed neighbourhoods.
+        let rest: Vec<u32> =
+            open.into_iter().filter(|&v| class_pre[v as usize] == u32::MAX).collect();
+        let closed = |v: u32| {
+            let nb = live(v);
+            let (lo, hi) = nb.split_at(nb.partition_point(|&u| u < v));
+            lo.iter().copied().chain([v]).chain(hi.iter().copied())
+        };
+        let lead = twin_leaders(
+            n,
+            &rest,
+            |v| open_fp[v as usize].wrapping_add(mix(v)),
+            |v| live(v).len() as u32,
+            |a, b| closed(a).eq(closed(b)),
+        );
+        for &v in &retained {
+            if class_pre[v as usize] != u32::MAX {
+                continue;
+            }
+            let l = lead[v as usize];
+            class_pre[v as usize] = if l == u32::MAX {
+                new_class(TwinKind::Single)
+            } else if l == v {
+                new_class(TwinKind::True)
+            } else {
+                class_pre[l as usize]
+            };
+        }
+    } else {
+        for &v in &retained {
+            class_pre[v as usize] = new_class(TwinKind::Single);
+        }
     }
     assemble(
         g,
         level,
-        n,
         &comps.labels,
         &comp_sizes,
         &omega,
         corrections,
         &pruned,
-        pruned_count,
         &att,
         &broot,
         &branch_size,
-        class_pre,
-        classes_pre,
+        &class_pre,
         kinds,
     )
+}
+
+/// splitmix64's output mix: an order-independent neighbourhood fingerprint
+/// is the wrapping sum of `mix` over its members.
+fn mix(v: u32) -> u64 {
+    let mut z = (v as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Groups `cands` (ascending ids) into classes whose neighbourhoods `same`
+/// calls equal, and returns, per vertex, the smallest member of its class —
+/// or `u32::MAX` for vertices outside `cands` or alone in their class.
+///
+/// One sort of `(fingerprint, degree, id)` buckets the candidates; `same`
+/// then decides inside each run of equal `(fingerprint, degree)` by exact
+/// comparison against each class found so far in the run, so a fingerprint
+/// collision costs comparisons, never a wrong class.
+fn twin_leaders(
+    n: usize,
+    cands: &[Vertex],
+    fingerprint: impl Fn(Vertex) -> u64,
+    degree: impl Fn(Vertex) -> u32,
+    same: impl Fn(Vertex, Vertex) -> bool,
+) -> Vec<u32> {
+    let mut keys: Vec<(u64, u32, Vertex)> =
+        cands.iter().map(|&v| (fingerprint(v), degree(v), v)).collect();
+    keys.sort_unstable();
+    let mut lead = vec![u32::MAX; n];
+    // (leader, size) of each class found in the current run.
+    let mut classes: Vec<(Vertex, u32)> = Vec::new();
+    for run in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if run.len() == 1 {
+            continue;
+        }
+        classes.clear();
+        for &(_, _, v) in run {
+            match classes.iter_mut().find(|(l, _)| same(*l, v)) {
+                Some((l, size)) => {
+                    lead[v as usize] = *l;
+                    *size += 1;
+                }
+                None => classes.push((v, 1)),
+            }
+        }
+        for &(l, size) in &classes {
+            if size > 1 {
+                lead[l as usize] = l;
+            }
+        }
+    }
+    lead
 }
 
 /// Builds H from the class partition, relabels it, and assembles the final
@@ -567,35 +607,29 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
 fn assemble(
     g: &CsrGraph,
     level: ReduceLevel,
-    n: usize,
     comp_labels: &[u32],
     comp_sizes: &[usize],
     omega: &[u64],
     corrections: Vec<f64>,
     pruned: &[bool],
-    pruned_count: usize,
     att: &[u32],
     broot: &[u32],
     branch_size: &[u32],
-    class_pre: Vec<u32>,
-    classes_pre: Vec<Vec<u32>>,
+    class_pre: &[u32],
     kinds: Vec<TwinKind>,
 ) -> Result<ReducedGraph, ReduceError> {
-    let h_n = classes_pre.len();
+    let n = g.num_vertices();
+    let h_n = kinds.len();
 
-    // Class-level edge list (deduplicated; intra-class edges dropped).
-    let mut h_edges: Vec<(u32, u32, f64)> = Vec::new();
-    for (u, v, w) in g.edges() {
-        if pruned[u as usize] || pruned[v as usize] {
-            continue;
-        }
-        let (cu, cv) = (class_pre[u as usize], class_pre[v as usize]);
-        if cu != cv {
-            h_edges.push((cu.min(cv), cu.max(cv), w));
-        }
-    }
-    h_edges.sort_by_key(|e| (e.0, e.1));
-    h_edges.dedup_by_key(|e| (e.0, e.1));
+    // Class membership, flat: members of class c (ascending) are
+    // `class_ids[class_off[c]..class_off[c + 1]]`.
+    let (class_off, class_ids) =
+        bucket(h_n, (0..n).filter(|&v| !pruned[v]).map(|v| (class_pre[v] as usize, v as u32)));
+
+    // H in pre-relabel ids: the class map applied to the retained graph,
+    // with intra-class edges dropped — `g` itself when nothing was pruned
+    // or collapsed (the map is then the identity).
+    let pre = if h_n == n { g.clone() } else { contract(g, &class_off, &class_ids, class_pre) };
 
     // Relabel: BFS order from the highest-degree vertex of each component
     // (components visited by descending root degree, ties by smaller id),
@@ -611,118 +645,143 @@ fn assemble(
     // (< half local). Ring-ordered and already-relabelled graphs keep
     // their ids — making the relabel idempotent — while chronological,
     // scrambled, or cluster-interleaved layouts are rewritten. No-op for
-    // `Off`.
-    let perm: Vec<u32> = if level == ReduceLevel::Off {
-        (0..h_n as u32).collect()
-    } else {
-        let pre =
-            CsrGraph::from_edges(h_n, &h_edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>())
-                .expect("class edges are valid");
-        let mut order: Vec<u32> = Vec::with_capacity(h_n);
+    // `Off`. `order` (final id -> pre id) is the inverse of `perm`.
+    let mut order: Vec<u32> = Vec::with_capacity(h_n);
+    let mut relabel = false;
+    if level != ReduceLevel::Off {
         let mut seen = vec![false; h_n];
-        let mut roots: Vec<u32> = (0..h_n as u32).collect();
-        roots.sort_by_key(|&z| (usize::MAX - pre.degree(z), z));
-        let mut queue = VecDeque::new();
-        for root in roots {
+        let top = pre.max_degree();
+        let by_degree = (0..h_n).map(|z| (top - pre.degree(z as u32), z as u32));
+        // `order` doubles as the BFS queue: `order[head..]` is the frontier.
+        let mut head = 0;
+        for root in bucket(top + 1, by_degree).1 {
             if seen[root as usize] {
                 continue;
             }
             seen[root as usize] = true;
-            queue.push_back(root);
-            while let Some(z) = queue.pop_front() {
-                order.push(z);
+            order.push(root);
+            while let Some(&z) = order.get(head) {
+                head += 1;
                 for &w in pre.neighbors(z) {
                     if !seen[w as usize] {
                         seen[w as usize] = true;
-                        queue.push_back(w);
+                        order.push(w);
                     }
                 }
             }
         }
         let local_steps = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
-        let fragmented = 2 * local_steps < h_n.saturating_sub(1);
-        if fragmented {
-            let mut perm = vec![0u32; h_n];
-            for (new, &old) in order.iter().enumerate() {
-                perm[old as usize] = new as u32;
-            }
-            perm
-        } else {
-            (0..h_n as u32).collect()
+        relabel = 2 * local_steps < h_n.saturating_sub(1);
+    }
+    let (csr, perm) = if relabel {
+        let mut perm = vec![0u32; h_n];
+        for (new, &old) in order.iter().enumerate() {
+            perm[old as usize] = new as u32;
         }
+        // Relabelled CSR by transposition: visiting sources in final-id
+        // order and appending each to its neighbours' slices fills every
+        // slice in ascending order (H is symmetric), with no sort.
+        let (pre_off, pre_tgt) = pre.csr();
+        let pre_w = pre.weights.as_deref();
+        let mut off = vec![0u32; h_n + 1];
+        for (z, &old) in order.iter().enumerate() {
+            off[z + 1] = off[z] + pre.degrees()[old as usize];
+        }
+        let mut tgt = vec![0u32; off[h_n] as usize];
+        let mut wts = vec![0.0f64; if pre_w.is_some() { tgt.len() } else { 0 }];
+        let mut cursor = off.clone();
+        for (s, &old) in order.iter().enumerate() {
+            for i in pre_off[old as usize] as usize..pre_off[old as usize + 1] as usize {
+                let t = perm[pre_tgt[i] as usize] as usize;
+                let c = cursor[t] as usize;
+                tgt[c] = s as u32;
+                if let Some(w) = pre_w {
+                    wts[c] = w[i];
+                }
+                cursor[t] += 1;
+            }
+        }
+        (CsrGraph::from_sorted_parts(off, tgt, pre_w.map(|_| wts)), perm)
+    } else {
+        order = (0..h_n as u32).collect();
+        (pre, order.clone())
     };
 
-    // Final CSR.
-    let mut b = GraphBuilder::new(h_n);
-    let weighted = g.is_weighted();
-    for &(cu, cv, w) in &h_edges {
-        let (a, c) = (perm[cu as usize], perm[cv as usize]);
-        if weighted {
-            b.add_weighted_edge(a, c, w).expect("reduced edge valid");
-        } else {
-            b.add_edge(a, c).expect("reduced edge valid");
-        }
-    }
-    let csr = b.build().expect("reduced graph valid");
-
-    // Per-reduced-vertex arrays (final ids).
+    // Per-reduced-vertex arrays (final ids), members ascending.
     let mut mult = vec![0.0f64; h_n];
     let mut weight = vec![0.0f64; h_n];
     let mut sum_w2 = vec![0.0f64; h_n];
     let mut kind = vec![TwinKind::Single; h_n];
     let mut comp_total = vec![0.0f64; h_n];
-    let mut member_offsets = vec![0usize; h_n + 1];
-    let mut member_ids = vec![0u32; n - pruned_count];
-    // Members sorted by final class id, then original id (classes_pre lists
-    // are ascending already).
-    let mut by_final: Vec<(u32, &Vec<u32>, TwinKind)> =
-        classes_pre.iter().enumerate().map(|(pre, ms)| (perm[pre], ms, kinds[pre])).collect();
-    by_final.sort_by_key(|&(z, _, _)| z);
-    let mut cursor = 0usize;
-    for (z, ms, k) in by_final {
-        let zu = z as usize;
-        member_offsets[zu] = cursor;
-        kind[zu] = k;
-        mult[zu] = ms.len() as f64;
-        comp_total[zu] = comp_sizes[comp_labels[ms[0] as usize] as usize] as f64;
+    let mut member_offsets = Vec::with_capacity(h_n + 1);
+    let mut member_ids = Vec::with_capacity(class_ids.len());
+    member_offsets.push(0);
+    for (z, &c) in order.iter().enumerate() {
+        let ms = &class_ids[class_off[c as usize]..class_off[c as usize + 1]];
+        kind[z] = kinds[c as usize];
+        mult[z] = ms.len() as f64;
+        comp_total[z] = comp_sizes[comp_labels[ms[0] as usize] as usize] as f64;
         for &m in ms {
             let w = omega[m as usize] as f64;
-            weight[zu] += w;
-            sum_w2[zu] += w * w;
-            member_ids[cursor] = m;
-            cursor += 1;
+            weight[z] += w;
+            sum_w2[z] += w * w;
         }
+        member_ids.extend_from_slice(ms);
+        member_offsets.push(member_ids.len());
     }
-    member_offsets[h_n] = cursor;
     let mut wdeg = vec![0.0f64; h_n];
     for (z, w) in wdeg.iter_mut().enumerate() {
         *w = csr.neighbors(z as u32).iter().map(|&u| mult[u as usize]).sum();
     }
 
-    // Per-original state and row groups.
+    // Per-original state and row groups. Row groups number the keys
+    // `(h, ω(v))` of retained and `(att(v), branch size)` of pruned
+    // vertices in order of first appearance. `rep[v]`, the smallest vertex
+    // sharing v's key, is found per anchor (class h, or attachment) with a
+    // slot per size; sizes are at most n.
     let mut state = vec![VertexState::Retained { h: 0, omega: 1 }; n];
+    let mut rep: Vec<u32> = (0..n as u32).collect();
+    let mut slot = vec![u32::MAX; n + 1];
+    let mut first_by_size = |off: &[usize], ids: &[u32], size: &dyn Fn(u32) -> usize| {
+        for group in off.windows(2).map(|w| &ids[w[0]..w[1]]) {
+            for &v in group {
+                let s = &mut slot[size(v)];
+                if *s == u32::MAX {
+                    *s = v;
+                }
+                rep[v as usize] = *s;
+            }
+            for &v in group {
+                slot[size(v)] = u32::MAX;
+            }
+        }
+    };
+    first_by_size(&member_offsets, &member_ids, &|v| omega[v as usize] as usize);
+    let (att_off, att_ids) =
+        bucket(n, (0..n).filter(|&v| pruned[v]).map(|v| (att[v] as usize, v as u32)));
+    first_by_size(&att_off, &att_ids, &|v| branch_size[broot[v as usize] as usize] as usize);
     let mut row_group = vec![0u32; n];
-    let mut groups: HashMap<(u32, u32, u32), u32> = HashMap::new();
+    let mut groups = 0u32;
     for v in 0..n {
-        let (st, key) = if pruned[v] {
-            let a = att[v];
-            let bsz = branch_size[broot[v] as usize];
-            (VertexState::Pruned { att: a, branch: bsz }, (1u32, a, bsz))
+        state[v] = if pruned[v] {
+            VertexState::Pruned { att: att[v], branch: branch_size[broot[v] as usize] }
         } else {
-            let h = perm[class_pre[v] as usize];
-            let w = omega[v] as u32;
-            (VertexState::Retained { h, omega: w }, (0u32, h, w))
+            VertexState::Retained { h: perm[class_pre[v] as usize], omega: omega[v] as u32 }
         };
-        state[v] = st;
-        let next = groups.len() as u32;
-        row_group[v] = *groups.entry(key).or_insert(next);
+        let r = rep[v] as usize;
+        row_group[v] = if r == v {
+            groups += 1;
+            groups - 1
+        } else {
+            row_group[r]
+        };
     }
 
     let stats = ReduceStats {
         orig_vertices: n,
         orig_edges: g.num_edges(),
-        pruned_vertices: pruned_count,
-        collapsed_vertices: (n - pruned_count) - h_n,
+        pruned_vertices: n - class_ids.len(),
+        collapsed_vertices: class_ids.len() - h_n,
         reduced_vertices: h_n,
         reduced_edges: csr.num_edges(),
     };
@@ -743,6 +802,80 @@ fn assemble(
         row_group: row_group.into_boxed_slice(),
         stats,
     })
+}
+
+/// Contracts `base` onto groups: vertex `s` of the result stands for the
+/// base vertices `ids[offsets[s]..offsets[s + 1]]`, and is adjacent to `t`
+/// when one of them has a base neighbour `x` with `map[x] == t != s`
+/// (`u32::MAX` drops `x`). Duplicate edges keep the first weight met.
+///
+/// Built by transposition, in two passes over the base adjacency and no
+/// sort: visiting sources in ascending order and appending `s` to each
+/// neighbour's slice fills every slice in ascending order, and the repeats
+/// one source produces arrive back to back, so `last` drops them.
+fn contract(base: &CsrGraph, offsets: &[usize], ids: &[Vertex], map: &[u32]) -> CsrGraph {
+    let n = offsets.len() - 1;
+    let (base_off, base_tgt) = base.csr();
+    let base_w = base.weights.as_deref();
+    let mut off = vec![0u32; n + 1];
+    let (mut tgt, mut wts, mut cursor) = (Vec::new(), Vec::new(), Vec::new());
+    // Pass 0 counts each slice, pass 1 fills it.
+    for pass in 0..2 {
+        if pass == 1 {
+            for t in 0..n {
+                off[t + 1] += off[t];
+            }
+            tgt = vec![0u32; off[n] as usize];
+            wts = vec![0.0f64; if base_w.is_some() { tgt.len() } else { 0 }];
+            cursor = off.clone();
+        }
+        let mut last = vec![u32::MAX; n];
+        for s in 0..n {
+            for &x in &ids[offsets[s]..offsets[s + 1]] {
+                for i in base_off[x as usize] as usize..base_off[x as usize + 1] as usize {
+                    let t = map[base_tgt[i] as usize] as usize;
+                    if t == u32::MAX as usize || t == s || last[t] == s as u32 {
+                        continue;
+                    }
+                    last[t] = s as u32;
+                    if pass == 0 {
+                        off[t + 1] += 1;
+                    } else {
+                        let c = cursor[t] as usize;
+                        tgt[c] = s as u32;
+                        if let Some(w) = base_w {
+                            wts[c] = w[i];
+                        }
+                        cursor[t] += 1;
+                    }
+                }
+            }
+        }
+    }
+    CsrGraph::from_sorted_parts(off, tgt, base_w.map(|_| wts))
+}
+
+/// Counting sort of `(bucket, id)` pairs into `buckets` flat lists, each
+/// keeping its ids in arrival order: bucket `b` is
+/// `ids[offsets[b]..offsets[b + 1]]`.
+fn bucket(
+    buckets: usize,
+    pairs: impl Iterator<Item = (usize, u32)> + Clone,
+) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0usize; buckets + 1];
+    for (b, _) in pairs.clone() {
+        offsets[b + 1] += 1;
+    }
+    for b in 0..buckets {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut ids = vec![0u32; offsets[buckets]];
+    let mut cursor = offsets.clone();
+    for (b, id) in pairs {
+        ids[cursor[b]] = id;
+        cursor[b] += 1;
+    }
+    (offsets, ids)
 }
 
 #[cfg(test)]
@@ -916,6 +1049,29 @@ mod tests {
         assert_eq!(members, 200 - s.pruned_vertices);
         assert!(s.work_ratio() >= 1.0);
         assert!(s.vertex_ratio() >= 1.0);
+    }
+
+    #[test]
+    fn one_fingerprint_run_still_splits_non_twins_exactly() {
+        // A constant fingerprint and degree put every vertex in one run;
+        // exact comparison alone must then reproduce the real grouping.
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = generators::duplication_divergence(300, 0.5, &mut SmallRng::seed_from_u64(3));
+        let open: Vec<u32> = g.vertices().filter(|&v| g.degree(v) > 0).collect();
+        let same = |a: u32, b: u32| g.neighbors(a) == g.neighbors(b);
+        let fp = |v: u32| g.neighbors(v).iter().fold(0, |h: u64, &u| h.wrapping_add(mix(u)));
+        let deg = |v: u32| g.degree(v) as u32;
+        let bucketed = twin_leaders(g.num_vertices(), &open, fp, deg, same);
+        let one_run = twin_leaders(g.num_vertices(), &open, |_| 0, |_| 0, same);
+        assert_eq!(bucketed, one_run);
+        for &a in &open {
+            for &b in open.iter().filter(|&&b| b != a) {
+                let l = bucketed[a as usize];
+                assert_eq!(l != u32::MAX && l == bucketed[b as usize], same(a, b), "{a} {b}");
+            }
+        }
+        let classes = open.iter().filter(|&&v| bucketed[v as usize] == v).count();
+        assert!(classes >= 2, "the graph should hold several twin classes");
     }
 
     #[test]

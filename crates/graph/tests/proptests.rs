@@ -1,8 +1,10 @@
 //! Property-based tests for the graph substrate.
 
+use mhbc_graph::reduce::{reduce, ReduceLevel, TwinKind};
 use mhbc_graph::{algo, generators, CsrGraph, GraphBuilder, Vertex};
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
+use std::collections::VecDeque;
 
 /// Strategy: arbitrary simple edge list over `n` vertices.
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(Vertex, Vertex)>)> {
@@ -10,6 +12,154 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(V
         let edge = (0..n as Vertex, 0..n as Vertex).prop_filter("no self-loop", |(u, v)| u != v);
         (Just(n), proptest::collection::vec(edge, 0..=max_m))
     })
+}
+
+/// A random graph with planted twins: each vertex of a `G(base, p)` graph
+/// becomes 1–4 copies forming a clique (true twins) or an independent set
+/// (false twins), then `pendants` tree vertices hang off random earlier
+/// vertices, and all labels are shuffled.
+fn planted_twins(base: usize, p: f64, pendants: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let skeleton = generators::erdos_renyi_gnp(base, p, &mut rng);
+    let mut copies: Vec<Vec<Vertex>> = Vec::new();
+    let mut edges = Vec::new();
+    let mut n = 0u32;
+    for _ in 0..base {
+        let k = rng.random_range(1..=4u32);
+        if rng.random_range(0..2u32) == 0 {
+            for a in n..n + k {
+                edges.extend((a + 1..n + k).map(|b| (a, b)));
+            }
+        }
+        copies.push((n..n + k).collect());
+        n += k;
+    }
+    for (u, v, _) in skeleton.edges() {
+        for &a in &copies[u as usize] {
+            edges.extend(copies[v as usize].iter().map(|&b| (a, b)));
+        }
+    }
+    for _ in 0..pendants {
+        edges.push((rng.random_range(0..n), n));
+        n += 1;
+    }
+    let mut label: Vec<Vertex> = (0..n).collect();
+    for i in (1..n as usize).rev() {
+        label.swap(i, rng.random_range(0..=i));
+    }
+    let edges: Vec<_> =
+        edges.iter().map(|&(a, b)| (label[a as usize], label[b as usize])).collect();
+    CsrGraph::from_edges(n as usize, &edges).unwrap()
+}
+
+/// Brute-force twin classes of the subgraph induced by `retained`
+/// (ascending), in the reduction's class order: false classes (equal open
+/// neighbourhoods) by smallest member, then true classes (equal closed
+/// neighbourhoods, among the rest) and singletons in retained order.
+/// Degree-0 vertices are always singletons.
+fn brute_force_classes(g: &CsrGraph, retained: &[Vertex]) -> Vec<(TwinKind, Vec<Vertex>)> {
+    let n = g.num_vertices();
+    let live: Vec<Vec<Vertex>> = (0..n as Vertex)
+        .map(|v| {
+            let nbrs = g.neighbors(v).iter().copied();
+            nbrs.filter(|u| retained.binary_search(u).is_ok()).collect()
+        })
+        .collect();
+    let closed: Vec<Vec<Vertex>> = (0..n)
+        .map(|v| {
+            let mut k = live[v].clone();
+            k.push(v as Vertex);
+            k.sort_unstable();
+            k
+        })
+        .collect();
+    let mut classes = Vec::new();
+    let mut assigned = vec![false; n];
+    for &v in retained {
+        let v = v as usize;
+        let twins: Vec<Vertex> = retained
+            .iter()
+            .copied()
+            .filter(|&u| !live[v].is_empty() && live[u as usize] == live[v])
+            .collect();
+        if twins.len() >= 2 && twins[0] as usize == v {
+            twins.iter().for_each(|&u| assigned[u as usize] = true);
+            classes.push((TwinKind::False, twins));
+        }
+    }
+    let mut rest = Vec::new();
+    for &v in retained {
+        let v = v as usize;
+        if assigned[v] {
+            continue;
+        }
+        let twins: Vec<Vertex> = retained
+            .iter()
+            .copied()
+            .filter(|&u| {
+                !assigned[u as usize] && !live[v].is_empty() && closed[u as usize] == closed[v]
+            })
+            .collect();
+        if twins.len() >= 2 {
+            twins.iter().for_each(|&u| assigned[u as usize] = true);
+            rest.push((TwinKind::True, twins));
+        } else {
+            rest.push((TwinKind::Single, vec![v as Vertex]));
+        }
+    }
+    classes.extend(rest);
+    classes
+}
+
+/// Final ids of `classes` under the reduction's documented relabel: BFS over
+/// the class graph from each component's highest-degree class (roots by
+/// descending degree, then id), applied only when fewer than half of the
+/// consecutive visits are within 16 ids of each other.
+fn expected_final_ids(g: &CsrGraph, classes: &[(TwinKind, Vec<Vertex>)]) -> Vec<Vertex> {
+    let h_n = classes.len();
+    let mut class_of = vec![usize::MAX; g.num_vertices()];
+    for (c, (_, members)) in classes.iter().enumerate() {
+        members.iter().for_each(|&m| class_of[m as usize] = c);
+    }
+    let mut adj = vec![Vec::new(); h_n];
+    for (u, v, _) in g.edges() {
+        let (cu, cv) = (class_of[u as usize], class_of[v as usize]);
+        if cu != usize::MAX && cv != usize::MAX && cu != cv {
+            adj[cu].push(cv);
+            adj[cv].push(cu);
+        }
+    }
+    for a in &mut adj {
+        a.sort_unstable();
+        a.dedup();
+    }
+    let mut roots: Vec<usize> = (0..h_n).collect();
+    roots.sort_by_key(|&c| (usize::MAX - adj[c].len(), c));
+    let (mut order, mut seen) = (Vec::new(), vec![false; h_n]);
+    for root in roots {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        let mut queue = VecDeque::from([root]);
+        while let Some(c) = queue.pop_front() {
+            order.push(c);
+            for &d in &adj[c] {
+                if !seen[d] {
+                    seen[d] = true;
+                    queue.push_back(d);
+                }
+            }
+        }
+    }
+    let local = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
+    let mut ids: Vec<Vertex> = (0..h_n as Vertex).collect();
+    if 2 * local < h_n.saturating_sub(1) {
+        for (new, &old) in order.iter().enumerate() {
+            ids[old] = new as Vertex;
+        }
+    }
+    ids
 }
 
 proptest! {
@@ -158,6 +308,28 @@ proptest! {
                     comps.labels[u as usize] == comps.labels[v as usize]
                 );
             }
+        }
+    }
+
+    /// Twin detection at `Full` equals a brute-force pairwise comparison of
+    /// live open and closed neighbourhoods: same classes, kinds and class
+    /// order (read through the relabel).
+    #[test]
+    fn twin_classes_match_brute_force(
+        base in 1usize..120,
+        p in 0.01f64..0.08,
+        pendants in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let g = planted_twins(base, p, pendants, seed);
+        let red = reduce(&g, ReduceLevel::Full).unwrap();
+        let retained: Vec<Vertex> = g.vertices().filter(|&v| red.is_retained(v)).collect();
+        let classes = brute_force_classes(&g, &retained);
+        let ids = expected_final_ids(&g, &classes);
+        prop_assert_eq!(red.csr().num_vertices(), classes.len());
+        for ((kind, members), &z) in classes.iter().zip(&ids) {
+            prop_assert_eq!(red.kind(z), *kind, "class {:?}", members);
+            prop_assert_eq!(red.members(z), &members[..]);
         }
     }
 }

@@ -2,7 +2,10 @@
 //! committed under `tests/fixtures/`) still resume, bit-identically to an
 //! uninterrupted run of today's code — and to the outputs that release
 //! printed for the same runs (recorded below as raw bits). One file per
-//! kind, plus a single-space file the old threaded pipeline wrote.
+//! kind, plus a single-space file the old threaded pipeline wrote, plus a
+//! single-space file written through a `--preprocess full` reduction, which
+//! pins the reduction's row-key space (`row_group` and reduced ids) across
+//! versions.
 
 use mhbc_core::ensemble::{resume_ensemble, run_ensemble_view};
 use mhbc_core::{
@@ -10,7 +13,9 @@ use mhbc_core::{
     SingleSpaceConfig, SingleSpaceSampler,
 };
 use mhbc_graph::generators;
+use mhbc_graph::reduce::{reduce, ReduceLevel};
 use mhbc_spd::SpdView;
+use rand::{rngs::SmallRng, SeedableRng};
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -43,6 +48,37 @@ fn single_fixtures_resume_bit_identically() {
             assert_eq!(full.trace, resumed.trace);
             assert_eq!(full.density_series, resumed.density_series);
         }
+    }
+}
+
+#[test]
+fn reduced_view_fixture_resumes_bit_identically() {
+    // Written through a full reduction (pendant trees pruned, false twins
+    // collapsed, ids relabelled) after 400 of 1000 iterations, segment 200.
+    let g = generators::duplication_divergence(120, 0.5, &mut SmallRng::seed_from_u64(2));
+    let red = reduce(&g, ReduceLevel::Full).unwrap();
+    let s = red.stats();
+    assert!(s.pruned_vertices > 0 && s.collapsed_vertices > 0, "{s:?}");
+    let view = SpdView::preprocessed(&g, &red);
+    let config = SingleSpaceConfig::new(1_000, 5).with_trace();
+    let full = SingleSpaceSampler::for_view(view, 1, config).unwrap().run();
+    assert_eq!(
+        (full.bc.to_bits(), full.bc_corrected.to_bits(), full.acceptance_rate.to_bits()),
+        (0x3fe1a50dec6a4870, 0x3fd93b21c5f17c8b, 0x3fe67ef9db22d0e5)
+    );
+    assert_eq!(full.spd_passes, 83);
+    for threads in [1usize, 2] {
+        let prefetch = PrefetchConfig::with_threads(threads);
+        let (resumed, report) =
+            pipeline::resume_single_view(view, &fixture("single_reduced_v1.ckpt"), &prefetch, None)
+                .unwrap();
+        assert_eq!(report.resumed_from, 400);
+        assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "threads {threads}");
+        assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
+        assert_eq!(full.acceptance_rate.to_bits(), resumed.acceptance_rate.to_bits());
+        assert_eq!(full.spd_passes, resumed.spd_passes);
+        assert_eq!(full.trace, resumed.trace);
+        assert_eq!(full.density_series, resumed.density_series);
     }
 }
 
