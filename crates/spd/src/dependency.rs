@@ -44,29 +44,21 @@ impl DependencyCalculator {
     /// Dependency scores of `source` on every vertex: returns the slice
     /// `δ_{source•}(·)` (valid until the next call). One SPD pass.
     pub fn dependencies(&mut self, g: &CsrGraph, source: Vertex) -> &[f64] {
-        self.passes += 1;
-        match &mut self.engine {
-            Engine::Unweighted(spd) => {
-                spd.compute(g, source);
-                spd.accumulate_dependencies(g, &mut self.delta);
-            }
-            Engine::Weighted(spd) => {
-                spd.compute(g, source);
-                spd.accumulate_dependencies(g, &mut self.delta);
-            }
-        }
-        &self.delta
+        self.pass(g, source, None)
     }
 
     /// `δ_{source•}(r)`: the dependency of `source` on the probe vertex `r`.
-    /// One SPD pass (the full accumulation is required regardless; Eq 4 has
-    /// no single-target shortcut).
+    /// One SPD pass whose backward scan covers only `r`'s shortest-path
+    /// descendants (see [`DependencyCalculator::dependency_on_many`]).
     pub fn dependency_on(&mut self, g: &CsrGraph, source: Vertex, r: Vertex) -> f64 {
-        self.dependencies(g, source)[r as usize]
+        self.pass(g, source, Some(&[r]))[r as usize]
     }
 
     /// `δ_{source•}(r)` for several probe vertices at once — same single
-    /// pass, used by the joint-space sampler to maintain all of `R`.
+    /// pass, used by the joint-space sampler to maintain all of `R`. On
+    /// unweighted graphs the backward scan visits only what the probes'
+    /// values depend on ([`BfsSpd::accumulate_dependencies_at`]); the values
+    /// are bit-identical to the full row's.
     pub fn dependency_on_many(
         &mut self,
         g: &CsrGraph,
@@ -74,9 +66,29 @@ impl DependencyCalculator {
         probes: &[Vertex],
         out: &mut Vec<f64>,
     ) {
-        let delta = self.dependencies(g, source);
+        let delta = self.pass(g, source, Some(probes));
         out.clear();
         out.extend(probes.iter().map(|&r| delta[r as usize]));
+    }
+
+    /// One SPD pass from `source`: the full dependency row, or (`probes`
+    /// given, unweighted graphs) a row exact at the probes only.
+    fn pass(&mut self, g: &CsrGraph, source: Vertex, probes: Option<&[Vertex]>) -> &[f64] {
+        self.passes += 1;
+        match &mut self.engine {
+            Engine::Unweighted(spd) => {
+                spd.compute(g, source);
+                match probes {
+                    None => spd.accumulate_dependencies(g, &mut self.delta),
+                    Some(probes) => spd.accumulate_dependencies_at(g, probes, &mut self.delta),
+                }
+            }
+            Engine::Weighted(spd) => {
+                spd.compute(g, source);
+                spd.accumulate_dependencies(g, &mut self.delta);
+            }
+        }
+        &self.delta
     }
 
     /// Number of SPD passes performed so far (the budget unit).

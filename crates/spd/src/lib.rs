@@ -13,8 +13,10 @@
 //!   direction-optimizing ([`KernelMode`]: top-down, bottom-up-hybrid, or
 //!   auto), with every mode bit-identical by the canonical settle order.
 //! - [`DependencyCalculator`] — the per-sample kernel: dependency scores
-//!   `δ_{s•}(v)` for all `v` via Brandes's recursion (Eq 4), dispatching on
-//!   graph weightedness, with reusable buffers (no per-call allocation).
+//!   `δ_{s•}(v)` for all `v` via Brandes's recursion (Eq 4), or only what a
+//!   few probes' scores depend on (their shortest-path descendants),
+//!   dispatching on graph weightedness, with reusable buffers (no per-call
+//!   allocation).
 //! - [`exact_betweenness`] / [`exact_betweenness_par`] — exact Brandes over
 //!   all sources (ground truth for every experiment).
 //! - [`dependency_profile`] / [`dependency_profile_par`] — `δ_{v•}(r)` for

@@ -208,6 +208,8 @@ enum ReducedEngine {
 pub struct ReducedCalculator {
     engine: ReducedEngine,
     delta: Vec<f64>,
+    /// The retained probes of the current pass, as reduced ids.
+    h_probes: Vec<Vertex>,
     passes: u64,
 }
 
@@ -238,38 +240,53 @@ impl ReducedCalculator {
             };
             ReducedEngine::Unweighted(BfsSpd::with_mode(h_n, kernel), mode)
         };
-        ReducedCalculator { engine, delta: Vec::with_capacity(h_n), passes: 0 }
+        ReducedCalculator {
+            engine,
+            delta: Vec::with_capacity(h_n),
+            h_probes: Vec::new(),
+            passes: 0,
+        }
     }
 
     /// One SPD pass from reduced vertex `h_src`, leaving the class-level
-    /// dependencies in `self.delta`.
-    fn pass(&mut self, red: &ReducedGraph, h_src: Vertex) {
+    /// dependencies in `self.delta`: the whole row, or (`probes` given, as
+    /// original ids; unweighted reductions) a row exact at the retained
+    /// probes' classes only.
+    fn pass(&mut self, red: &ReducedGraph, h_src: Vertex, probes: Option<&[Vertex]>) {
         self.passes += 1;
+        let h_probes = probes.map(|probes| {
+            self.h_probes.clear();
+            self.h_probes.extend(probes.iter().filter_map(|&r| match red.state(r) {
+                VertexState::Retained { h, .. } => Some(h),
+                VertexState::Pruned { .. } => None,
+            }));
+            &self.h_probes[..]
+        });
         match &mut self.engine {
-            ReducedEngine::Unweighted(spd, mode) => match mode {
-                UnweightedMode::Plain => {
-                    spd.compute(red.csr(), h_src);
-                    spd.accumulate_dependencies(red.csr(), &mut self.delta);
+            ReducedEngine::Unweighted(spd, mode) => {
+                let h = red.csr();
+                match mode {
+                    UnweightedMode::Plain | UnweightedMode::Seeded => spd.compute(h, h_src),
+                    UnweightedMode::Collapsed => spd.compute_collapsed(h, h_src, red.mults()),
                 }
-                UnweightedMode::Seeded => {
-                    spd.compute(red.csr(), h_src);
-                    spd.accumulate_dependencies_collapsed(
-                        red.csr(),
+                let delta = &mut self.delta;
+                match (mode, h_probes) {
+                    (UnweightedMode::Plain, None) => spd.accumulate_dependencies(h, delta),
+                    (UnweightedMode::Plain, Some(p)) => spd.accumulate_dependencies_at(h, p, delta),
+                    // The all-ones multiplicity slice of a twin-free
+                    // reduction makes the collapsed scan the seeded one.
+                    (_, None) => {
+                        spd.accumulate_dependencies_collapsed(h, red.mults(), red.weights(), delta)
+                    }
+                    (_, Some(p)) => spd.accumulate_dependencies_collapsed_at(
+                        h,
                         red.mults(),
                         red.weights(),
-                        &mut self.delta,
-                    );
+                        p,
+                        delta,
+                    ),
                 }
-                UnweightedMode::Collapsed => {
-                    spd.compute_collapsed(red.csr(), h_src, red.mults());
-                    spd.accumulate_dependencies_collapsed(
-                        red.csr(),
-                        red.mults(),
-                        red.weights(),
-                        &mut self.delta,
-                    );
-                }
-            },
+            }
             ReducedEngine::Weighted(spd, seeded) => {
                 spd.compute(red.csr(), h_src);
                 if *seeded {
@@ -355,7 +372,9 @@ impl ReducedCalculator {
 
     /// `δ_{source•}(r)` for several original probes at once — one pass over
     /// the reduced CSR (shared with the attachment's pass for pendant
-    /// sources).
+    /// sources) whose backward scan covers only the probes' classes and
+    /// their shortest-path descendants; the values are bit-identical to the
+    /// full row's.
     ///
     /// # Panics
     /// If any probe is a pruned vertex (validate with
@@ -369,14 +388,14 @@ impl ReducedCalculator {
     ) {
         match red.state(source) {
             VertexState::Retained { h, omega } => {
-                self.pass(red, h);
+                self.pass(red, h, Some(probes));
                 self.fill(red, h, omega as f64, source, None, probes, out);
             }
             VertexState::Pruned { att, branch } => {
                 let VertexState::Retained { h: ha, omega: oa } = red.state(att) else {
                     unreachable!("attachment vertices are retained by construction");
                 };
-                self.pass(red, ha);
+                self.pass(red, ha, Some(probes));
                 self.fill(red, ha, oa as f64, att, Some((att, branch)), probes, out);
             }
         }
@@ -472,7 +491,7 @@ pub fn exact_betweenness_reduced(g: &CsrGraph, red: &ReducedGraph) -> Vec<f64> {
     let h_n = h.num_vertices();
     let mut calc = ReducedCalculator::new(red);
     for z in 0..h_n as Vertex {
-        calc.pass(red, z);
+        calc.pass(red, z, None);
         let wz = red.weight(z);
         for y in 0..h_n {
             let d = calc.delta[y];

@@ -1,15 +1,15 @@
 #![allow(clippy::needless_range_loop)]
 //! Property-based cross-validation of the shortest-path machinery.
 
-use mhbc_graph::reduce::{reduce, ReduceLevel};
+use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph, TwinKind, VertexState};
 use mhbc_graph::{generators, CsrGraph, Vertex};
 use mhbc_spd::{
     bidirectional::BidirectionalSearch, exact_betweenness, exact_betweenness_par,
-    exact_betweenness_preprocessed, naive, BfsSpd, DependencyCalculator, DijkstraSpd, SpdView,
-    ViewCalculator,
+    exact_betweenness_preprocessed, naive, BfsSpd, DependencyCalculator, DijkstraSpd, KernelMode,
+    ReducedCalculator, SpdView, ViewCalculator, UNREACHED,
 };
 use proptest::prelude::*;
-use rand::{rngs::SmallRng, SeedableRng};
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
 
 /// Connected random graph from a seed (ER backbone, bridged if needed).
 fn connected_graph(n: usize, p: f64, seed: u64) -> CsrGraph {
@@ -322,6 +322,215 @@ proptest! {
         let bc2 = exact_betweenness(&g2);
         for v in 0..n as Vertex {
             prop_assert!((bc1[v as usize] - bc2[relabel(v) as usize]).abs() < 1e-12);
+        }
+    }
+}
+
+/// BA (m = 1 grows pendant trees), duplication–divergence (twins), grid, or
+/// a disconnected union of a BA and a dup graph plus an isolated vertex,
+/// picked by `family % 4`.
+fn targeted_graph(family: usize, n: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    match family % 4 {
+        0 => generators::barabasi_albert(n, 1 + (seed % 3) as usize, &mut rng),
+        1 => generators::duplication_divergence(n, 0.45, &mut rng),
+        2 => generators::grid(n / 6 + 2, 6, false),
+        _ => {
+            let a = generators::barabasi_albert(n / 2 + 2, 2, &mut rng);
+            let b = generators::duplication_divergence(n / 2 + 2, 0.45, &mut rng);
+            let off = a.num_vertices() as Vertex;
+            let mut edges: Vec<(Vertex, Vertex)> = a.edges().map(|(u, v, _)| (u, v)).collect();
+            edges.extend(b.edges().map(|(u, v, _)| (u + off, v + off)));
+            CsrGraph::from_edges(a.num_vertices() + b.num_vertices() + 1, &edges).unwrap()
+        }
+    }
+}
+
+/// One to five probes drawn with replacement from `pool`, so duplicates
+/// occur.
+fn pick_probes(pool: &[Vertex], rng: &mut SmallRng) -> Vec<Vertex> {
+    let k = rng.random_range(1..6usize);
+    (0..k).map(|_| pool[rng.random_range(0..pool.len())]).collect()
+}
+
+/// `ReducedCalculator::dependency_on_many` computed the long way: the full
+/// class-level row from `spd`, mapped to original probes by the formulas of
+/// the `reduced` module docs.
+fn reduced_reference(
+    red: &ReducedGraph,
+    spd: &mut BfsSpd,
+    source: Vertex,
+    probes: &[Vertex],
+) -> Vec<f64> {
+    let retained = |v: Vertex| match red.state(v) {
+        VertexState::Retained { h, omega } => (h, omega),
+        VertexState::Pruned { .. } => panic!("vertex {v} is pruned"),
+    };
+    let (src, pruned) = match red.state(source) {
+        VertexState::Retained { .. } => (source, None),
+        VertexState::Pruned { att, branch } => (att, Some((att, branch))),
+    };
+    let (h_src, omega_src) = retained(src);
+    let h = red.csr();
+    // With unit multiplicities and seeds the collapsed kernels are the
+    // plain and seeded ones bit for bit.
+    spd.compute_collapsed(h, h_src, red.mults());
+    let mut delta = Vec::new();
+    spd.accumulate_dependencies_collapsed(h, red.mults(), red.weights(), &mut delta);
+    let same_class = if red.kind(h_src) == TwinKind::False {
+        (red.weight(h_src) - omega_src as f64) / red.wdeg(h_src)
+    } else {
+        0.0
+    };
+    let mapped = |hr: Vertex, omega_r: u32| {
+        let mut d = delta[hr as usize] + (omega_r as f64 - 1.0);
+        if same_class != 0.0 && h.has_edge(h_src, hr) {
+            d += same_class;
+        }
+        d
+    };
+    probes
+        .iter()
+        .map(|&r| {
+            let (hr, omega_r) = retained(r);
+            match pruned {
+                Some((a, branch)) if r == a => red.comp_total(h_src) - 1.0 - branch as f64,
+                _ if pruned.is_none() && r == src => 0.0,
+                _ if spd.dist(hr) == UNREACHED => 0.0,
+                _ => mapped(hr, omega_r),
+            }
+        })
+        .collect()
+}
+
+const MODES: [KernelMode; 3] = [KernelMode::TopDown, KernelMode::Hybrid, KernelMode::Auto];
+
+/// Every forward strategy: the three modes plus forced bottom-up.
+fn every_kernel(n: usize) -> Vec<BfsSpd> {
+    let mut forced = BfsSpd::with_mode(n, KernelMode::Hybrid);
+    forced.set_hybrid_params(u32::MAX, u32::MAX);
+    MODES.into_iter().map(|m| BfsSpd::with_mode(n, m)).chain([forced]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The probe-targeted backward scan equals the full-row scan bit for
+    /// bit at every probe — plain, seeded and collapsed kernels, every
+    /// kernel mode and forced pull — and examines the same number of edges
+    /// whatever the mode. Probe sets mix the source, an unreached vertex,
+    /// a deepest-level vertex and duplicates.
+    #[test]
+    fn targeted_backward_equals_full_bitwise(
+        family in 0usize..4, n in 12usize..48, seed in any::<u64>()
+    ) {
+        let g = targeted_graph(family, n, seed);
+        let n = g.num_vertices();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7A6);
+        let mult: Vec<f64> = (0..n).map(|v| 1.0 + (v % 3) as f64).collect();
+        let seeds: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64 * 0.5).collect();
+        let ones = vec![1.0; n];
+        let mut kernels = every_kernel(n);
+        let (mut full, mut part) = (Vec::new(), Vec::new());
+        for s in (0..n as Vertex).step_by(1 + n / 12) {
+            let spd = &mut kernels[0];
+            spd.compute(&g, s);
+            let deepest = *spd.order().last().unwrap();
+            let unreached = (0..n as Vertex).find(|&v| spd.dist(v) == UNREACHED);
+            let pool = [s, deepest, unreached.unwrap_or(deepest), rng.random_range(0..n as Vertex)];
+            let probes = pick_probes(&pool, &mut rng);
+            // (forward multiplicities, backward multiplicities, seeds) per kernel.
+            let plain: (Option<&[f64]>, &[f64], &[f64]) = (None, &[], &[]);
+            let seeded: (Option<&[f64]>, &[f64], &[f64]) = (None, &ones, &seeds);
+            let collapsed: (Option<&[f64]>, &[f64], &[f64]) = (Some(&mult), &mult, &seeds);
+            for (kind, (fwd, m, sd)) in [plain, seeded, collapsed].into_iter().enumerate() {
+                let mut edges = None;
+                for (k, spd) in kernels.iter_mut().enumerate() {
+                    match fwd {
+                        None => spd.compute(&g, s),
+                        Some(fm) => spd.compute_collapsed(&g, s, fm),
+                    }
+                    if kind == 0 {
+                        spd.accumulate_dependencies(&g, &mut full);
+                        spd.accumulate_dependencies_at(&g, &probes, &mut part);
+                    } else {
+                        spd.accumulate_dependencies_collapsed(&g, m, sd, &mut full);
+                        spd.accumulate_dependencies_collapsed_at(&g, m, sd, &probes, &mut part);
+                    }
+                    for &p in &probes {
+                        prop_assert_eq!(
+                            part[p as usize].to_bits(), full[p as usize].to_bits(),
+                            "kernel {} variant {} source {} probe {} of {:?}", kind, k, s, p, &probes
+                        );
+                    }
+                    let e = spd.backward_edges();
+                    prop_assert_eq!(*edges.get_or_insert(e), e, "edges, kernel {} variant {}", kind, k);
+                }
+            }
+            let mut calc = DependencyCalculator::with_kernel(&g, MODES[seed as usize % 3]);
+            let row = calc.dependencies(&g, s).to_vec();
+            let mut out = Vec::new();
+            calc.dependency_on_many(&g, s, &probes, &mut out);
+            for (i, &p) in probes.iter().enumerate() {
+                prop_assert_eq!(out[i].to_bits(), row[p as usize].to_bits(), "calculator probe {}", p);
+                prop_assert_eq!(calc.dependency_on(&g, s, p).to_bits(), row[p as usize].to_bits());
+            }
+        }
+    }
+
+    /// `ReducedCalculator` (plain, seeded and collapsed reductions) matches
+    /// the full-row accumulation mapped by hand, bit for bit, on probe sets
+    /// with the source, a twin of the source, an unreached vertex, a
+    /// deepest-level vertex and duplicates, in every kernel mode; the
+    /// reference runs forced pull.
+    #[test]
+    fn targeted_reduced_calculator_equals_full_bitwise(
+        family in 0usize..4, n in 12usize..48, seed in any::<u64>()
+    ) {
+        let g = targeted_graph(family, n, seed);
+        let n = g.num_vertices();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+        let mut direct = BfsSpd::new(n);
+        for level in [ReduceLevel::Off, ReduceLevel::Prune, ReduceLevel::Full] {
+            let red = reduce(&g, level).unwrap();
+            let h_n = red.csr().num_vertices();
+            let mut reference = BfsSpd::with_mode(h_n, KernelMode::Hybrid);
+            reference.set_hybrid_params(u32::MAX, u32::MAX);
+            let mut calcs: Vec<ReducedCalculator> =
+                MODES.iter().map(|&m| ReducedCalculator::with_kernel(&red, m)).collect();
+            let mut out = Vec::new();
+            for s in (0..n as Vertex).step_by(1 + n / 10) {
+                direct.compute(&g, s);
+                let retained: Vec<Vertex> =
+                    (0..n as Vertex).filter(|&v| red.is_retained(v)).collect();
+                if retained.is_empty() {
+                    continue;
+                }
+                let deepest = retained.iter().copied().filter(|&v| direct.dist(v) != UNREACHED)
+                    .max_by_key(|&v| direct.dist(v));
+                let unreached = retained.iter().copied().find(|&v| direct.dist(v) == UNREACHED);
+                let twin = match red.state(s) {
+                    VertexState::Retained { h, .. } => {
+                        red.members(h).iter().copied().find(|&m| m != s)
+                    }
+                    VertexState::Pruned { .. } => None,
+                };
+                let random = retained[rng.random_range(0..retained.len())];
+                let mut pool = vec![random];
+                pool.extend([red.is_retained(s).then_some(s), twin, unreached, deepest].into_iter().flatten());
+                let probes = pick_probes(&pool, &mut rng);
+                let want = reduced_reference(&red, &mut reference, s, &probes);
+                for calc in &mut calcs {
+                    calc.dependency_on_many(&red, s, &probes, &mut out);
+                    for i in 0..probes.len() {
+                        prop_assert_eq!(
+                            out[i].to_bits(), want[i].to_bits(),
+                            "{:?} source {} probe {} of {:?}: {} vs {}",
+                            level, s, probes[i], &probes, out[i], want[i]
+                        );
+                    }
+                }
+            }
         }
     }
 }
