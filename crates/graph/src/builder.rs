@@ -27,6 +27,21 @@ impl GraphBuilder {
         GraphBuilder { n, edges: Vec::with_capacity(m), weights: Vec::new(), weighted: None }
     }
 
+    /// A builder that takes over `edges` (and their `weights`, one per edge
+    /// when `weighted`) instead of copying them in one call at a time. The
+    /// caller has already done what the `add_*` calls check: every edge is
+    /// normalised to `u < v < n` and every weight is positive and finite.
+    pub(crate) fn from_normalised(
+        n: usize,
+        edges: Vec<(Vertex, Vertex)>,
+        weights: Vec<f64>,
+        weighted: bool,
+    ) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && (v as usize) < n));
+        debug_assert!(!weighted || weights.len() == edges.len());
+        GraphBuilder { n, edges, weights, weighted: Some(weighted) }
+    }
+
     /// Number of vertices this builder targets.
     pub fn num_vertices(&self) -> usize {
         self.n

@@ -4,24 +4,111 @@
 //! blank lines and lines starting with `#` or `%` are ignored (the comment
 //! conventions of SNAP and KONECT dumps). Vertex ids are arbitrary
 //! non-negative integers; the graph is sized to `max id + 1`.
+//!
+//! # Parsing
+//!
+//! [`read_edge_list`] reads lines straight out of the reader's buffer
+//! (`fill_buf`/`consume`), copying a line only when it straddles two buffer
+//! refills; it never holds the whole text in memory. A fast path takes the
+//! common line — two runs of ASCII digits separated by spaces or tabs, with
+//! an optional `\r` before the newline — and skips ASCII comment and blank
+//! lines. Every other line (weight columns, signs such as `+7`, ids that do
+//! not fit a [`Vertex`], Unicode whitespace, invalid UTF-8, malformed
+//! fields) goes to the general per-line parser, which splits on Unicode
+//! whitespace exactly as `str::split_whitespace` does. The fast path only
+//! accepts lines the general parser reads the same way, so the accepted
+//! syntax, the error messages and the reported line numbers are unchanged
+//! and do not depend on which path a line took.
 
 use crate::{CsrGraph, GraphBuilder, GraphError, Vertex};
 use std::io::{BufRead, Write};
 
 /// Reads an edge list from `reader`. Weightedness is inferred from the first
 /// data line and must then be consistent on all lines.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
-    let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut weighted: Option<bool> = None;
-    let mut max_v: Vertex = 0;
+///
+/// Parse errors come first, at the first bad line; then the first
+/// self-loop or invalid weight in file order; then the builder's errors.
+pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<CsrGraph, GraphError> {
+    let mut edges = EdgeList::default();
+    // Lines completed so far.
+    let mut lineno = 0usize;
+    // A line that straddles buffer refills, gathered up to its `\n`.
+    let mut carry: Vec<u8> = Vec::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(GraphError::Parse { line: lineno + 1, message: e.to_string() }),
+        };
+        if buf.is_empty() {
+            break;
+        }
+        let mut rest = buf;
+        if !carry.is_empty() {
+            let Some(end) = rest.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(rest);
+                let len = buf.len();
+                reader.consume(len);
+                continue;
+            };
+            carry.extend_from_slice(&rest[..=end]);
+            lineno += 1;
+            edges.line(&carry, lineno)?;
+            carry.clear();
+            rest = &rest[end + 1..];
+        }
+        while let Some(len) = edges.line(rest, lineno + 1)? {
+            lineno += 1;
+            rest = &rest[len..];
+        }
+        carry.extend_from_slice(rest);
+        let len = buf.len();
+        reader.consume(len);
+    }
+    if !carry.is_empty() {
+        carry.push(b'\n');
+        edges.line(&carry, lineno + 1)?;
+    }
+    edges.build()
+}
 
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.map_err(|e| GraphError::Parse { line: lineno, message: e.to_string() })?;
+/// The edges read so far, normalised to `u < v` in file order, and what
+/// the reading has learnt about them.
+#[derive(Default)]
+struct EdgeList {
+    edges: Vec<(Vertex, Vertex)>,
+    weights: Vec<f64>,
+    weighted: Option<bool>,
+    max_v: Vertex,
+    /// The first self-loop or invalid weight, in file order. It is
+    /// reported only if the whole text parses.
+    invalid: Option<GraphError>,
+}
+
+impl EdgeList {
+    /// Reads the line at the front of `text` and returns its length with
+    /// the `\n`, or `None` when `text` holds no complete line.
+    fn line(&mut self, text: &[u8], lineno: usize) -> Result<Option<usize>, GraphError> {
+        if let Some((edge, len)) = fast_line(text) {
+            if let Some((u, v)) = edge {
+                self.push(u, v, None, lineno)?;
+            }
+            return Ok(Some(len));
+        }
+        let Some(end) = text.iter().position(|&b| b == b'\n') else { return Ok(None) };
+        self.general_line(&text[..end], lineno)?;
+        Ok(Some(end + 1))
+    }
+
+    /// The general per-line parser: any line `BufRead::lines` would yield.
+    fn general_line(&mut self, line: &[u8], lineno: usize) -> Result<(), GraphError> {
+        let line = std::str::from_utf8(line).map_err(|_| GraphError::Parse {
+            line: lineno,
+            message: "stream did not contain valid UTF-8".into(),
+        })?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+            return Ok(());
         }
         let mut parts = trimmed.split_whitespace();
         let u: Vertex = parse_field(parts.next(), lineno, "source vertex")?;
@@ -33,9 +120,20 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
                 message: "too many fields (expected `u v` or `u v w`)".into(),
             });
         }
-        match (weighted, w_field) {
-            (None, None) => weighted = Some(false),
-            (None, Some(_)) => weighted = Some(true),
+        self.push(u, v, w_field, lineno)
+    }
+
+    /// Records edge `{u, v}` with its weight field, if any.
+    fn push(
+        &mut self,
+        u: Vertex,
+        v: Vertex,
+        w_field: Option<&str>,
+        lineno: usize,
+    ) -> Result<(), GraphError> {
+        match (self.weighted, w_field) {
+            (None, None) => self.weighted = Some(false),
+            (None, Some(_)) => self.weighted = Some(true),
             (Some(false), Some(_)) | (Some(true), None) => {
                 return Err(GraphError::Parse {
                     line: lineno,
@@ -44,29 +142,80 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
             }
             _ => {}
         }
-        if let Some(ws) = w_field {
-            let w: f64 = ws.parse().map_err(|_| GraphError::Parse {
-                line: lineno,
-                message: format!("invalid weight `{ws}`"),
-            })?;
-            weights.push(w);
+        let w = w_field
+            .map(|ws| {
+                ws.parse::<f64>().map_err(|_| GraphError::Parse {
+                    line: lineno,
+                    message: format!("invalid weight `{ws}`"),
+                })
+            })
+            .transpose()?;
+        if self.invalid.is_none() {
+            if u == v {
+                self.invalid = Some(GraphError::SelfLoop { vertex: u });
+            } else if let Some(weight) = w.filter(|w| !(w.is_finite() && *w > 0.0)) {
+                self.invalid = Some(GraphError::InvalidWeight { u, v, weight });
+            }
         }
-        max_v = max_v.max(u).max(v);
-        edges.push((u, v));
+        self.weights.extend(w);
+        self.max_v = self.max_v.max(u).max(v);
+        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        Ok(())
     }
 
-    let n = if edges.is_empty() { 0 } else { max_v as usize + 1 };
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    if weighted == Some(true) {
-        for (&(u, v), &w) in edges.iter().zip(&weights) {
-            b.add_weighted_edge(u, v, w)?;
+    fn build(self) -> Result<CsrGraph, GraphError> {
+        if let Some(e) = self.invalid {
+            return Err(e);
         }
-    } else {
-        for &(u, v) in &edges {
-            b.add_edge(u, v)?;
+        let n = if self.edges.is_empty() { 0 } else { self.max_v as usize + 1 };
+        GraphBuilder::from_normalised(n, self.edges, self.weights, self.weighted == Some(true))
+            .build()
+    }
+}
+
+/// The fast path of [`read_edge_list`], on the complete line at the front
+/// of `text`: an edge for two ASCII-digit ids separated by spaces, tabs or
+/// carriage returns, no edge for an ASCII blank or comment line, and the
+/// line's length with its `\n`. `None` for anything else, including a line
+/// without its `\n` (left to the general parser, or to the next refill).
+fn fast_line(text: &[u8]) -> Option<(Option<(Vertex, Vertex)>, usize)> {
+    // All three are whitespace to `split_whitespace` too.
+    let skip_blanks =
+        |i: usize| text[i..].iter().position(|b| !matches!(b, b' ' | b'\t' | b'\r')).map(|k| i + k);
+    let i = skip_blanks(0)?;
+    match text[i] {
+        b'\n' => return Some((None, i + 1)),
+        b'#' | b'%' => {
+            let end = i + text[i..].iter().position(|&b| b == b'\n')?;
+            return text[i..end].is_ascii().then_some((None, end + 1));
+        }
+        _ => {}
+    }
+    let (u, i) = fast_id(text, i)?;
+    // A digit cannot follow `u` directly, so a missing gap fails `fast_id`.
+    let (v, i) = fast_id(text, skip_blanks(i)?)?;
+    let end = skip_blanks(i)?;
+    (text[end] == b'\n').then_some((Some((u, v)), end + 1))
+}
+
+/// Reads the run of ASCII digits at `text[start..]` as a vertex id and
+/// returns it with the index after the run; `None` when there is no digit
+/// or the id does not fit a [`Vertex`].
+fn fast_id(text: &[u8], start: usize) -> Option<(Vertex, usize)> {
+    let digits =
+        text[start..].iter().position(|b| !b.is_ascii_digit()).unwrap_or(text.len() - start);
+    if digits == 0 {
+        return None;
+    }
+    let mut id: u64 = 0;
+    for &b in &text[start..start + digits] {
+        // At most `Vertex::MAX * 10 + 9` before the check: no u64 overflow.
+        id = id * 10 + u64::from(b - b'0');
+        if id > u64::from(Vertex::MAX) {
+            return None;
         }
     }
-    b.build()
+    Some((id as Vertex, start + digits))
 }
 
 fn parse_field(field: Option<&str>, line: usize, what: &str) -> Result<Vertex, GraphError> {

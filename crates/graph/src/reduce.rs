@@ -68,6 +68,13 @@
 //! and relabelled CSRs are assembled by transposition and the row groups
 //! by counting, with no further sort and no hashing.
 //!
+//! [`reduce`] runs in two steps. [`plan`] prunes and finds the twin classes,
+//! which already fix the exact [`ReduceStats`] (the reduced edge count is
+//! counted, not built) and the pruned vertices' closed forms;
+//! [`ReducePlan::assemble`] then builds the CSR, relabels it and fills the
+//! maps — on a 262k-vertex BA graph about two thirds of the total. A caller
+//! that may discard the reduction decides from the plan.
+//!
 //! # Using a reduction
 //!
 //! `mhbc-spd` consumes [`ReducedGraph`] through its `SpdView` /
@@ -339,8 +346,7 @@ impl ReducedGraph {
     pub fn exact_pruned_bc(&self, v: Vertex) -> Option<f64> {
         match self.state[v as usize] {
             VertexState::Pruned { .. } => {
-                let n = self.orig_n as f64;
-                Some(self.corrections[v as usize] / (n * (n - 1.0)))
+                Some(closed_form(self.corrections[v as usize], self.orig_n))
             }
             VertexState::Retained { .. } => None,
         }
@@ -362,13 +368,46 @@ impl ReducedGraph {
     }
 }
 
-/// Builds the reduction of `g` at `level`. See the module docs for the
-/// exact semantics of each level.
+/// Builds the reduction of `g` at `level`: [`plan`], then
+/// [`ReducePlan::assemble`]. See the module docs for the exact semantics
+/// of each level.
 ///
 /// Errors only on [`ReduceLevel::Full`] over a weighted graph
 /// ([`ReduceError::WeightedCollapse`]); pruning alone is weight-agnostic
 /// (pendant trees are forced routes whatever the edge weights).
 pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceError> {
+    plan(g, level).map(ReducePlan::assemble)
+}
+
+/// A reduction decided but not yet built: the pruning and the twin classes
+/// of `g`, which fix the reduction's exact [`ReduceStats`] and the closed
+/// forms of the pruned vertices. What it leaves to
+/// [`assemble`](ReducePlan::assemble) — the collapsed, relabelled CSR and
+/// the per-vertex maps — is most of a reduction's cost, so a caller that
+/// keeps a reduction only when it pays (the CLI's `--preprocess auto`)
+/// decides from the plan and assembles only what it keeps.
+#[derive(Debug)]
+pub struct ReducePlan<'g> {
+    g: &'g CsrGraph,
+    level: ReduceLevel,
+    comp_labels: Vec<u32>,
+    comp_sizes: Vec<usize>,
+    /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
+    omega: Vec<u64>,
+    corrections: Vec<f64>,
+    pruned: Vec<bool>,
+    /// The live neighbour each pruned vertex was pruned into.
+    parent: Vec<u32>,
+    /// Pre-relabel class of each retained vertex (`u32::MAX` if pruned).
+    class_pre: Vec<u32>,
+    kinds: Vec<TwinKind>,
+    stats: ReduceStats,
+}
+
+/// Plans the reduction of `g` at `level`: prunes, finds the twin classes
+/// and counts the reduced graph, without building it. Errors as
+/// [`reduce`] does.
+pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceError> {
     if g.is_weighted() && level == ReduceLevel::Full {
         return Err(ReduceError::WeightedCollapse);
     }
@@ -411,39 +450,6 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
         }
     }
     let pruned_count = pruned.iter().filter(|&&p| p).count();
-
-    // ---- Attachment / branch resolution ------------------------------
-    // att(v): the first retained vertex on v's parent chain. broot(v): the
-    // last pruned vertex before it (the root of v's branch).
-    let mut att = vec![u32::MAX; n];
-    let mut broot = vec![u32::MAX; n];
-    let mut chain: Vec<u32> = Vec::new();
-    for v in 0..n as u32 {
-        if !pruned[v as usize] || att[v as usize] != u32::MAX {
-            continue;
-        }
-        chain.clear();
-        let mut x = v;
-        while pruned[x as usize] && att[x as usize] == u32::MAX {
-            chain.push(x);
-            x = parent[x as usize];
-        }
-        let (a, root) = if pruned[x as usize] {
-            (att[x as usize], broot[x as usize])
-        } else {
-            (x, *chain.last().expect("chain non-empty"))
-        };
-        for &c in &chain {
-            att[c as usize] = a;
-            broot[c as usize] = root;
-        }
-    }
-    let mut branch_size = vec![0u32; n];
-    for v in 0..n {
-        if pruned[v] {
-            branch_size[broot[v] as usize] += 1;
-        }
-    }
 
     // ---- Twin classes over the retained subgraph ----------------------
     // class_pre[v]: pre-relabel class id of retained v. Off / Prune keep
@@ -532,20 +538,77 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
             class_pre[v as usize] = new_class(TwinKind::Single);
         }
     }
-    assemble(
+    let h_n = kinds.len();
+    let stats = ReduceStats {
+        orig_vertices: n,
+        orig_edges: g.num_edges(),
+        pruned_vertices: pruned_count,
+        collapsed_vertices: retained.len() - h_n,
+        reduced_vertices: h_n,
+        // `g` itself is H when nothing was pruned or collapsed.
+        reduced_edges: if h_n == n { g.num_edges() } else { count_class_edges(g, &class_pre, h_n) },
+    };
+    Ok(ReducePlan {
         g,
         level,
-        &comps.labels,
-        &comp_sizes,
-        &omega,
+        comp_labels: comps.labels,
+        comp_sizes,
+        omega,
         corrections,
-        &pruned,
-        &att,
-        &broot,
-        &branch_size,
-        &class_pre,
+        pruned,
+        parent,
+        class_pre,
         kinds,
-    )
+        stats,
+    })
+}
+
+impl ReducePlan<'_> {
+    /// The exact size bookkeeping of the reduction
+    /// [`assemble`](Self::assemble) would build (equal to its
+    /// [`ReducedGraph::stats`]).
+    pub fn stats(&self) -> &ReduceStats {
+        &self.stats
+    }
+
+    /// Exact betweenness of a pruned vertex, bit-identical to
+    /// [`ReducedGraph::exact_pruned_bc`]; `None` if `v` is retained.
+    pub fn exact_pruned_bc(&self, v: Vertex) -> Option<f64> {
+        let v = v as usize;
+        self.pruned[v].then(|| closed_form(self.corrections[v], self.g.num_vertices()))
+    }
+}
+
+/// Normalised betweenness (Eq 1) from a raw pair count on `n` vertices.
+fn closed_form(raw: f64, n: usize) -> f64 {
+    let n = n as f64;
+    raw / (n * (n - 1.0))
+}
+
+/// Edges of H counted without building it. Members of a class share their
+/// neighbourhood outside it (twins are interchangeable), so any one
+/// member's distinct neighbouring classes are the class's degree in H; the
+/// degrees sum to `2 m_H`. Pruned vertices (`class_pre == u32::MAX`) are
+/// not in H.
+fn count_class_edges(g: &CsrGraph, class_pre: &[u32], h_n: usize) -> usize {
+    let mut counted = vec![false; h_n];
+    // `stamp[d] == c`: class `d` was already counted as a neighbour of `c`.
+    let mut stamp = vec![u32::MAX; h_n];
+    let mut degree_sum = 0;
+    for v in g.vertices() {
+        let c = class_pre[v as usize];
+        if c == u32::MAX || std::mem::replace(&mut counted[c as usize], true) {
+            continue;
+        }
+        for &u in g.neighbors(v) {
+            let d = class_pre[u as usize];
+            if d != u32::MAX && d != c && stamp[d as usize] != c {
+                stamp[d as usize] = c;
+                degree_sum += 1;
+            }
+        }
+    }
+    degree_sum / 2
 }
 
 /// splitmix64's output mix: an order-independent neighbourhood fingerprint
@@ -601,207 +664,243 @@ fn twin_leaders(
     lead
 }
 
-/// Builds H from the class partition, relabels it, and assembles the final
-/// [`ReducedGraph`].
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    g: &CsrGraph,
-    level: ReduceLevel,
-    comp_labels: &[u32],
-    comp_sizes: &[usize],
-    omega: &[u64],
-    corrections: Vec<f64>,
-    pruned: &[bool],
-    att: &[u32],
-    broot: &[u32],
-    branch_size: &[u32],
-    class_pre: &[u32],
-    kinds: Vec<TwinKind>,
-) -> Result<ReducedGraph, ReduceError> {
-    let n = g.num_vertices();
-    let h_n = kinds.len();
+impl ReducePlan<'_> {
+    /// Builds the planned reduction: H from the class partition, relabelled,
+    /// with the per-vertex maps.
+    pub fn assemble(self) -> ReducedGraph {
+        let ReducePlan {
+            g,
+            level,
+            comp_labels,
+            comp_sizes,
+            omega,
+            corrections,
+            pruned,
+            parent,
+            class_pre,
+            kinds,
+            stats: planned,
+        } = self;
+        let n = g.num_vertices();
+        let h_n = kinds.len();
 
-    // Class membership, flat: members of class c (ascending) are
-    // `class_ids[class_off[c]..class_off[c + 1]]`.
-    let (class_off, class_ids) =
-        bucket(h_n, (0..n).filter(|&v| !pruned[v]).map(|v| (class_pre[v] as usize, v as u32)));
-
-    // H in pre-relabel ids: the class map applied to the retained graph,
-    // with intra-class edges dropped — `g` itself when nothing was pruned
-    // or collapsed (the map is then the identity).
-    let pre = if h_n == n { g.clone() } else { contract(g, &class_off, &class_ids, class_pre) };
-
-    // Relabel: BFS order from the highest-degree vertex of each component
-    // (components visited by descending root degree, ties by smaller id),
-    // keeping pre-id order inside each frontier. Applied only when it
-    // pays: the SPD kernel is memory-bound on *traversal-order locality* —
-    // a pass walks the frontier in BFS order, and consecutive frontier
-    // vertices with near-consecutive ids stream consecutive CSR rows and
-    // dist/σ cache lines (hardware-prefetch friendly), while fragmented
-    // orders jump between distant rows on every step. The guard measures
-    // the natural layout's traversal locality (fraction of consecutive BFS
-    // visits within 16 ids of each other; the BFS layout scores ~1 by
-    // construction) and relabels only when the natural order is fragmented
-    // (< half local). Ring-ordered and already-relabelled graphs keep
-    // their ids — making the relabel idempotent — while chronological,
-    // scrambled, or cluster-interleaved layouts are rewritten. No-op for
-    // `Off`. `order` (final id -> pre id) is the inverse of `perm`.
-    let mut order: Vec<u32> = Vec::with_capacity(h_n);
-    let mut relabel = false;
-    if level != ReduceLevel::Off {
-        let mut seen = vec![false; h_n];
-        let top = pre.max_degree();
-        let by_degree = (0..h_n).map(|z| (top - pre.degree(z as u32), z as u32));
-        // `order` doubles as the BFS queue: `order[head..]` is the frontier.
-        let mut head = 0;
-        for root in bucket(top + 1, by_degree).1 {
-            if seen[root as usize] {
+        // ---- Attachment / branch resolution ------------------------------
+        // att(v): the first retained vertex on v's parent chain. broot(v): the
+        // last pruned vertex before it (the root of v's branch).
+        let mut att = vec![u32::MAX; n];
+        let mut broot = vec![u32::MAX; n];
+        let mut chain: Vec<u32> = Vec::new();
+        for v in 0..n as u32 {
+            if !pruned[v as usize] || att[v as usize] != u32::MAX {
                 continue;
             }
-            seen[root as usize] = true;
-            order.push(root);
-            while let Some(&z) = order.get(head) {
-                head += 1;
-                for &w in pre.neighbors(z) {
-                    if !seen[w as usize] {
-                        seen[w as usize] = true;
-                        order.push(w);
+            chain.clear();
+            let mut x = v;
+            while pruned[x as usize] && att[x as usize] == u32::MAX {
+                chain.push(x);
+                x = parent[x as usize];
+            }
+            let (a, root) = if pruned[x as usize] {
+                (att[x as usize], broot[x as usize])
+            } else {
+                (x, *chain.last().expect("chain non-empty"))
+            };
+            for &c in &chain {
+                att[c as usize] = a;
+                broot[c as usize] = root;
+            }
+        }
+        let mut branch_size = vec![0u32; n];
+        for v in 0..n {
+            if pruned[v] {
+                branch_size[broot[v] as usize] += 1;
+            }
+        }
+
+        // Class membership, flat: members of class c (ascending) are
+        // `class_ids[class_off[c]..class_off[c + 1]]`.
+        let (class_off, class_ids) =
+            bucket(h_n, (0..n).filter(|&v| !pruned[v]).map(|v| (class_pre[v] as usize, v as u32)));
+
+        // H in pre-relabel ids: the class map applied to the retained graph,
+        // with intra-class edges dropped — `g` itself when nothing was pruned
+        // or collapsed (the map is then the identity).
+        let pre =
+            if h_n == n { g.clone() } else { contract(g, &class_off, &class_ids, &class_pre) };
+
+        // Relabel: BFS order from the highest-degree vertex of each component
+        // (components visited by descending root degree, ties by smaller id),
+        // keeping pre-id order inside each frontier. Applied only when it
+        // pays: the SPD kernel is memory-bound on *traversal-order locality* —
+        // a pass walks the frontier in BFS order, and consecutive frontier
+        // vertices with near-consecutive ids stream consecutive CSR rows and
+        // dist/σ cache lines (hardware-prefetch friendly), while fragmented
+        // orders jump between distant rows on every step. The guard measures
+        // the natural layout's traversal locality (fraction of consecutive BFS
+        // visits within 16 ids of each other; the BFS layout scores ~1 by
+        // construction) and relabels only when the natural order is fragmented
+        // (< half local). Ring-ordered and already-relabelled graphs keep
+        // their ids — making the relabel idempotent — while chronological,
+        // scrambled, or cluster-interleaved layouts are rewritten. No-op for
+        // `Off`. `order` (final id -> pre id) is the inverse of `perm`.
+        let mut order: Vec<u32> = Vec::with_capacity(h_n);
+        let mut relabel = false;
+        if level != ReduceLevel::Off {
+            let mut seen = vec![false; h_n];
+            let top = pre.max_degree();
+            let by_degree = (0..h_n).map(|z| (top - pre.degree(z as u32), z as u32));
+            // `order` doubles as the BFS queue: `order[head..]` is the frontier.
+            let mut head = 0;
+            for root in bucket(top + 1, by_degree).1 {
+                if seen[root as usize] {
+                    continue;
+                }
+                seen[root as usize] = true;
+                order.push(root);
+                while let Some(&z) = order.get(head) {
+                    head += 1;
+                    for &w in pre.neighbors(z) {
+                        if !seen[w as usize] {
+                            seen[w as usize] = true;
+                            order.push(w);
+                        }
                     }
                 }
             }
+            let local_steps = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
+            relabel = 2 * local_steps < h_n.saturating_sub(1);
         }
-        let local_steps = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
-        relabel = 2 * local_steps < h_n.saturating_sub(1);
-    }
-    let (csr, perm) = if relabel {
-        let mut perm = vec![0u32; h_n];
-        for (new, &old) in order.iter().enumerate() {
-            perm[old as usize] = new as u32;
-        }
-        // Relabelled CSR by transposition: visiting sources in final-id
-        // order and appending each to its neighbours' slices fills every
-        // slice in ascending order (H is symmetric), with no sort.
-        let (pre_off, pre_tgt) = pre.csr();
-        let pre_w = pre.weights.as_deref();
-        let mut off = vec![0u32; h_n + 1];
-        for (z, &old) in order.iter().enumerate() {
-            off[z + 1] = off[z] + pre.degrees()[old as usize];
-        }
-        let mut tgt = vec![0u32; off[h_n] as usize];
-        let mut wts = vec![0.0f64; if pre_w.is_some() { tgt.len() } else { 0 }];
-        let mut cursor = off.clone();
-        for (s, &old) in order.iter().enumerate() {
-            for i in pre_off[old as usize] as usize..pre_off[old as usize + 1] as usize {
-                let t = perm[pre_tgt[i] as usize] as usize;
-                let c = cursor[t] as usize;
-                tgt[c] = s as u32;
-                if let Some(w) = pre_w {
-                    wts[c] = w[i];
+        let (csr, perm) = if relabel {
+            let mut perm = vec![0u32; h_n];
+            for (new, &old) in order.iter().enumerate() {
+                perm[old as usize] = new as u32;
+            }
+            // Relabelled CSR by transposition: visiting sources in final-id
+            // order and appending each to its neighbours' slices fills every
+            // slice in ascending order (H is symmetric), with no sort.
+            let (pre_off, pre_tgt) = pre.csr();
+            let pre_w = pre.weights.as_deref();
+            let mut off = vec![0u32; h_n + 1];
+            for (z, &old) in order.iter().enumerate() {
+                off[z + 1] = off[z] + pre.degrees()[old as usize];
+            }
+            let mut tgt = vec![0u32; off[h_n] as usize];
+            let mut wts = vec![0.0f64; if pre_w.is_some() { tgt.len() } else { 0 }];
+            let mut cursor = off.clone();
+            for (s, &old) in order.iter().enumerate() {
+                for i in pre_off[old as usize] as usize..pre_off[old as usize + 1] as usize {
+                    let t = perm[pre_tgt[i] as usize] as usize;
+                    let c = cursor[t] as usize;
+                    tgt[c] = s as u32;
+                    if let Some(w) = pre_w {
+                        wts[c] = w[i];
+                    }
+                    cursor[t] += 1;
                 }
-                cursor[t] += 1;
             }
-        }
-        (CsrGraph::from_sorted_parts(off, tgt, pre_w.map(|_| wts)), perm)
-    } else {
-        order = (0..h_n as u32).collect();
-        (pre, order.clone())
-    };
+            (CsrGraph::from_sorted_parts(off, tgt, pre_w.map(|_| wts)), perm)
+        } else {
+            order = (0..h_n as u32).collect();
+            (pre, order.clone())
+        };
 
-    // Per-reduced-vertex arrays (final ids), members ascending.
-    let mut mult = vec![0.0f64; h_n];
-    let mut weight = vec![0.0f64; h_n];
-    let mut sum_w2 = vec![0.0f64; h_n];
-    let mut kind = vec![TwinKind::Single; h_n];
-    let mut comp_total = vec![0.0f64; h_n];
-    let mut member_offsets = Vec::with_capacity(h_n + 1);
-    let mut member_ids = Vec::with_capacity(class_ids.len());
-    member_offsets.push(0);
-    for (z, &c) in order.iter().enumerate() {
-        let ms = &class_ids[class_off[c as usize]..class_off[c as usize + 1]];
-        kind[z] = kinds[c as usize];
-        mult[z] = ms.len() as f64;
-        comp_total[z] = comp_sizes[comp_labels[ms[0] as usize] as usize] as f64;
-        for &m in ms {
-            let w = omega[m as usize] as f64;
-            weight[z] += w;
-            sum_w2[z] += w * w;
+        // Per-reduced-vertex arrays (final ids), members ascending.
+        let mut mult = vec![0.0f64; h_n];
+        let mut weight = vec![0.0f64; h_n];
+        let mut sum_w2 = vec![0.0f64; h_n];
+        let mut kind = vec![TwinKind::Single; h_n];
+        let mut comp_total = vec![0.0f64; h_n];
+        let mut member_offsets = Vec::with_capacity(h_n + 1);
+        let mut member_ids = Vec::with_capacity(class_ids.len());
+        member_offsets.push(0);
+        for (z, &c) in order.iter().enumerate() {
+            let ms = &class_ids[class_off[c as usize]..class_off[c as usize + 1]];
+            kind[z] = kinds[c as usize];
+            mult[z] = ms.len() as f64;
+            comp_total[z] = comp_sizes[comp_labels[ms[0] as usize] as usize] as f64;
+            for &m in ms {
+                let w = omega[m as usize] as f64;
+                weight[z] += w;
+                sum_w2[z] += w * w;
+            }
+            member_ids.extend_from_slice(ms);
+            member_offsets.push(member_ids.len());
         }
-        member_ids.extend_from_slice(ms);
-        member_offsets.push(member_ids.len());
-    }
-    let mut wdeg = vec![0.0f64; h_n];
-    for (z, w) in wdeg.iter_mut().enumerate() {
-        *w = csr.neighbors(z as u32).iter().map(|&u| mult[u as usize]).sum();
-    }
+        let mut wdeg = vec![0.0f64; h_n];
+        for (z, w) in wdeg.iter_mut().enumerate() {
+            *w = csr.neighbors(z as u32).iter().map(|&u| mult[u as usize]).sum();
+        }
 
-    // Per-original state and row groups. Row groups number the keys
-    // `(h, ω(v))` of retained and `(att(v), branch size)` of pruned
-    // vertices in order of first appearance. `rep[v]`, the smallest vertex
-    // sharing v's key, is found per anchor (class h, or attachment) with a
-    // slot per size; sizes are at most n.
-    let mut state = vec![VertexState::Retained { h: 0, omega: 1 }; n];
-    let mut rep: Vec<u32> = (0..n as u32).collect();
-    let mut slot = vec![u32::MAX; n + 1];
-    let mut first_by_size = |off: &[usize], ids: &[u32], size: &dyn Fn(u32) -> usize| {
-        for group in off.windows(2).map(|w| &ids[w[0]..w[1]]) {
-            for &v in group {
-                let s = &mut slot[size(v)];
-                if *s == u32::MAX {
-                    *s = v;
+        // Per-original state and row groups. Row groups number the keys
+        // `(h, ω(v))` of retained and `(att(v), branch size)` of pruned
+        // vertices in order of first appearance. `rep[v]`, the smallest vertex
+        // sharing v's key, is found per anchor (class h, or attachment) with a
+        // slot per size; sizes are at most n.
+        let mut state = vec![VertexState::Retained { h: 0, omega: 1 }; n];
+        let mut rep: Vec<u32> = (0..n as u32).collect();
+        let mut slot = vec![u32::MAX; n + 1];
+        let mut first_by_size = |off: &[usize], ids: &[u32], size: &dyn Fn(u32) -> usize| {
+            for group in off.windows(2).map(|w| &ids[w[0]..w[1]]) {
+                for &v in group {
+                    let s = &mut slot[size(v)];
+                    if *s == u32::MAX {
+                        *s = v;
+                    }
+                    rep[v as usize] = *s;
                 }
-                rep[v as usize] = *s;
+                for &v in group {
+                    slot[size(v)] = u32::MAX;
+                }
             }
-            for &v in group {
-                slot[size(v)] = u32::MAX;
-            }
+        };
+        first_by_size(&member_offsets, &member_ids, &|v| omega[v as usize] as usize);
+        let (att_off, att_ids) =
+            bucket(n, (0..n).filter(|&v| pruned[v]).map(|v| (att[v] as usize, v as u32)));
+        first_by_size(&att_off, &att_ids, &|v| branch_size[broot[v as usize] as usize] as usize);
+        let mut row_group = vec![0u32; n];
+        let mut groups = 0u32;
+        for v in 0..n {
+            state[v] = if pruned[v] {
+                VertexState::Pruned { att: att[v], branch: branch_size[broot[v] as usize] }
+            } else {
+                VertexState::Retained { h: perm[class_pre[v] as usize], omega: omega[v] as u32 }
+            };
+            let r = rep[v] as usize;
+            row_group[v] = if r == v {
+                groups += 1;
+                groups - 1
+            } else {
+                row_group[r]
+            };
         }
-    };
-    first_by_size(&member_offsets, &member_ids, &|v| omega[v as usize] as usize);
-    let (att_off, att_ids) =
-        bucket(n, (0..n).filter(|&v| pruned[v]).map(|v| (att[v] as usize, v as u32)));
-    first_by_size(&att_off, &att_ids, &|v| branch_size[broot[v as usize] as usize] as usize);
-    let mut row_group = vec![0u32; n];
-    let mut groups = 0u32;
-    for v in 0..n {
-        state[v] = if pruned[v] {
-            VertexState::Pruned { att: att[v], branch: branch_size[broot[v] as usize] }
-        } else {
-            VertexState::Retained { h: perm[class_pre[v] as usize], omega: omega[v] as u32 }
-        };
-        let r = rep[v] as usize;
-        row_group[v] = if r == v {
-            groups += 1;
-            groups - 1
-        } else {
-            row_group[r]
-        };
-    }
 
-    let stats = ReduceStats {
-        orig_vertices: n,
-        orig_edges: g.num_edges(),
-        pruned_vertices: n - class_ids.len(),
-        collapsed_vertices: class_ids.len() - h_n,
-        reduced_vertices: h_n,
-        reduced_edges: csr.num_edges(),
-    };
-    Ok(ReducedGraph {
-        level,
-        csr,
-        orig_n: n,
-        mult: mult.into_boxed_slice(),
-        weight: weight.into_boxed_slice(),
-        sum_w2: sum_w2.into_boxed_slice(),
-        wdeg: wdeg.into_boxed_slice(),
-        kind: kind.into_boxed_slice(),
-        comp_total: comp_total.into_boxed_slice(),
-        member_offsets: member_offsets.into_boxed_slice(),
-        member_ids: member_ids.into_boxed_slice(),
-        state: state.into_boxed_slice(),
-        corrections: corrections.into_boxed_slice(),
-        row_group: row_group.into_boxed_slice(),
-        stats,
-    })
+        let stats = ReduceStats {
+            orig_vertices: n,
+            orig_edges: g.num_edges(),
+            pruned_vertices: n - class_ids.len(),
+            collapsed_vertices: class_ids.len() - h_n,
+            reduced_vertices: h_n,
+            reduced_edges: csr.num_edges(),
+        };
+        debug_assert_eq!(stats, planned, "the plan's counts must describe what was built");
+        ReducedGraph {
+            level,
+            csr,
+            orig_n: n,
+            mult: mult.into_boxed_slice(),
+            weight: weight.into_boxed_slice(),
+            sum_w2: sum_w2.into_boxed_slice(),
+            wdeg: wdeg.into_boxed_slice(),
+            kind: kind.into_boxed_slice(),
+            comp_total: comp_total.into_boxed_slice(),
+            member_offsets: member_offsets.into_boxed_slice(),
+            member_ids: member_ids.into_boxed_slice(),
+            state: state.into_boxed_slice(),
+            corrections: corrections.into_boxed_slice(),
+            row_group: row_group.into_boxed_slice(),
+            stats,
+        }
+    }
 }
 
 /// Contracts `base` onto groups: vertex `s` of the result stands for the

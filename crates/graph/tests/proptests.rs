@@ -1,10 +1,12 @@
 //! Property-based tests for the graph substrate.
 
-use mhbc_graph::reduce::{reduce, ReduceLevel, TwinKind};
-use mhbc_graph::{algo, generators, CsrGraph, GraphBuilder, Vertex};
+use mhbc_graph::io::read_edge_list;
+use mhbc_graph::reduce::{self, reduce, ReduceLevel, TwinKind};
+use mhbc_graph::{algo, generators, CsrGraph, GraphBuilder, GraphError, Vertex};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
 use std::collections::VecDeque;
+use std::io::{BufRead, BufReader};
 
 /// Strategy: arbitrary simple edge list over `n` vertices.
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(Vertex, Vertex)>)> {
@@ -162,6 +164,203 @@ fn expected_final_ids(g: &CsrGraph, classes: &[(TwinKind, Vec<Vertex>)]) -> Vec<
     ids
 }
 
+/// A `BufRead::lines` edge-list parser: the reference that the
+/// buffer-level `io::read_edge_list` and its fast path must match.
+fn reference_read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
+    let mut edges: Vec<(Vertex, Vertex)> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    let mut weighted: Option<bool> = None;
+    let mut max_v: Vertex = 0;
+
+    for (idx, line) in reader.lines().enumerate() {
+        let lineno = idx + 1;
+        let line = line.map_err(|e| GraphError::Parse { line: lineno, message: e.to_string() })?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+            continue;
+        }
+        let mut parts = trimmed.split_whitespace();
+        let u: Vertex = reference_field(parts.next(), lineno, "source vertex")?;
+        let v: Vertex = reference_field(parts.next(), lineno, "target vertex")?;
+        let w_field = parts.next();
+        if parts.next().is_some() {
+            return Err(GraphError::Parse {
+                line: lineno,
+                message: "too many fields (expected `u v` or `u v w`)".into(),
+            });
+        }
+        match (weighted, w_field) {
+            (None, None) => weighted = Some(false),
+            (None, Some(_)) => weighted = Some(true),
+            (Some(false), Some(_)) | (Some(true), None) => {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    message: "inconsistent weight columns across lines".into(),
+                })
+            }
+            _ => {}
+        }
+        if let Some(ws) = w_field {
+            let w: f64 = ws.parse().map_err(|_| GraphError::Parse {
+                line: lineno,
+                message: format!("invalid weight `{ws}`"),
+            })?;
+            weights.push(w);
+        }
+        max_v = max_v.max(u).max(v);
+        edges.push((u, v));
+    }
+
+    let n = if edges.is_empty() { 0 } else { max_v as usize + 1 };
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
+    if weighted == Some(true) {
+        for (&(u, v), &w) in edges.iter().zip(&weights) {
+            b.add_weighted_edge(u, v, w)?;
+        }
+    } else {
+        for &(u, v) in &edges {
+            b.add_edge(u, v)?;
+        }
+    }
+    b.build()
+}
+
+fn reference_field(field: Option<&str>, line: usize, what: &str) -> Result<Vertex, GraphError> {
+    let s = field.ok_or_else(|| GraphError::Parse { line, message: format!("missing {what}") })?;
+    s.parse().map_err(|_| GraphError::Parse { line, message: format!("invalid {what} `{s}`") })
+}
+
+/// A random edge-list text: edge lines (separated by spaces, tabs, U+00A0
+/// or U+3000; ids with leading zeros, `+` signs, or beyond `u32`; optional
+/// weight columns, mixed in on some texts), indented comments, blank lines,
+/// stray invalid UTF-8, LF or CRLF endings, and a final newline or not.
+/// Ids stay small or are at least `u32::MAX - 1`, which every reader
+/// refuses before it allocates a vertex array.
+fn edge_list_text(seed: u64, lines: usize) -> Vec<u8> {
+    fn pick<'a>(rng: &mut SmallRng, xs: &[&'a str]) -> &'a str {
+        xs[rng.random_range(0..xs.len())]
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // 0: clean text, 1: rare oddities, 2: many.
+    let noise = rng.random_range(0..3u32);
+    let odd = |rng: &mut SmallRng| noise > 0 && rng.random_range(0..8 / noise) == 0;
+    let weighted = rng.random_range(0..4u32) == 0;
+    let seps = [" ", "\t", "  ", " \t ", "\r"];
+    let odd_seps = ["\u{a0}", "\u{3000}", "\x0b", ""];
+    let odd_ids = [
+        "+7",
+        "007",
+        "0000000000000000000003",
+        "4294967295",
+        "4294967294",
+        "4294967296",
+        "99999999999999999999999",
+        "-1",
+        "x",
+        "1.0",
+    ];
+    let weights = ["1", "2.5", "0.125", "3e1"];
+    let odd_weights = ["0", "-1", "nan", "inf", "w", "1,5"];
+    let mut text = Vec::new();
+    for i in 0..lines {
+        let lead = pick(&mut rng, &["", "", " ", "\t", " \t"]);
+        text.extend_from_slice(lead.as_bytes());
+        match rng.random_range(0..8u32) {
+            0 => {}
+            1 => {
+                text.extend_from_slice(pick(&mut rng, &["#", "%"]).as_bytes());
+                text.extend_from_slice(pick(&mut rng, &[" note", "0 1", "", " \u{e9}"]).as_bytes());
+            }
+            _ => {
+                let id = |rng: &mut SmallRng| {
+                    if odd(rng) {
+                        pick(rng, &odd_ids).to_string()
+                    } else {
+                        rng.random_range(0..12u32).to_string()
+                    }
+                };
+                let u = id(&mut rng);
+                let v = id(&mut rng);
+                let sep = |rng: &mut SmallRng| {
+                    if odd(rng) {
+                        pick(rng, &odd_seps)
+                    } else {
+                        pick(rng, &seps)
+                    }
+                };
+                text.extend_from_slice(u.as_bytes());
+                text.extend_from_slice(sep(&mut rng).as_bytes());
+                text.extend_from_slice(v.as_bytes());
+                if weighted != odd(&mut rng) {
+                    text.extend_from_slice(sep(&mut rng).as_bytes());
+                    let w = if odd(&mut rng) { &odd_weights[..] } else { &weights[..] };
+                    text.extend_from_slice(pick(&mut rng, w).as_bytes());
+                }
+                if odd(&mut rng) {
+                    text.extend_from_slice(pick(&mut rng, &[" 9", " 1 2"]).as_bytes());
+                }
+            }
+        }
+        if odd(&mut rng) {
+            text.extend_from_slice(pick(&mut rng, &["\u{a0}", "\u{3000}", " "]).as_bytes());
+        }
+        if odd(&mut rng) {
+            // Invalid UTF-8: a lone continuation byte, or a truncated sequence.
+            text.extend_from_slice(if rng.random_range(0..2u32) == 0 {
+                b"\x80"
+            } else {
+                b"\xe3\x80"
+            });
+        }
+        text.extend_from_slice(pick(&mut rng, &[" ", "", "", "\t"]).as_bytes());
+        if i + 1 < lines || rng.random_range(0..2u32) == 0 {
+            text.extend_from_slice(pick(&mut rng, &["\n", "\r\n"]).as_bytes());
+        }
+    }
+    text
+}
+
+/// A reader over `text` that is interrupted once at byte `interrupt_at` and
+/// fails for good at byte `fail_at`, to pin where a reader error is
+/// reported.
+struct FlakyReader<'a> {
+    text: &'a [u8],
+    pos: usize,
+    interrupt_at: usize,
+    fail_at: usize,
+}
+
+impl std::io::Read for FlakyReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.interrupt_at {
+            self.interrupt_at = usize::MAX;
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        if self.pos == self.fail_at {
+            return Err(std::io::Error::other("device went away"));
+        }
+        let end = self.text.len().min(self.fail_at).min(self.pos + buf.len());
+        let len = end - self.pos;
+        buf[..len].copy_from_slice(&self.text[self.pos..end]);
+        self.pos = end;
+        Ok(len)
+    }
+}
+
+/// A read's outcome in comparable form: the CSR and the weights' bits, or
+/// the error's `Debug` text (a `NaN` weight makes the error unequal to
+/// itself under `PartialEq`).
+type ReadOutcome = Result<(Vec<u32>, Vec<Vertex>, Option<Vec<u64>>), String>;
+
+fn read_outcome(read: Result<CsrGraph, GraphError>) -> ReadOutcome {
+    let g = read.map_err(|e| format!("{e:?}"))?;
+    let (off, tgt) = g.csr();
+    let weights = g.is_weighted().then(|| {
+        g.vertices().flat_map(|v| g.neighbor_weights(v).unwrap()).map(|w| w.to_bits()).collect()
+    });
+    Ok((off.to_vec(), tgt.to_vec(), weights))
+}
+
 proptest! {
     /// CSR invariants hold for arbitrary edge lists: sorted adjacency,
     /// symmetric edges, degree sum = 2m, no self-loops or duplicates.
@@ -291,6 +490,38 @@ proptest! {
         }
     }
 
+    /// The buffer-level edge-list reader equals the `lines()` reader it
+    /// replaced on every text, at every buffer capacity (so lines straddle
+    /// refills at every offset) and when the reader fails part-way: the
+    /// same graph, or the same error.
+    #[test]
+    fn edge_list_reader_matches_lines_reference(
+        seed in any::<u64>(),
+        lines in 0usize..14,
+        cut_at in 0.0f64..1.0,
+        fail in any::<bool>(),
+    ) {
+        let text = edge_list_text(seed, lines);
+        let cut = (cut_at * (text.len() + 1) as f64) as usize;
+        let expected = read_outcome(reference_read_edge_list(&text[..]));
+        for cap in 1..16 {
+            let got = read_outcome(read_edge_list(BufReader::with_capacity(cap, &text[..])));
+            prop_assert_eq!(&got, &expected, "capacity {} on {:?}", cap, String::from_utf8_lossy(&text));
+        }
+        prop_assert_eq!(read_outcome(read_edge_list(&text[..])), expected);
+        // A reader error, after an interruption both readers retry, is
+        // reported on the line being read, unless an earlier line failed.
+        let flaky = |cut: usize| FlakyReader {
+            text: &text,
+            pos: 0,
+            interrupt_at: cut / 2,
+            fail_at: if fail { cut } else { usize::MAX },
+        };
+        let expected = read_outcome(reference_read_edge_list(BufReader::with_capacity(3, flaky(cut))));
+        let got = read_outcome(read_edge_list(BufReader::with_capacity(3, flaky(cut))));
+        prop_assert_eq!(got, expected, "cut at {} of {:?}", cut, String::from_utf8_lossy(&text));
+    }
+
     /// Union-find agrees with BFS connectivity.
     #[test]
     fn union_find_matches_bfs((n, edges) in arb_edges(25, 60)) {
@@ -307,6 +538,30 @@ proptest! {
                     uf.connected(u, v),
                     comps.labels[u as usize] == comps.labels[v as usize]
                 );
+            }
+        }
+    }
+
+    /// A plan's counted stats and closed forms equal those of the reduction
+    /// it assembles, on arbitrary graphs and on graphs full of twins and
+    /// pendant trees, at both pruning levels.
+    #[test]
+    fn plan_stats_and_closed_forms_match_the_assembled_reduction(
+        (n, edges) in arb_edges(40, 120),
+        base in 1usize..60,
+        p in 0.01f64..0.2,
+        pendants in 0usize..30,
+        seed in any::<u64>(),
+    ) {
+        let graphs = [CsrGraph::from_edges(n, &edges).unwrap(), planted_twins(base, p, pendants, seed)];
+        for g in &graphs {
+            for level in [ReduceLevel::Prune, ReduceLevel::Full] {
+                let plan = reduce::plan(g, level).unwrap();
+                let planned = (*plan.stats(), g.vertices().map(|v| plan.exact_pruned_bc(v).map(f64::to_bits)).collect::<Vec<_>>());
+                let red = reduce(g, level).unwrap();
+                prop_assert_eq!(planned.0, *red.stats(), "{:?}", level);
+                let built: Vec<_> = g.vertices().map(|v| red.exact_pruned_bc(v).map(f64::to_bits)).collect();
+                prop_assert_eq!(planned.1, built, "{:?}", level);
             }
         }
     }

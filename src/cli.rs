@@ -9,21 +9,22 @@ use mhbc_core::{
     pipeline, AdaptiveReport, EngineConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
     SingleSpaceConfig, StopReason, StoppingRule,
 };
-use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph};
+use mhbc_graph::reduce::{self, reduce, ReduceLevel, ReducedGraph};
 use mhbc_graph::{algo, io, CsrGraph, Vertex};
 use mhbc_spd::{KernelMode, SpdView};
 use std::io::BufRead;
 
-/// The `--preprocess` argument: a fixed [`ReduceLevel`], or `auto` — build
-/// the strongest applicable reduction, then *discard* it when the measured
-/// work ratio says an SPD pass barely shrank (an empty reduction still
-/// taxes the sampler with multiplicity bookkeeping and a second CSR in
-/// cache, the `ws`/`grid` regression in `BENCH_preproc.json`).
+/// The `--preprocess` argument: a fixed [`ReduceLevel`], or `auto` — plan
+/// the strongest applicable reduction, and build it only when the plan's
+/// exact work ratio says an SPD pass shrinks enough (an empty reduction
+/// still taxes the sampler with multiplicity bookkeeping and a second CSR
+/// in cache, the `ws`/`grid` regression in `BENCH_preproc.json`). A
+/// discarded reduction costs only its pruning and twin detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreprocessChoice {
     /// `off`, `prune`, or `full` — exactly as requested.
     Level(ReduceLevel),
-    /// Build `full` (`prune` on weighted graphs), keep only if it pays.
+    /// Plan `full` (`prune` on weighted graphs); build it only if it pays.
     Auto,
 }
 
@@ -332,68 +333,70 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 }
 
 /// The outcome of resolving a `--preprocess` choice against a graph.
+#[derive(Default)]
 struct Preprocess {
-    /// The reduction that was *built* (also present when auto discarded it
-    /// for sampling — its exact closed forms for pruned probes remain
-    /// valid and free either way).
-    built: Option<ReducedGraph>,
-    /// Whether the sampler should evaluate through `built`.
-    keep: bool,
+    /// The reduction the sampler evaluates through, if any.
+    kept: Option<ReducedGraph>,
+    /// When auto discarded its reduction, the closed forms of the vertices
+    /// it pruned (ascending by vertex; empty when it pruned none) — all that
+    /// survives of its plan.
+    discarded: Option<Vec<(Vertex, f64)>>,
     /// Human-readable auto decision, when one was made.
     note: Option<String>,
 }
 
 impl Preprocess {
-    /// The reduction the sampler should use, if any.
-    fn sampling(&self) -> Option<&ReducedGraph> {
-        if self.keep {
-            self.built.as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// Exact closed-form BC of `r` when the *built* reduction pruned it —
-    /// consulted before the auto-discard decision, so a pendant probe gets
-    /// its free answer even when the reduction does not pay for sampling.
+    /// Exact closed-form BC of `r` when the reduction pruned it — also when
+    /// auto discarded the reduction for sampling, so a pendant probe gets
+    /// its free answer even when the reduction does not pay.
     fn exact_pruned_bc(&self, r: Vertex) -> Option<f64> {
-        self.built.as_ref().and_then(|red| red.exact_pruned_bc(r))
+        match (&self.kept, &self.discarded) {
+            (Some(red), _) => red.exact_pruned_bc(r),
+            (None, Some(forms)) => {
+                forms.binary_search_by_key(&r, |&(v, _)| v).ok().map(|i| forms[i].1)
+            }
+            (None, None) => None,
+        }
     }
 }
 
 /// Builds the reduction for a preprocess choice (none for `off`), turning
 /// build-time refusals (twin collapsing on a weighted graph) into readable
-/// CLI errors. For [`PreprocessChoice::Auto`], builds the strongest
-/// applicable level and marks it kept only when the measured work ratio
-/// clears [`AUTO_MIN_WORK_RATIO`].
+/// CLI errors. For [`PreprocessChoice::Auto`], plans the strongest
+/// applicable level and assembles it only when the plan's exact work ratio
+/// clears [`AUTO_MIN_WORK_RATIO`]; otherwise it keeps just the pruned
+/// vertices' closed forms.
 fn build_reduction(g: &CsrGraph, choice: PreprocessChoice) -> Result<Preprocess, String> {
     match choice {
-        PreprocessChoice::Level(ReduceLevel::Off) => {
-            Ok(Preprocess { built: None, keep: false, note: None })
-        }
+        PreprocessChoice::Level(ReduceLevel::Off) => Ok(Preprocess::default()),
         PreprocessChoice::Level(level) => reduce(g, level)
-            .map(|red| Preprocess { built: Some(red), keep: true, note: None })
+            .map(|red| Preprocess { kept: Some(red), ..Preprocess::default() })
             .map_err(|e| format!("--preprocess {}: {e}", level.as_str())),
         PreprocessChoice::Auto => {
             // Full collapsing refuses weighted graphs; pruning is
             // weight-agnostic, so auto degrades rather than erroring.
             let level = if g.is_weighted() { ReduceLevel::Prune } else { ReduceLevel::Full };
-            let red = reduce(g, level).map_err(|e| format!("--preprocess auto: {e}"))?;
-            let ratio = red.stats().work_ratio();
-            let keep = ratio >= AUTO_MIN_WORK_RATIO;
-            let note = if keep {
-                format!(
+            let plan = reduce::plan(g, level).map_err(|e| format!("--preprocess auto: {e}"))?;
+            let ratio = plan.stats().work_ratio();
+            if ratio >= AUTO_MIN_WORK_RATIO {
+                let note = format!(
                     "preprocess auto: kept {} (work ratio {ratio:.2}x >= {AUTO_MIN_WORK_RATIO}x)",
                     level.as_str()
-                )
-            } else {
-                format!(
-                    "preprocess auto: discarded {} for sampling (work ratio {ratio:.2}x < \
-                     {AUTO_MIN_WORK_RATIO}x — an empty reduction would only tax the sampler)",
-                    level.as_str()
-                )
-            };
-            Ok(Preprocess { built: Some(red), keep, note: Some(note) })
+                );
+                return Ok(Preprocess {
+                    kept: Some(plan.assemble()),
+                    discarded: None,
+                    note: Some(note),
+                });
+            }
+            let note = format!(
+                "preprocess auto: discarded {} for sampling (work ratio {ratio:.2}x < \
+                 {AUTO_MIN_WORK_RATIO}x — an empty reduction would only tax the sampler)",
+                level.as_str()
+            );
+            let forms =
+                g.vertices().filter_map(|v| plan.exact_pruned_bc(v).map(|bc| (v, bc))).collect();
+            Ok(Preprocess { kept: None, discarded: Some(forms), note: Some(note) })
         }
     }
 }
@@ -500,7 +503,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             let prep = build_reduction(g, *preprocess)?;
             let mut out = vec![format!("graph: {g}")];
             out.extend(prep.note.clone());
-            if let Some(red) = prep.sampling() {
+            if let Some(red) = prep.kept.as_ref() {
                 out.push(preprocess_line(red));
             }
             if let Some(bc) = prep.exact_pruned_bc(r) {
@@ -513,7 +516,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 ));
                 return Ok(out);
             }
-            let view = SpdView::from_option(g, prep.sampling()).with_kernel(*kernel);
+            let view = SpdView::from_option(g, prep.kept.as_ref()).with_kernel(*kernel);
             let prefetch = PrefetchConfig::with_threads(*threads).with_depth(*prefetch_depth);
             let mut sink = adaptive.checkpoint.as_deref().map(checkpoint_sink);
             let (est, report) = pipeline::run_single_view_adaptive(
@@ -564,7 +567,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
         } => {
             let probes = vertices.iter().map(|&v| internal(v)).collect::<Result<Vec<_>, _>>()?;
             let prep = build_reduction(g, *preprocess)?;
-            if let Some(red) = prep.sampling() {
+            if let Some(red) = prep.kept.as_ref() {
                 for (&input, &p) in vertices.iter().zip(&probes) {
                     if !red.is_retained(p) {
                         return Err(format!(
@@ -577,7 +580,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     }
                 }
             }
-            let view = SpdView::from_option(g, prep.sampling()).with_kernel(*kernel);
+            let view = SpdView::from_option(g, prep.kept.as_ref()).with_kernel(*kernel);
             let prefetch = PrefetchConfig::with_threads(*threads).with_depth(*prefetch_depth);
             let mut out: Vec<String> = prep.note.clone().into_iter().collect();
 
@@ -654,7 +657,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 // Known in closed form even when auto discarded the
                 // reduction for sampling.
                 let mut out: Vec<String> = prep.note.clone().into_iter().collect();
-                if let Some(red) = prep.sampling() {
+                if let Some(red) = prep.kept.as_ref() {
                     out.push(preprocess_line(red));
                 }
                 out.push(format!(
@@ -666,7 +669,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             // With a reduction, the exact mu(r) itself is computed through
             // it (one reduced pass per distinct dependency row).
             let plan = plan_single_view(
-                SpdView::from_option(g, prep.sampling()).with_kernel(*kernel),
+                SpdView::from_option(g, prep.kept.as_ref()).with_kernel(*kernel),
                 r,
                 *epsilon,
                 *delta,
@@ -683,7 +686,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     plan.iterations
                 ),
             ]);
-            if let Some(red) = prep.sampling() {
+            if let Some(red) = prep.kept.as_ref() {
                 // mu(r) — and therefore the iteration count — is invariant
                 // under preprocessing (densities are mapped exactly); only
                 // the per-iteration SPD cost shrinks.
@@ -694,8 +697,8 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     plan.iterations,
                     red.stats().work_ratio()
                 ));
-            } else if prep.built.is_some() {
-                // `--preprocess auto` built a reduction but discarded it:
+            } else if prep.discarded.is_some() {
+                // `--preprocess auto` planned a reduction but discarded it:
                 // the sampling runs on the unreduced graph, so the honest
                 // ratio is 1.0 — not the ratio the discarded reduction
                 // would have had.
@@ -1092,6 +1095,93 @@ mod tests {
         assert!(out.iter().any(|l| l.contains("discarded full for sampling")), "{out:?}");
         assert!(out.iter().any(|l| l.contains("exact: vertex was pruned")), "{out:?}");
         assert!(!out.iter().any(|l| l.contains("BC(40) ~")), "no sampling: {out:?}");
+    }
+
+    #[test]
+    fn auto_preprocess_output_is_pinned_when_discarded_and_when_kept() {
+        // Every line `--preprocess auto` prints, as printed when auto built
+        // the whole reduction before deciding: deciding from the plan must
+        // change nothing a user sees, the printed work ratio included.
+        let mut cycle: Vec<(u32, u32)> = (0..40u32).map(|v| (v, (v + 1) % 40)).collect();
+        cycle.push((0, 40));
+        let cycle = CsrGraph::from_edges(41, &cycle).unwrap();
+        let lollipop = mhbc_graph::generators::lollipop(6, 3);
+        let discarded = "preprocess auto: discarded full for sampling (work ratio 1.02x < 1.05x \
+                         — an empty reduction would only tax the sampler)";
+        let kept = "preprocess auto: kept full (work ratio 27.00x >= 1.05x)";
+        let kept_line = "preprocess full: 9 -> 1 vertices, 18 -> 0 edges (3 pruned, 5 collapsed; \
+                         SPD pass 27.00x smaller)";
+        let cases: [(&CsrGraph, &str, Vec<&str>); 6] = [
+            (
+                &cycle,
+                "estimate g 40 --iters 500 --seed 7 --preprocess auto",
+                vec![
+                    "graph: CsrGraph(n=41, m=41)",
+                    discarded,
+                    "BC(40) = 0.000000 (exact: vertex was pruned into a pendant tree, so its \
+                 betweenness is known in closed form)",
+                ],
+            ),
+            (
+                &cycle,
+                "estimate g 5 --iters 500 --seed 7 --preprocess auto",
+                vec![
+                    "graph: CsrGraph(n=41, m=41)",
+                    discarded,
+                    "BC(5) ~ 0.325848 (Eq 7) | 0.239597 (corrected, recommended)",
+                    "iterations 500 | acceptance 0.632 | SPD passes 41 | threads 1 | kernel auto",
+                ],
+            ),
+            (
+                &cycle,
+                "plan g 5 0.1 0.1 --preprocess auto",
+                vec![
+                    discarded,
+                    "mu(5) = 2.050",
+                    "iterations for |err| <= 0.1 with prob >= 0.9: 630",
+                    "assumed reduction ratio: 1.0 (discarded)",
+                ],
+            ),
+            (
+                &lollipop,
+                "estimate g 5 --iters 3000 --seed 5 --preprocess auto",
+                vec![
+                    "graph: CsrGraph(n=9, m=18)",
+                    kept,
+                    kept_line,
+                    "BC(5) ~ 0.501541 (Eq 7) | 0.416753 (corrected, recommended)",
+                    "iterations 3000 | acceptance 0.777 | SPD passes 3 | threads 1 | kernel auto",
+                ],
+            ),
+            (
+                &lollipop,
+                "estimate g 7 --iters 3000 --seed 5 --preprocess auto",
+                vec![
+                    "graph: CsrGraph(n=9, m=18)",
+                    kept,
+                    kept_line,
+                    "BC(7) = 0.194444 (exact: vertex was pruned into a pendant tree, so its \
+                 betweenness is known in closed form)",
+                ],
+            ),
+            (
+                &lollipop,
+                "plan g 5 0.1 0.1 --preprocess auto",
+                vec![
+                    kept,
+                    "mu(5) = 1.500",
+                    "iterations for |err| <= 0.1 with prob >= 0.9: 338",
+                    kept_line,
+                    "assumed reduction ratio: each of the 338 iterations costs one SPD pass over \
+                 the reduced graph — 27.00x less work than an unreduced pass",
+                ],
+            ),
+        ];
+        for (g, args, expected) in cases {
+            let (lcc, map) = load_graph(Cursor::new(edge_list_text(g))).unwrap();
+            let cmd = parse(&args.split(' ').map(String::from).collect::<Vec<_>>()).unwrap();
+            assert_eq!(execute(&cmd, &lcc, &map).unwrap(), expected, "mhbc {args}");
+        }
     }
 
     #[test]
