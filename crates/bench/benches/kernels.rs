@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mhbc_graph::{generators, CsrGraph};
-use mhbc_spd::{
-    exact_betweenness_par, legacy::LegacyBfsSpd, BfsSpd, DependencyCalculator, DijkstraSpd,
-};
+use mhbc_spd::{exact_betweenness_par, BfsSpd, DependencyCalculator, DijkstraSpd};
 use rand::{rngs::SmallRng, SeedableRng};
 use std::hint::black_box;
 
@@ -30,25 +28,6 @@ fn bench_bfs_spd(c: &mut Criterion) {
                 spd.compute(g, s % g.num_vertices() as u32);
                 s = s.wrapping_add(97);
                 black_box(spd.reached())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The pre-rewrite `VecDeque` kernel, benchmarked under the same workload so
-/// every run re-measures the frontier kernel's speedup.
-fn bench_legacy_bfs_spd(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bfs_spd_legacy");
-    for (name, g) in graphs() {
-        group.throughput(Throughput::Elements(g.num_edges() as u64));
-        let mut spd = LegacyBfsSpd::new(g.num_vertices());
-        group.bench_with_input(BenchmarkId::from_parameter(name), &g, |b, g| {
-            let mut s = 0u32;
-            b.iter(|| {
-                spd.compute(g, s % g.num_vertices() as u32);
-                s = s.wrapping_add(97);
-                black_box(spd.order.len())
             });
         });
     }
@@ -104,7 +83,6 @@ fn bench_exact_brandes(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_bfs_spd,
-    bench_legacy_bfs_spd,
     bench_dependency_accumulation,
     bench_dijkstra_spd,
     bench_exact_brandes

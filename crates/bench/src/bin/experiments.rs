@@ -4,18 +4,13 @@
 //! ```text
 //! cargo run --release -p mhbc-bench --bin experiments -- all --quick
 //! cargo run --release -p mhbc-bench --bin experiments -- t2 f3 f9
-//! cargo run --release -p mhbc-bench --bin experiments -- perf --quick
+//! cargo run --release -p mhbc-bench --bin experiments -- overhead --quick
 //! ```
 //!
 //! Results print as markdown and are mirrored to `results/<id>.csv`. The
-//! `perf` subcommand (not part of `all`) additionally writes the
-//! performance-trajectory artifacts to the current directory:
-//! `BENCH_kernels.json` (schema v2: per-kernel-mode ns/edge —
-//! legacy/topdown/hybrid/auto — on the T3 workload, and sampler
-//! samples/sec at 1/2/4 threads through the batch prefetch on every
-//! family) and `BENCH_preproc.json` (graph-reduction ratio, reduced-pass
-//! ns/edge, and sampler samples/sec at `--preprocess off/prune/full` per
-//! T3 graph).
+//! `overhead` subcommand (not part of `all`) is a guard, not a table: it
+//! fails unless the segmented engine costs at most 2% more per iteration
+//! than a bare `step()` loop and reproduces it bit for bit.
 
 use mhbc_baselines::{BbSampler, DistanceSampler, RkSampler, UniformSourceSampler};
 use mhbc_bench::report::{e5, f, Table};
@@ -91,9 +86,9 @@ fn main() {
             "f7" => f7(&ctx),
             "f8" => f8(&ctx),
             "f9" => f9(&ctx),
-            "perf" => perf(&ctx),
+            "overhead" => overhead(&ctx),
             other => {
-                eprintln!("unknown experiment `{other}` (known: {all:?}, `perf`, or `all`)");
+                eprintln!("unknown experiment `{other}` (known: {all:?}, `overhead`, or `all`)");
                 std::process::exit(2);
             }
         }
@@ -848,468 +843,15 @@ fn f8(ctx: &Ctx) {
     t.emit(&ctx.out, "f8").expect("emit f8");
 }
 
-// -------------------------------------------------------------- PERF ----
+// ---------------------------------------------------------- OVERHEAD ----
 
-/// Kernel + pipeline + preprocessing throughput trajectory: emits
-/// `BENCH_kernels.json` (schema v2: per-kernel-mode columns, sampler
-/// sweep over every workload family) and `BENCH_preproc.json` to the
-/// current directory (the repo root in CI) so successive PRs accumulate
-/// comparable numbers. Also prints the same figures as markdown tables.
-fn perf(ctx: &Ctx) {
-    use mhbc_core::{pipeline, PrefetchConfig};
-    use mhbc_spd::{legacy::LegacyBfsSpd, BfsSpd, KernelMode, SpdView};
+/// Segment-mode overhead guard: the segmented engine must not tax the
+/// sampler's hot path by more than 2% ns/iter on `ba`, and must reproduce
+/// the bare `step()` loop bit for bit. Panics (non-zero exit) otherwise.
+fn overhead(ctx: &Ctx) {
+    use mhbc_core::EngineConfig;
 
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let passes: u32 = if ctx.quick { 30 } else { 100 };
-    // Interleaved min-of-rounds: scheduler noise inflates whichever kernel
-    // happens to be measured during a busy slice, so each kernel's figure
-    // is the best of several alternating rounds.
-    let rounds = 5;
-    /// The low-diameter families where bottom-up levels should engage.
-    const LOW_DIAMETER: [&str; 3] = ["ba", "er", "web"];
-
-    // --- Kernel: legacy vs top-down vs hybrid vs auto, one full pass
-    // (SPD + accumulation) per measurement, sources cycling, on the T3
-    // workload graphs.
-    let mut tk = Table::new(
-        "PERF/kernel - ns per edge per pass (SPD + dependency accumulation) by kernel mode",
-        &[
-            "graph",
-            "n",
-            "m",
-            "legacy",
-            "topdown",
-            "hybrid",
-            "auto",
-            "hyb/td",
-            "auto/td",
-            "pull lvls",
-        ],
-    );
-    let mut kernel_json = String::new();
-    let (mut log_hybrid_sum, mut log_low_sum, mut log_legacy_sum) = (0.0, 0.0, 0.0);
-    // Topdown's own position vs the fixed legacy baseline: the canonical-
-    // order sorting makes this PR's topdown slightly slower than the PR 2
-    // frontier kernel, so cross-PR comparisons must go through legacy (the
-    // one baseline that never changes), not through topdown.
-    let mut log_td_legacy_sum = 0.0;
-    let mut auto_min = f64::INFINITY;
     let suite = workloads::standard_suite(ctx.quick);
-    for ds in &suite {
-        let g = &ds.graph;
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        let mut delta = Vec::new();
-
-        let mut legacy = LegacyBfsSpd::new(n);
-        let mut modes = [
-            BfsSpd::with_mode(n, KernelMode::TopDown),
-            BfsSpd::with_mode(n, KernelMode::Hybrid),
-            BfsSpd::with_mode(n, KernelMode::Auto),
-        ];
-        for w in 0..3u32 {
-            legacy.compute(g, (w * 97) % n as u32); // warm-up
-            for spd in modes.iter_mut() {
-                spd.compute(g, (w * 97) % n as u32);
-            }
-        }
-        // How many bottom-up levels the hybrid heuristics actually take,
-        // averaged over the cycled sources (diagnostic, not a timing).
-        let pull_lvls = {
-            let spd = &mut modes[1];
-            let mut total = 0u64;
-            for i in 0..16u32 {
-                spd.compute(g, (i * 97) % n as u32);
-                total += spd.pull_levels() as u64;
-            }
-            total as f64 / 16.0
-        };
-        let mut legacy_ns = f64::MAX;
-        let mut mode_ns = [f64::MAX; 3];
-        for _ in 0..rounds {
-            let started = Instant::now();
-            let mut s = 0u32;
-            for _ in 0..passes {
-                legacy.compute(g, s % n as u32);
-                legacy.accumulate_dependencies(g, &mut delta);
-                s = s.wrapping_add(97);
-            }
-            legacy_ns =
-                legacy_ns.min(started.elapsed().as_secs_f64() * 1e9 / (passes as f64 * m as f64));
-
-            for (k, spd) in modes.iter_mut().enumerate() {
-                let started = Instant::now();
-                let mut s = 0u32;
-                for _ in 0..passes {
-                    spd.compute(g, s % n as u32);
-                    spd.accumulate_dependencies(g, &mut delta);
-                    s = s.wrapping_add(97);
-                }
-                mode_ns[k] = mode_ns[k]
-                    .min(started.elapsed().as_secs_f64() * 1e9 / (passes as f64 * m as f64));
-            }
-        }
-
-        let [topdown_ns, hybrid_ns, auto_ns] = mode_ns;
-        let hybrid_speedup = topdown_ns / hybrid_ns;
-        let auto_speedup = topdown_ns / auto_ns;
-        let legacy_speedup = legacy_ns / hybrid_ns;
-        let td_legacy_speedup = legacy_ns / topdown_ns;
-        log_hybrid_sum += hybrid_speedup.ln();
-        log_legacy_sum += legacy_speedup.ln();
-        log_td_legacy_sum += td_legacy_speedup.ln();
-        if LOW_DIAMETER.contains(&ds.name) {
-            log_low_sum += hybrid_speedup.ln();
-        }
-        auto_min = auto_min.min(auto_speedup);
-        tk.push(vec![
-            ds.name.into(),
-            n.to_string(),
-            m.to_string(),
-            format!("{legacy_ns:.2}"),
-            format!("{topdown_ns:.2}"),
-            format!("{hybrid_ns:.2}"),
-            format!("{auto_ns:.2}"),
-            format!("{hybrid_speedup:.2}x"),
-            format!("{auto_speedup:.2}x"),
-            format!("{pull_lvls:.1}"),
-        ]);
-        if !kernel_json.is_empty() {
-            kernel_json.push_str(",\n");
-        }
-        kernel_json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"vertices\": {n}, \"edges\": {m}, \
-             \"legacy_ns_per_edge\": {legacy_ns:.3}, \"topdown_ns_per_edge\": {topdown_ns:.3}, \
-             \"hybrid_ns_per_edge\": {hybrid_ns:.3}, \"auto_ns_per_edge\": {auto_ns:.3}, \
-             \"hybrid_speedup_vs_topdown\": {hybrid_speedup:.3}, \
-             \"auto_speedup_vs_topdown\": {auto_speedup:.3}, \
-             \"hybrid_speedup_vs_legacy\": {legacy_speedup:.3}, \
-             \"topdown_speedup_vs_legacy\": {td_legacy_speedup:.3}, \
-             \"hybrid_pull_levels_mean\": {pull_lvls:.2}}}",
-            ds.name
-        ));
-    }
-    let hybrid_geomean = (log_hybrid_sum / suite.len() as f64).exp();
-    let low_geomean = (log_low_sum / LOW_DIAMETER.len() as f64).exp();
-    let legacy_geomean = (log_legacy_sum / suite.len() as f64).exp();
-    let td_legacy_geomean = (log_td_legacy_sum / suite.len() as f64).exp();
-    tk.emit(&ctx.out, "perf_kernel").expect("emit perf_kernel");
-
-    // --- Pipeline: samples/sec at 1/2/4 threads on *every* workload
-    // family (min-of-interleaved-rounds), each with a bit-identity check
-    // across thread counts.
-    let mut tp = Table::new(
-        "PERF/pipeline - single-space sampler throughput by thread count (hub probe, per family)",
-        &["graph", "threads", "samples/sec", "speedup vs 1t", "hit rate", "spd passes"],
-    );
-    let sampler_rounds = 3;
-    let thread_counts = [1usize, 2, 4];
-    let mut sampler_json = String::new();
-    let mut all_deterministic = true;
-    for ds in &suite {
-        let g = &ds.graph;
-        let r = (0..g.num_vertices() as Vertex).max_by_key(|&v| g.degree(v)).expect("non-empty");
-        let iterations = ctx.budget(g.num_vertices()) * 2;
-        let config = SingleSpaceConfig::new(iterations, SEED);
-        // Interleave thread counts inside each round so scheduler noise
-        // hits every configuration alike; round 0 is the warm-up.
-        let mut best = [f64::MAX; 3];
-        // Chain-observed hit rate per thread count (the threaded figures
-        // differ from sequential because prefetch warming converts would-be
-        // misses into hits; last round's observation is reported).
-        let mut hit_rates = [0.0f64; 3];
-        let mut fingerprint: Option<(u64, u64, u64)> = None;
-        let mut deterministic = true;
-        let mut spd_passes = 0u64;
-        for round in 0..=sampler_rounds {
-            for (ti, &threads) in thread_counts.iter().enumerate() {
-                let prefetch = PrefetchConfig::with_threads(threads);
-                let started = Instant::now();
-                let est = pipeline::run_single_view(SpdView::direct(g), r, &config, &prefetch)
-                    .expect("valid config");
-                let secs = started.elapsed().as_secs_f64();
-                if round > 0 {
-                    best[ti] = best[ti].min(secs);
-                }
-                let fp = (est.bc.to_bits(), est.bc_corrected.to_bits(), est.spd_passes);
-                match &fingerprint {
-                    None => fingerprint = Some(fp),
-                    Some(expect) => deterministic &= *expect == fp,
-                }
-                hit_rates[ti] = est.oracle_stats.hit_rate();
-                if threads == 1 {
-                    spd_passes = est.spd_passes;
-                }
-            }
-        }
-        all_deterministic &= deterministic;
-        let hit_rate_1t = hit_rates[0];
-        let rates: Vec<f64> = best.iter().map(|b| iterations as f64 / b).collect();
-        for (ti, &threads) in thread_counts.iter().enumerate() {
-            tp.push(vec![
-                ds.name.into(),
-                threads.to_string(),
-                format!("{:.0}", rates[ti]),
-                format!("{:.2}x", rates[ti] / rates[0]),
-                format!("{:.3}", hit_rates[ti]),
-                spd_passes.to_string(),
-            ]);
-        }
-        if !sampler_json.is_empty() {
-            sampler_json.push_str(",\n");
-        }
-        sampler_json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"probe\": {r}, \"iterations\": {iterations}, \
-             \"samples_per_sec\": {{\"1\": {:.1}, \"2\": {:.1}, \"4\": {:.1}}}, \
-             \"speedup_2t\": {:.3}, \"speedup_4t\": {:.3}, \
-             \"oracle_hit_rate_sequential\": {hit_rate_1t:.4}, \
-             \"bit_identical_across_threads\": {deterministic}}}",
-            ds.name,
-            rates[0],
-            rates[1],
-            rates[2],
-            rates[1] / rates[0],
-            rates[2] / rates[0],
-        ));
-    }
-    tp.emit(&ctx.out, "perf_pipeline").expect("emit perf_pipeline");
-    assert!(all_deterministic, "pipeline output diverged across thread counts");
-
-    let json = format!(
-        "{{\n  \"schema\": \"mhbc-bench-kernels-v2\",\n  \"generated_by\": \"experiments perf\",\n  \
-         \"quick\": {},\n  \"host_cores\": {cores},\n  \"kernel\": [\n{kernel_json}\n  ],\n  \
-         \"hybrid_vs_topdown_geomean\": {hybrid_geomean:.3},\n  \
-         \"hybrid_vs_topdown_low_diameter_geomean\": {low_geomean:.3},\n  \
-         \"auto_vs_topdown_min\": {auto_min:.3},\n  \
-         \"hybrid_vs_legacy_geomean\": {legacy_geomean:.3},\n  \
-         \"topdown_vs_legacy_geomean\": {td_legacy_geomean:.3},\n  \
-         \"sampler\": [\n{sampler_json}\n  ],\n  \
-         \"sampler_bit_identical_all\": {all_deterministic}\n}}\n",
-        ctx.quick,
-    );
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    eprintln!(
-        "[perf] wrote BENCH_kernels.json (hybrid/topdown geomean {hybrid_geomean:.3}, \
-         low-diameter {low_geomean:.3}, auto min {auto_min:.3}, host cores {cores})"
-    );
-
-    // --- Preprocessing: reduction ratio, reduced-kernel ns/edge, and
-    // sampler throughput at --preprocess off/prune/full, per T3 graph.
-    // Emits `BENCH_preproc.json` next to `BENCH_kernels.json`.
-    use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph};
-    use mhbc_spd::ViewCalculator;
-
-    let levels = [ReduceLevel::Off, ReduceLevel::Prune, ReduceLevel::Full];
-    let mut tpre = Table::new(
-        "PERF/preproc - graph reduction: size, reduced-pass ns per original edge, sampler samples/sec",
-        &["graph", "level", "n_H", "m_H", "work ratio", "ns/edge", "samples/sec", "vs off"],
-    );
-    let mut pre_json = String::new();
-    let mut log_full_sum = 0.0;
-    let mut sep_full_speedup = f64::NAN;
-    for ds in &suite {
-        let g = &ds.graph;
-        let (n, m) = (g.num_vertices(), g.num_edges());
-        // Reductions are built once per level; build cost is amortised over
-        // the whole run in real use and recorded separately here.
-        let mut reds: Vec<(ReduceLevel, Option<ReducedGraph>, f64)> = Vec::new();
-        for level in levels {
-            let started = Instant::now();
-            let red = match level {
-                ReduceLevel::Off => None,
-                level => Some(reduce(g, level).expect("unweighted suite reduces at any level")),
-            };
-            reds.push((level, red, started.elapsed().as_secs_f64() * 1e3));
-        }
-        let full = reds[2].1.as_ref().expect("full reduction built");
-        // Probe: the highest-degree vertex that survives the full reduction
-        // (so the same probe is valid at every level).
-        let r = (0..n as Vertex)
-            .filter(|&v| full.is_retained(v))
-            .max_by_key(|&v| g.degree(v))
-            .expect("some vertex survives");
-
-        let iterations = ctx.budget(n) * 4;
-        let config = SingleSpaceConfig::new(iterations, SEED);
-        let kernel_passes: u32 = if ctx.quick { 20 } else { 60 };
-        // Interleaved min-of-rounds, levels alternating inside each round so
-        // scheduler noise hits all levels alike; round 0 is the warm-up.
-        let mut sampler_best = [f64::MAX; 3];
-        let mut kernel_best = [f64::MAX; 3];
-        let mut spd_passes = [0u64; 3];
-        let mut row = Vec::new();
-        for round in 0..rounds {
-            for (li, (_, red, _)) in reds.iter().enumerate() {
-                let view = SpdView::from_option(g, red.as_ref());
-                let started = Instant::now();
-                let est =
-                    pipeline::run_single_view(view, r, &config, &PrefetchConfig::sequential())
-                        .expect("valid config");
-                let secs = started.elapsed().as_secs_f64();
-                if round > 0 {
-                    sampler_best[li] = sampler_best[li].min(secs);
-                }
-                spd_passes[li] = est.spd_passes;
-
-                // Raw reduced-pass cost, normalised per *original* edge so
-                // levels are comparable: one dependency row per pass,
-                // sources cycling over the original id space.
-                let mut calc = ViewCalculator::new(view);
-                let started = Instant::now();
-                let mut s = 0u32;
-                for _ in 0..kernel_passes {
-                    calc.dependency_on_many(s % n as u32, &[r], &mut row);
-                    s = s.wrapping_add(97);
-                }
-                let ns = started.elapsed().as_secs_f64() * 1e9 / (kernel_passes as f64 * m as f64);
-                if round > 0 {
-                    kernel_best[li] = kernel_best[li].min(ns);
-                }
-            }
-        }
-
-        let mut level_json = String::new();
-        let off_rate = iterations as f64 / sampler_best[0];
-        for (li, (level, red, build_ms)) in reds.iter().enumerate() {
-            let (n_h, m_h, ratio) = match red {
-                None => (n, m, 1.0),
-                Some(red) => {
-                    let s = red.stats();
-                    (s.reduced_vertices, s.reduced_edges, s.work_ratio())
-                }
-            };
-            let rate = iterations as f64 / sampler_best[li];
-            tpre.push(vec![
-                ds.name.into(),
-                level.as_str().into(),
-                n_h.to_string(),
-                m_h.to_string(),
-                format!("{ratio:.2}x"),
-                format!("{:.2}", kernel_best[li]),
-                format!("{rate:.0}"),
-                format!("{:.2}x", rate / off_rate),
-            ]);
-            if !level_json.is_empty() {
-                level_json.push_str(", ");
-            }
-            level_json.push_str(&format!(
-                "\"{}\": {{\"reduced_vertices\": {n_h}, \"reduced_edges\": {m_h}, \
-                 \"work_ratio\": {ratio:.3}, \"build_ms\": {build_ms:.2}, \
-                 \"kernel_ns_per_edge\": {:.3}, \"samples_per_sec\": {rate:.1}, \
-                 \"spd_passes\": {}}}",
-                level.as_str(),
-                kernel_best[li],
-                spd_passes[li],
-            ));
-        }
-        let full_speedup = (iterations as f64 / sampler_best[2]) / off_rate;
-        log_full_sum += full_speedup.ln();
-        if ds.name == "sep" {
-            sep_full_speedup = full_speedup;
-        }
-        if !pre_json.is_empty() {
-            pre_json.push_str(",\n");
-        }
-        pre_json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"vertices\": {n}, \"edges\": {m}, \"probe\": {r}, \
-             \"iterations\": {iterations},\n     \"levels\": {{{level_json}}},\n     \
-             \"full_speedup\": {full_speedup:.3}}}",
-            ds.name
-        ));
-    }
-    let full_geomean = (log_full_sum / suite.len() as f64).exp();
-    tpre.emit(&ctx.out, "perf_preproc").expect("emit perf_preproc");
-
-    let json = format!(
-        "{{\n  \"schema\": \"mhbc-bench-preproc-v1\",\n  \"generated_by\": \"experiments perf\",\n  \
-         \"quick\": {},\n  \"host_cores\": {cores},\n  \"method\": \"single-thread sequential \
-         sampler, min-of-interleaved-rounds; ns/edge is one reduced dependency pass per \
-         original edge\",\n  \"graphs\": [\n{pre_json}\n  ],\n  \
-         \"samples_per_sec_geomean_full_over_off\": {full_geomean:.3},\n  \
-         \"sep_full_speedup\": {sep_full_speedup:.3}\n}}\n",
-        ctx.quick,
-    );
-    std::fs::write("BENCH_preproc.json", &json).expect("write BENCH_preproc.json");
-    eprintln!(
-        "[perf] wrote BENCH_preproc.json (full/off samples/sec geomean: {full_geomean:.3}, \
-         sep: {sep_full_speedup:.3})"
-    );
-
-    perf_adaptive(ctx, &suite, cores);
-}
-
-/// Adaptive-estimation trajectory: per family, the iterations the
-/// `TargetStderr` engine needs to reach the planner's `ε` against the fixed
-/// Ineq 14 budget; the segment-mode overhead vs. the old run-to-completion
-/// loop (guarded at ≤ 2% on `ba`); and the 16-probe scheduler's budget
-/// allocation. Emits `BENCH_adaptive.json`.
-fn perf_adaptive(ctx: &Ctx, suite: &[workloads::Dataset], cores: usize) {
-    use mhbc_core::planner::{plan_single, MuSource, PlanError};
-    use mhbc_core::schedule::{run_probe_schedule, ScheduleConfig};
-    use mhbc_core::{EngineConfig, StopReason, StoppingRule};
-
-    let (eps, delta) = (0.05, 0.05);
-
-    // --- Adaptive vs. fixed-plan budget per family (hub probe). The plan
-    // is the paper's non-asymptotic worst-case bound; the adaptive stop
-    // uses the chain's observed variance, so it should undercut the plan
-    // substantially (the acceptance bar: <= 0.8x on >= 4 of 7 families).
-    let mut ta = Table::new(
-        "PERF/adaptive - iterations to reach the planner's epsilon: fixed Ineq 14 plan vs TargetStderr engine",
-        &["graph", "mu", "planned T", "adaptive T", "ratio", "reached", "se @ stop", "ESS", "tau"],
-    );
-    let mut fam_json = String::new();
-    let mut within_08 = 0usize;
-    for ds in suite {
-        let g = &ds.graph;
-        let r = (0..g.num_vertices() as Vertex).max_by_key(|&v| g.degree(v)).expect("non-empty");
-        let plan = match plan_single(g, r, eps, delta, MuSource::Exact { threads: 0 }) {
-            Ok(plan) => plan,
-            Err(PlanError::ZeroBetweenness) => continue,
-            Err(e) => panic!("plan failed on {}: {e}", ds.name),
-        };
-        let rule = StoppingRule::TargetStderr { epsilon: eps, delta };
-        let (est, report) =
-            SingleSpaceSampler::new(g, r, SingleSpaceConfig::new(plan.iterations, SEED))
-                .expect("valid config")
-                .into_engine(EngineConfig::adaptive(rule))
-                .run();
-        let reached = report.reason == StopReason::TargetReached;
-        let ratio = report.iterations as f64 / plan.iterations as f64;
-        if reached && ratio <= 0.8 {
-            within_08 += 1;
-        }
-        ta.push(vec![
-            ds.name.into(),
-            format!("{:.2}", plan.mu),
-            plan.iterations.to_string(),
-            report.iterations.to_string(),
-            format!("{ratio:.3}x"),
-            reached.to_string(),
-            format!("{:.5}", report.stderr),
-            format!("{:.0}", report.ess),
-            format!("{:.1}", report.tau),
-        ]);
-        if !fam_json.is_empty() {
-            fam_json.push_str(",\n");
-        }
-        fam_json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"probe\": {r}, \"mu\": {:.3}, \"epsilon\": {eps}, \
-             \"delta\": {delta}, \"planned_iterations\": {}, \"adaptive_iterations\": {}, \
-             \"ratio_vs_plan\": {ratio:.4}, \"target_reached\": {reached}, \
-             \"stderr_at_stop\": {:.6}, \"ess\": {:.1}, \"tau\": {:.2}, \
-             \"final_bc\": {:.6}}}",
-            ds.name,
-            plan.mu,
-            plan.iterations,
-            report.iterations,
-            report.stderr,
-            report.ess,
-            report.tau,
-            est.bc
-        ));
-    }
-    ta.emit(&ctx.out, "perf_adaptive").expect("emit perf_adaptive");
-
     // --- Segment-mode overhead vs. the old run-to-completion loop on `ba`
     // (interleaved min-of-rounds; the manual `step()` loop below IS the
     // historical `run()` body). The engine must not tax the PR 2-4
@@ -1354,67 +896,13 @@ fn perf_adaptive(ctx: &Ctx, suite: &[workloads::Dataset], cores: usize) {
     let engine_ns = engine_best * 1e9 / iterations as f64;
     let overhead_pct = (engine_ns / manual_ns - 1.0) * 100.0;
     eprintln!(
-        "[perf] segment overhead on ba: manual {manual_ns:.0} ns/iter, engine {engine_ns:.0} \
+        "[overhead] segment overhead on ba: manual {manual_ns:.0} ns/iter, engine {engine_ns:.0} \
          ns/iter, overhead {overhead_pct:+.2}%"
     );
     assert!(
         overhead_pct <= 2.0,
         "segment-mode overhead {overhead_pct:.2}% exceeds the 2% guard \
          (manual {manual_ns:.1} ns/iter vs engine {engine_ns:.1} ns/iter)"
-    );
-
-    // --- Scheduler budget allocation for a 16-probe rank on `ba`: top
-    // degrees, per-probe stderr target, widest-interval-first.
-    let mut order: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-    let probes: Vec<Vertex> = order.into_iter().take(16).collect();
-    let sched_budget = 16 * ctx.budget(g.num_vertices());
-    let sched = run_probe_schedule(
-        mhbc_spd::SpdView::direct(g),
-        &probes,
-        ScheduleConfig::target_stderr(sched_budget, 0.02, 0.05, SEED).with_segment(256),
-    )
-    .expect("valid probes");
-    let mut ts = Table::new(
-        "PERF/scheduler - 16-probe adaptive rank budget allocation (ba, widest-interval-first)",
-        &["probe", "allocated", "reached", "ci halfwidth", "BC (corrected)"],
-    );
-    let mut sched_json = String::new();
-    for o in &sched.probes {
-        ts.push(vec![
-            o.probe.to_string(),
-            o.allocated.to_string(),
-            o.reached.to_string(),
-            format!("{:.5}", o.ci_halfwidth),
-            format!("{:.6}", o.estimate.bc_corrected),
-        ]);
-        if !sched_json.is_empty() {
-            sched_json.push_str(", ");
-        }
-        sched_json.push_str(&format!(
-            "{{\"probe\": {}, \"allocated\": {}, \"reached\": {}, \"ci_halfwidth\": {:.6}}}",
-            o.probe, o.allocated, o.reached, o.ci_halfwidth
-        ));
-    }
-    ts.emit(&ctx.out, "perf_scheduler").expect("emit perf_scheduler");
-
-    let json = format!(
-        "{{\n  \"schema\": \"mhbc-bench-adaptive-v1\",\n  \"generated_by\": \"experiments perf\",\n  \
-         \"quick\": {},\n  \"host_cores\": {cores},\n  \"families\": [\n{fam_json}\n  ],\n  \
-         \"families_within_08x_of_plan\": {within_08},\n  \
-         \"segment_overhead\": {{\"graph\": \"ba\", \"iterations\": {iterations}, \
-         \"manual_ns_per_iter\": {manual_ns:.2}, \"engine_ns_per_iter\": {engine_ns:.2}, \
-         \"overhead_pct\": {overhead_pct:.3}}},\n  \
-         \"scheduler_16probe\": {{\"graph\": \"ba\", \"budget\": {sched_budget}, \
-         \"spent\": {}, \"rounds\": {}, \"target_se\": 0.02, \
-         \"probes\": [{sched_json}]}}\n}}\n",
-        ctx.quick, sched.spent, sched.rounds,
-    );
-    std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
-    eprintln!(
-        "[perf] wrote BENCH_adaptive.json ({within_08} of {} families within 0.8x of plan, \
-         segment overhead {overhead_pct:+.2}%)",
-        suite.len()
     );
 }
 

@@ -13,7 +13,8 @@
 //! ```text
 //! magic    8 bytes  "MHBCCKPT"
 //! version  u32      1
-//! kind     u8       1 = single, 2 = joint, 3 = ensemble
+//! kind     u8       1 = single, 2 = joint (3, the retired multi-chain
+//!                   ensemble, is rejected with a typed error)
 //! view     u8 preprocess level (off/prune/full), u8 kernel (advisory),
 //!          u64 n, u64 m, u8 weighted, u64 FNV-1a edge hash
 //! payload  kind-specific (see the engine drivers' `save`/`restore`)
@@ -48,8 +49,6 @@ pub enum CheckpointKind {
     Single,
     /// A joint-space run (`rank`).
     Joint,
-    /// A multi-chain ensemble run.
-    Ensemble,
 }
 
 impl CheckpointKind {
@@ -57,7 +56,6 @@ impl CheckpointKind {
         match self {
             CheckpointKind::Single => 1,
             CheckpointKind::Joint => 2,
-            CheckpointKind::Ensemble => 3,
         }
     }
 
@@ -65,7 +63,7 @@ impl CheckpointKind {
         match tag {
             1 => Ok(CheckpointKind::Single),
             2 => Ok(CheckpointKind::Joint),
-            3 => Ok(CheckpointKind::Ensemble),
+            3 => Err(corrupt("ensemble checkpoints are no longer supported")),
             other => Err(corrupt(format!("unknown checkpoint kind {other}"))),
         }
     }

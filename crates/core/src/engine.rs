@@ -1,7 +1,7 @@
 //! The segmented estimation engine: one control loop for every sampler.
 //!
-//! Before this module, each sampler (`single`, `joint`, `ensemble`, and the
-//! prefetch pipeline) ran a fixed iteration count chosen blind by the
+//! Before this module, each sampler (`single`, `joint`, and the prefetch
+//! pipeline) ran a fixed iteration count chosen blind by the
 //! a-priori planner, and the chain-quality diagnostics were offline helpers
 //! nothing consumed. The [`EstimationEngine`] inverts that: execution
 //! proceeds in **segments** (default 1024 iterations); after each segment
@@ -10,7 +10,8 @@
 //! continue/stop — so a `TargetStderr` or `TargetEss` run stops as soon as
 //! the chain's *observed* variance supports the target, typically far
 //! before the planner's worst-case `µ(r)` budget (experiment F3c measures
-//! the overshoot; `BENCH_adaptive.json` tracks the adaptive savings).
+//! the overshoot; perfbench's `hot-adaptive` workload reports the share of
+//! runs that reach their target).
 //!
 //! ## Bit-identity contract
 //!
@@ -29,10 +30,9 @@
 //! At any segment boundary the engine's full state — chain RNG streams,
 //! estimator accumulators, diagnostics monitor, segment counter, and the
 //! memoised dependency rows — serialises to a versioned checkpoint (see
-//! [`crate::checkpoint`]). [`resume_single`] / [`resume_joint`] /
-//! [`crate::ensemble::resume_ensemble`] rebuild the engine against a fresh
-//! view; the resumed
-//! run is bit-identical to an uninterrupted one, including `spd_passes`.
+//! [`crate::checkpoint`]). [`resume_single`] / [`resume_joint`] rebuild the
+//! engine against a fresh view; the resumed run is bit-identical to an
+//! uninterrupted one, including `spd_passes`.
 
 use crate::checkpoint::{
     self, read_header, validate_view, write_header, CheckpointKind, Reader, Writer,

@@ -464,11 +464,17 @@ impl JointAccumulator {
         w.f64s(&self.trace);
     }
 
+    /// Reads an accumulator over `k` probes, the count already validated
+    /// against the view. The saved arity is checked before anything is
+    /// allocated, so a forged one cannot size the `k * k` matrix.
     fn restore_from(
+        k: usize,
         trace_pair: Option<(usize, usize)>,
         r: &mut Reader<'_>,
     ) -> Result<Self, CoreError> {
-        let k = r.u64()? as usize;
+        if r.u64()? != k as u64 {
+            return Err(crate::checkpoint::corrupt("probe count does not match accumulator"));
+        }
         let mut acc = JointAccumulator::new(k, trace_pair);
         acc.acc = r.f64s()?;
         if acc.acc.len() != k * k {
@@ -538,10 +544,7 @@ impl<'g> JointDriver<'g> {
         if snap.state.0 as usize >= k || snap.state.1 as usize >= n {
             return Err(checkpoint::corrupt("chain state out of range"));
         }
-        let acc = JointAccumulator::restore_from(config.trace_pair, r)?;
-        if acc.k != k {
-            return Err(crate::checkpoint::corrupt("probe count does not match accumulator"));
-        }
+        let acc = JointAccumulator::restore_from(k, config.trace_pair, r)?;
         let mut oracle = ProbeOracle::for_view(view, &probes);
         oracle.restore(r)?;
         let chain = MetropolisHastings::restore(

@@ -50,9 +50,9 @@
 //!
 //! The view also carries the SPD [`mhbc_spd::KernelMode`]
 //! ([`mhbc_spd::SpdView::with_kernel`]): everything built from it —
-//! oracles, workspace pools, the samplers, the ensembles —
-//! inherits the forward-pass strategy, and because every mode is
-//! bit-identical the choice can never change a sampler's output.
+//! calculators, oracles, the samplers — inherits the forward-pass
+//! strategy, and because every mode is bit-identical the choice can never
+//! change a sampler's output.
 //!
 //! ## Paper § → module map
 //!
@@ -97,7 +97,6 @@
 
 pub mod checkpoint;
 pub mod engine;
-pub mod ensemble;
 mod error;
 pub mod extended;
 mod joint;
@@ -111,14 +110,13 @@ mod single;
 pub use engine::{
     resume_joint, resume_single, AdaptiveReport, EngineConfig, EstimationEngine, StopReason,
 };
-pub use ensemble::{run_ensemble_view, EnsembleConfig, EnsembleEstimate};
 pub use error::CoreError;
 pub use extended::{extended_relative_sampled, ExtendedEstimate};
 pub use joint::{
     JointDriver, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, JointStepInfo,
 };
 pub use mhbc_mcmc::StoppingRule;
-pub use pipeline::{run_joint_view, run_single_view, PrefetchConfig};
+pub use pipeline::{run_joint_view, PrefetchConfig};
 pub use single::{
     SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler, SingleStepInfo,
 };

@@ -4,15 +4,14 @@
 //! and the paper's samplers are independence chains (`q(·|x)` uniform,
 //! §4.2–4.3): the proposal at step `t` does not depend on the chain's
 //! state, so the whole proposal sequence is a pure function of the seed.
-//! Every driver (single, joint, ensemble) uses that with one batch model,
-//! set per engine by [`EstimationEngine::with_prefetch`]. Given a
+//! Both drivers (single and joint) use that with one batch model, set per
+//! engine by [`EstimationEngine::with_prefetch`]. Given a
 //! [`PrefetchConfig`] with `threads = T ≥ 2` and `depth = K`, each segment
 //! runs in chunks of at most `K` iterations, and each chunk takes four
 //! steps:
 //!
 //! 1. replay the chain's next proposals from a copy of its proposal stream
-//!    (the accept/reject stream is never touched; an ensemble replays every
-//!    chain);
+//!    (the accept/reject stream is never touched);
 //! 2. collect the distinct row keys that are not cached yet;
 //! 3. compute those rows across `T` calculators in a scoped fork-join, the
 //!    calling thread being one of them, and cache them
@@ -56,8 +55,8 @@ pub struct PrefetchConfig {
     /// Threads computing prefetched rows, the calling thread included. 0 or
     /// 1 disables prefetch: the chain computes each row on its first miss.
     pub threads: usize,
-    /// Iterations per prefetch chunk (per chain, for an ensemble): how far
-    /// ahead of the chain rows are computed.
+    /// Iterations per prefetch chunk: how far ahead of the chain rows are
+    /// computed.
     pub depth: u64,
 }
 
@@ -112,25 +111,13 @@ pub(crate) fn upcoming<S, P: Proposal<S>>(
 }
 
 /// Runs the single-space sampler (§4.2) through `view` with
-/// `prefetch.threads` threads. The chain, its proposal stream, and the
-/// estimator all live in **original** vertex ids; see
-/// [`SingleSpaceSampler::for_view`] for why a reduction needs no
-/// stationary-distribution correction. Output is bit-identical across
-/// thread counts.
-pub fn run_single_view(
-    view: SpdView<'_>,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    prefetch: &PrefetchConfig,
-) -> Result<SingleSpaceEstimate, CoreError> {
-    run_single_view_adaptive(view, r, config, EngineConfig::fixed(), prefetch, None)
-        .map(|(est, _)| est)
-}
-
-/// [`run_single_view`] under a segmented engine: a
+/// `prefetch.threads` threads under a segmented engine: a
 /// [`mhbc_mcmc::StoppingRule`] can end the run early, and `sink` receives a
-/// checkpoint at every segment boundary when one is given. Estimates,
-/// stopping point, and `spd_passes` agree across all thread counts.
+/// checkpoint at every segment boundary when one is given. The chain, its
+/// proposal stream, and the estimator all live in **original** vertex ids;
+/// see [`SingleSpaceSampler::for_view`] for why a reduction needs no
+/// stationary-distribution correction. Estimates, stopping point, and
+/// `spd_passes` agree across all thread counts.
 pub fn run_single_view_adaptive(
     view: SpdView<'_>,
     r: Vertex,
@@ -143,20 +130,6 @@ pub fn run_single_view_adaptive(
         .into_engine(engine_cfg)
         .with_prefetch(prefetch.clone())
         .run_checkpointed(sink)
-}
-
-/// Resumes a checkpointed single-space run against `view` (same graph,
-/// same preprocess level — validated; any kernel mode) with
-/// `prefetch.threads` threads. The resumed run is bit-identical to an
-/// uninterrupted one whatever the thread counts on either side of the
-/// checkpoint.
-pub fn resume_single_view(
-    view: SpdView<'_>,
-    bytes: &[u8],
-    prefetch: &PrefetchConfig,
-    sink: Option<&mut CheckpointSink<'_>>,
-) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    crate::resume_single(view, bytes)?.with_prefetch(prefetch.clone()).run_checkpointed(sink)
 }
 
 /// Runs the joint-space sampler (§4.3) through `view` for its full fixed
@@ -185,19 +158,26 @@ mod tests {
         (e.bc.to_bits(), e.bc_corrected.to_bits(), e.acceptance_rate.to_bits(), e.spd_passes)
     }
 
+    /// A fixed-budget run with no checkpoint sink.
+    fn run_fixed(
+        view: SpdView<'_>,
+        r: Vertex,
+        config: &SingleSpaceConfig,
+        prefetch: &PrefetchConfig,
+    ) -> Result<SingleSpaceEstimate, CoreError> {
+        run_single_view_adaptive(view, r, config, EngineConfig::fixed(), prefetch, None)
+            .map(|(est, _)| est)
+    }
+
     #[test]
     fn pipelined_single_matches_sequential_bitwise() {
         let g = generators::barbell(6, 2);
         let config = SingleSpaceConfig::new(2_500, 97);
         let seq = SingleSpaceSampler::new(&g, 6, config.clone()).unwrap().run();
         for threads in [2usize, 3, 5] {
-            let par = run_single_view(
-                SpdView::direct(&g),
-                6,
-                &config,
-                &PrefetchConfig::with_threads(threads),
-            )
-            .unwrap();
+            let par =
+                run_fixed(SpdView::direct(&g), 6, &config, &PrefetchConfig::with_threads(threads))
+                    .unwrap();
             assert_eq!(fingerprint(&seq), fingerprint(&par), "threads {threads}");
         }
     }
@@ -228,13 +208,9 @@ mod tests {
         let config = SingleSpaceConfig::new(300, 5);
         let seq = SingleSpaceSampler::new(&g, 4, config.clone()).unwrap().run();
         for threads in [0usize, 1] {
-            let fb = run_single_view(
-                SpdView::direct(&g),
-                4,
-                &config,
-                &PrefetchConfig::with_threads(threads),
-            )
-            .unwrap();
+            let fb =
+                run_fixed(SpdView::direct(&g), 4, &config, &PrefetchConfig::with_threads(threads))
+                    .unwrap();
             assert_eq!(fingerprint(&seq), fingerprint(&fb));
         }
     }
@@ -244,7 +220,7 @@ mod tests {
         let g = generators::lollipop(5, 3);
         let config = SingleSpaceConfig::new(800, 13).with_trace();
         let seq = SingleSpaceSampler::new(&g, 5, config.clone()).unwrap().run();
-        let par = run_single_view(
+        let par = run_fixed(
             SpdView::direct(&g),
             5,
             &config,
@@ -263,10 +239,9 @@ mod tests {
         let red = reduce(&g, ReduceLevel::Full).unwrap();
         let view = SpdView::preprocessed(&g, &red);
         let config = SingleSpaceConfig::new(1_500, 77);
-        let seq = run_single_view(view, 0, &config, &PrefetchConfig::sequential()).unwrap();
+        let seq = run_fixed(view, 0, &config, &PrefetchConfig::sequential()).unwrap();
         for threads in [2usize, 4] {
-            let par =
-                run_single_view(view, 0, &config, &PrefetchConfig::with_threads(threads)).unwrap();
+            let par = run_fixed(view, 0, &config, &PrefetchConfig::with_threads(threads)).unwrap();
             assert_eq!(fingerprint(&seq), fingerprint(&par), "threads {threads}");
         }
     }
@@ -278,7 +253,7 @@ mod tests {
         let red = reduce(&g, ReduceLevel::Prune).unwrap();
         let view = SpdView::preprocessed(&g, &red);
         assert!(matches!(
-            run_single_view(view, 8, &SingleSpaceConfig::new(10, 0), &PrefetchConfig::sequential()),
+            run_fixed(view, 8, &SingleSpaceConfig::new(10, 0), &PrefetchConfig::sequential()),
             Err(CoreError::PrunedProbe { probe: 8 })
         ));
     }
@@ -353,9 +328,10 @@ mod tests {
 
         // …and resume it sequentially and in parallel: all bit-identical.
         for threads in [1usize, 2, 8] {
-            let (resumed, _) =
-                resume_single_view(view, &bytes, &PrefetchConfig::with_threads(threads), None)
-                    .unwrap();
+            let (resumed, _) = crate::resume_single(view, &bytes)
+                .unwrap()
+                .with_prefetch(PrefetchConfig::with_threads(threads))
+                .run();
             assert_eq!(fingerprint(&seq), fingerprint(&resumed), "threads {threads}");
             assert_eq!(seq.trace, resumed.trace, "threads {threads}");
         }
@@ -365,7 +341,7 @@ mod tests {
     fn pipeline_validates_like_the_sampler() {
         let g = generators::path(10);
         assert!(matches!(
-            run_single_view(
+            run_fixed(
                 SpdView::direct(&g),
                 99,
                 &SingleSpaceConfig::new(10, 0),
@@ -375,7 +351,7 @@ mod tests {
         ));
         let tiny = generators::path(2);
         assert!(matches!(
-            run_single_view(
+            run_fixed(
                 SpdView::direct(&tiny),
                 0,
                 &SingleSpaceConfig::new(10, 0),
@@ -400,7 +376,6 @@ mod tests {
 
     #[test]
     fn no_spd_pass_is_computed_twice() {
-        use crate::ensemble::{EnsembleConfig, EnsembleDriver};
         use rand::{rngs::SmallRng, SeedableRng};
         // Large enough that every prefetch chunk splits hundreds of distinct
         // uncached sources across the threads.
@@ -423,20 +398,10 @@ mod tests {
             let joint = JointSpaceSampler::for_view(view, &probes, JointSpaceConfig::new(3_000, 5))
                 .unwrap()
                 .into_engine(fixed)
-                .with_prefetch(prefetch.clone());
+                .with_prefetch(prefetch);
             let (computed, reported) =
                 passes(joint, |d| d.oracle().computed_passes(), |e| e.spd_passes);
             assert_eq!(computed, reported, "joint, threads {threads}");
-
-            let config = EnsembleConfig::new(3, 1_000, 5).with_prefetch(prefetch);
-            let ensemble = crate::EstimationEngine::new(
-                EnsembleDriver::create(view, r, &config).unwrap(),
-                config.iterations,
-                fixed,
-            );
-            let (computed, reported) =
-                passes(ensemble, |d| d.oracle().computed_passes(), |e| e.spd_passes);
-            assert_eq!(computed, reported, "ensemble, threads {threads}");
         }
     }
 }

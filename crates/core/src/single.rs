@@ -274,12 +274,8 @@ fn validate_single(
 }
 
 /// Derives a single-space chain's `(initial state, proposal stream,
-/// acceptance stream)` from its seed — shared with the ensemble's chains.
-pub(crate) fn derive_streams(
-    seed: u64,
-    initial: Option<Vertex>,
-    n: usize,
-) -> (Vertex, SmallRng, SmallRng) {
+/// acceptance stream)` from its seed.
+fn derive_streams(seed: u64, initial: Option<Vertex>, n: usize) -> (Vertex, SmallRng, SmallRng) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let initial = initial.unwrap_or_else(|| rng.random_range(0..n as Vertex));
     let accept_rng = rng.split_stream();

@@ -1,31 +1,29 @@
-//! The pre-rewrite `VecDeque` BFS kernel, kept as a reference baseline.
+//! The pre-rewrite `VecDeque` BFS kernel, kept as a bitwise test reference.
 //!
 //! [`LegacyBfsSpd`] is the queue-based kernel this crate shipped before the
 //! frontier-swap rewrite of [`crate::BfsSpd`]: a `VecDeque` BFS with
 //! per-pass workspace clearing and a backward accumulation that re-tests
 //! `d(s, u) + 1 == d(s, w)` with two distance loads per edge. It is retained
-//! for two purposes only:
+//! only as a test reference: the property tests assert the new kernel
+//! reproduces this one's `dist`/`sigma`/`delta` bit-for-bit on random
+//! graphs. It is an independent oracle for exactly that reason — it derives
+//! σ and sums δ its own way, where [`crate::naive`] takes σ from
+//! [`crate::BfsSpd`] itself.
 //!
-//! - the property tests assert the new kernel reproduces this one's
-//!   `dist`/`sigma`/`delta` bit-for-bit on random graphs, and
-//! - the `perf` bench subcommand measures the rewrite's speedup against it
-//!   (the `BENCH_kernels.json` trajectory).
-//!
-//! The compute/accumulate loops are the historical code verbatim, so the
-//! `perf` timings stay a faithful baseline. For the bitwise-equality tests
-//! a separate, explicit [`LegacyBfsSpd::canonicalize_order`] step re-sorts
-//! the settle order into the *canonical* within-level order (ascending
-//! vertex id per BFS level) that every [`crate::KernelMode`] of the
-//! direction-optimizing kernel produces, so the backward δ accumulation
-//! visits edges in the same order. σ itself still accumulates in queue
-//! order (only the recorded order is re-sorted), which equals the
-//! canonical ascending-order sum bit for bit **as long as σ stays below
-//! 2^53** — integer sums are exact in `f64`, and addition order cannot
-//! matter. That covers every graph the bitwise property tests compare on
-//! (small random graphs); path-count-explosive structures like large
-//! grids (σ up to `C(2k, k)`) can exceed 2^53, where queue-order and
-//! canonical-order σ may differ in ulps — so bitwise legacy comparisons
-//! must stick to σ-small graphs.
+//! The compute/accumulate loops are the historical code verbatim. For the
+//! bitwise-equality tests a separate, explicit
+//! [`LegacyBfsSpd::canonicalize_order`] step re-sorts the settle order into
+//! the *canonical* within-level order (ascending vertex id per BFS level)
+//! that every [`crate::KernelMode`] of the direction-optimizing kernel
+//! produces, so the backward δ accumulation visits edges in the same order.
+//! σ itself still accumulates in queue order (only the recorded order is
+//! re-sorted), which equals the canonical ascending-order sum bit for bit
+//! **as long as σ stays below 2^53** — integer sums are exact in `f64`, and
+//! addition order cannot matter. That covers every graph the bitwise
+//! property tests compare on (small random graphs); path-count-explosive
+//! structures like large grids (σ up to `C(2k, k)`) can exceed 2^53, where
+//! queue-order and canonical-order σ may differ in ulps — so bitwise legacy
+//! comparisons must stick to σ-small graphs.
 //!
 //! Do not use it in samplers; [`crate::BfsSpd`] is strictly faster.
 

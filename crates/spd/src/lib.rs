@@ -36,11 +36,8 @@
 //!   module docs for the formulas).
 //! - [`exact_betweenness_preprocessed`] — exact Brandes through a
 //!   reduction (`n_H` collapsed passes instead of `n` full ones).
-//! - [`SpdWorkspacePool`] — a checkout pool of [`ViewCalculator`]
-//!   workspaces for multi-threaded samplers (the prefetch pipeline and the
-//!   chain ensembles).
 //! - [`legacy`] — the pre-rewrite `VecDeque` BFS kernel, kept only as the
-//!   bit-exactness and performance baseline for the frontier kernel.
+//!   bitwise test reference for the frontier kernel.
 //!
 //! ## Conventions
 //!
@@ -73,7 +70,6 @@ mod dependency;
 pub mod legacy;
 pub mod naive;
 pub mod path_sampler;
-mod pool;
 mod reduced;
 mod unweighted;
 mod weighted;
@@ -83,7 +79,6 @@ pub use brandes::{
     exact_betweenness_par, DependencyProfile,
 };
 pub use dependency::DependencyCalculator;
-pub use pool::{PooledCalculator, SpdWorkspacePool};
 pub use reduced::{
     dependency_profile_view, dependency_profile_view_par, exact_betweenness_preprocessed,
     exact_betweenness_reduced, ReducedCalculator, SpdView, ViewCalculator,

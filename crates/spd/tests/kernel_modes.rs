@@ -8,10 +8,10 @@
 //! what lets `Auto` be the default everywhere without perturbing a single
 //! sampler output. These tests sweep random ER / BA / grid / separator
 //! graphs, the collapsed multiplicity kernels, and mode switches on reused
-//! pool workspaces.
+//! calculator workspaces.
 
 use mhbc_graph::{generators, CsrGraph, Vertex};
-use mhbc_spd::{BfsSpd, KernelMode, SpdView, SpdWorkspacePool};
+use mhbc_spd::{BfsSpd, KernelMode, SpdView, ViewCalculator};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -128,25 +128,22 @@ proptest! {
         }
     }
 
-    /// Workspace pools bound to views of different kernel modes hand out
-    /// calculators whose dependency rows are bit-identical — including when
-    /// one pool's workspaces are reused across many sources (forced-mode
-    /// switches mid-pool never leak state).
+    /// Calculators bound to views of different kernel modes produce
+    /// bit-identical dependency rows — including when one calculator's
+    /// workspace is reused across many sources (forced-mode switches
+    /// mid-workspace never leak state).
     #[test]
     fn pools_of_every_mode_agree(n in 8usize..30, seed in any::<u64>()) {
         let g = random_graph(0, n, seed);
         let n = g.num_vertices();
         let r = (seed % n as u64) as Vertex;
         let reference: Vec<f64> = {
-            let pool = SpdWorkspacePool::for_view(
-                SpdView::direct(&g).with_kernel(KernelMode::TopDown),
-            );
-            let mut calc = pool.checkout();
+            let mut calc =
+                ViewCalculator::new(SpdView::direct(&g).with_kernel(KernelMode::TopDown));
             (0..n as Vertex).map(|v| calc.dependency_on(v, r)).collect()
         };
         for mode in [KernelMode::Hybrid, KernelMode::Auto] {
-            let pool = SpdWorkspacePool::for_view(SpdView::direct(&g).with_kernel(mode));
-            let mut calc = pool.checkout();
+            let mut calc = ViewCalculator::new(SpdView::direct(&g).with_kernel(mode));
             for v in 0..n as Vertex {
                 prop_assert_eq!(
                     calc.dependency_on(v, r).to_bits(),

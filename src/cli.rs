@@ -18,7 +18,7 @@ use std::io::BufRead;
 /// the strongest applicable reduction, and build it only when the plan's
 /// exact work ratio says an SPD pass shrinks enough (an empty reduction
 /// still taxes the sampler with multiplicity bookkeeping and a second CSR
-/// in cache, the `ws`/`grid` regression in `BENCH_preproc.json`). A
+/// in cache: 0.96–0.98x sampler throughput measured on `ws`/`grid`). A
 /// discarded reduction costs only its pruning and twin detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreprocessChoice {
@@ -731,7 +731,8 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             let sink = Some(&mut sink as &mut CheckpointSink<'_>);
             match info.kind {
                 CheckpointKind::Single => {
-                    let (est, report) = pipeline::resume_single_view(view, &bytes, &prefetch, sink)
+                    let (est, report) = mhbc_core::resume_single(view, &bytes)
+                        .and_then(|engine| engine.with_prefetch(prefetch).run_checkpointed(sink))
                         .map_err(|e| e.to_string())?;
                     let vertex = external(est.r);
                     out.push(format!(
@@ -774,21 +775,6 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     for (v, ratio) in ranked {
                         out.push(format!("  {v:>8}  ratio {ratio:.4}"));
                     }
-                }
-                CheckpointKind::Ensemble => {
-                    let engine = mhbc_core::ensemble::resume_ensemble(view, &bytes, prefetch)
-                        .map_err(|e| e.to_string())?;
-                    out.push(format!(
-                        "resumed ensemble run at iteration {} of per-chain budget {}",
-                        engine.iterations(),
-                        engine.budget()
-                    ));
-                    let (est, report) = engine.run_checkpointed(sink).map_err(|e| e.to_string())?;
-                    out.push(format!(
-                        "BC ~ {:.6} (Eq 7, pooled) | {:.6} (corrected) | R-hat {:.4}",
-                        est.bc, est.bc_corrected, est.r_hat
-                    ));
-                    out.push(plan_vs_actual_line(&report));
                 }
             }
             Ok(out)

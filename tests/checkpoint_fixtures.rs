@@ -5,11 +5,11 @@
 //! kind, plus a single-space file the old threaded pipeline wrote, plus a
 //! single-space file written through a `--preprocess full` reduction, which
 //! pins the reduction's row-key space (`row_group` and reduced ids) across
-//! versions.
+//! versions. The multi-chain ensemble's file (kind 3) is kept to pin its
+//! typed rejection, and a crafted joint file pins the arity check.
 
-use mhbc_core::ensemble::{resume_ensemble, run_ensemble_view};
 use mhbc_core::{
-    pipeline, resume_joint, EnsembleConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
+    resume_joint, resume_single, CoreError, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
     SingleSpaceConfig, SingleSpaceSampler,
 };
 use mhbc_graph::generators;
@@ -39,7 +39,7 @@ fn single_fixtures_resume_bit_identically() {
         for threads in [1usize, 2] {
             let prefetch = PrefetchConfig::with_threads(threads);
             let (resumed, report) =
-                pipeline::resume_single_view(view, &fixture(name), &prefetch, None).unwrap();
+                resume_single(view, &fixture(name)).unwrap().with_prefetch(prefetch).run();
             assert_eq!(report.resumed_from, at, "{name}");
             assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "{name}, threads {threads}");
             assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
@@ -69,9 +69,10 @@ fn reduced_view_fixture_resumes_bit_identically() {
     assert_eq!(full.spd_passes, 83);
     for threads in [1usize, 2] {
         let prefetch = PrefetchConfig::with_threads(threads);
-        let (resumed, report) =
-            pipeline::resume_single_view(view, &fixture("single_reduced_v1.ckpt"), &prefetch, None)
-                .unwrap();
+        let (resumed, report) = resume_single(view, &fixture("single_reduced_v1.ckpt"))
+            .unwrap()
+            .with_prefetch(prefetch)
+            .run();
         assert_eq!(report.resumed_from, 400);
         assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "threads {threads}");
         assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
@@ -106,29 +107,81 @@ fn joint_fixture_resumes_bit_identically() {
     }
 }
 
+/// The retired ensemble's checkpoints (kind 3) fail with a typed error
+/// rather than as unknown or corrupt files.
 #[test]
-fn ensemble_fixture_resumes_bit_identically() {
-    // Three chains, written after 400 of 800 iterations each, segment 200.
+fn ensemble_fixture_is_rejected_with_a_typed_error() {
+    let bytes = fixture("ensemble_v1.ckpt");
+    let reason = match mhbc_core::checkpoint::peek(&bytes) {
+        Err(CoreError::Checkpoint { reason }) => reason,
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    };
+    assert_eq!(reason, "ensemble checkpoints are no longer supported");
     let g = generators::lollipop(6, 3);
+    assert!(matches!(
+        resume_single(SpdView::direct(&g), &bytes),
+        Err(CoreError::Checkpoint { .. })
+    ));
+}
+
+/// `mhbc resume` on the ensemble fixture exits 1 with the typed message.
+#[test]
+fn cli_resume_rejects_ensemble_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("mhbc-ensemble-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let edges = dir.join("lollipop.txt");
+    let g = generators::lollipop(6, 3);
+    let text: String = g.edges().map(|(u, v, _)| format!("{u} {v}\n")).collect();
+    std::fs::write(&edges, text).unwrap();
+    // A copy: a resume that wrongly succeeded would checkpoint over its input.
+    let ckpt = dir.join("ensemble_v1.ckpt");
+    std::fs::write(&ckpt, fixture("ensemble_v1.ckpt")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mhbc"))
+        .arg("resume")
+        .arg(&edges)
+        .arg(&ckpt)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ensemble checkpoints are no longer supported"), "{stderr}");
+}
+
+/// A joint checkpoint whose accumulator arity disagrees with its probe list
+/// is rejected before the accumulator is allocated: an arity of 2^32 would
+/// otherwise overflow `k * k` or abort on a 32 GiB allocation.
+#[test]
+fn joint_checkpoint_with_forged_arity_is_rejected() {
+    let original = fixture("joint_v1.ckpt");
+    let g = generators::barbell(5, 3);
     let view = SpdView::direct(&g);
-    let full = run_ensemble_view(view, 7, &EnsembleConfig::new(3, 800, 11)).unwrap();
-    assert_eq!(
-        (full.bc.to_bits(), full.bc_corrected.to_bits(), full.r_hat.to_bits()),
-        (0x3fde77f4eba6f020, 0x3fc7832e2a034417, 0x3ff0286967699e6d)
-    );
-    assert_eq!(full.spd_passes, 9);
-    for threads in [1usize, 3] {
-        let prefetch = PrefetchConfig::with_threads(threads);
-        let engine = resume_ensemble(view, &fixture("ensemble_v1.ckpt"), prefetch).unwrap();
-        assert_eq!(engine.iterations(), 400);
-        let (resumed, _) = engine.run();
-        assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "threads {threads}");
-        assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
-        assert_eq!(full.r_hat.to_bits(), resumed.r_hat.to_bits());
-        assert_eq!(full.acceptance_rate.to_bits(), resumed.acceptance_rate.to_bits());
-        assert_eq!(full.spd_passes, resumed.spd_passes);
-        for (a, b) in full.per_chain.iter().zip(&resumed.per_chain) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    // The accumulator's arity is the one u64 equal to the probe count (3)
+    // that is followed by the k * k = 9 float vector length.
+    let body = &original[..original.len() - 8];
+    let arity: Vec<usize> = (0..body.len() - 16)
+        .filter(|&i| {
+            body[i..i + 8] == 3u64.to_le_bytes() && body[i + 8..i + 16] == 9u64.to_le_bytes()
+        })
+        .collect();
+    assert_eq!(arity.len(), 1, "accumulator arity must be unambiguous: {arity:?}");
+    let at = arity[0];
+    for forged in [1u64 << 32, 1_000_000_000_000, 4] {
+        let mut bytes = body.to_vec();
+        bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        match resume_joint(view, &bytes) {
+            Err(CoreError::Checkpoint { .. }) => {}
+            Err(other) => panic!("arity {forged}: expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("arity {forged}: forged checkpoint accepted"),
         }
     }
+}
+
+/// FNV-1a (64-bit), the checkpoint format's trailing checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }

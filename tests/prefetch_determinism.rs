@@ -4,12 +4,23 @@
 //! `spd_passes`. Parallelism buys wall-clock only, never a different answer.
 
 use mhbc_core::{
-    pipeline, run_ensemble_view, EnsembleConfig, JointSpaceConfig, JointSpaceSampler,
-    PrefetchConfig, SingleSpaceConfig, SingleSpaceSampler,
+    pipeline, CoreError, EngineConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
+    SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler,
 };
-use mhbc_graph::generators;
+use mhbc_graph::{generators, Vertex};
 use mhbc_spd::SpdView;
 use rand::{rngs::SmallRng, SeedableRng};
+
+/// A fixed-budget single-space run through the batch prefetch.
+fn run_fixed(
+    view: SpdView<'_>,
+    r: Vertex,
+    config: &SingleSpaceConfig,
+    prefetch: &PrefetchConfig,
+) -> Result<SingleSpaceEstimate, CoreError> {
+    pipeline::run_single_view_adaptive(view, r, config, EngineConfig::fixed(), prefetch, None)
+        .map(|(est, _)| est)
+}
 
 /// Everything the determinism guarantee covers, as raw bits.
 fn single_fingerprint(e: &mhbc_core::SingleSpaceEstimate) -> (u64, u64, u64, u64, u64) {
@@ -29,6 +40,21 @@ fn single_space_bit_identical_across_thread_counts() {
         ("ba", generators::barabasi_albert(300, 3, &mut rng)),
         ("lollipop", generators::lollipop(10, 6)),
         ("grid", generators::grid(12, 12, false)),
+        (
+            "er",
+            generators::ensure_connected(
+                generators::erdos_renyi_gnm(300, 1_200, &mut rng),
+                &mut rng,
+            ),
+        ),
+        (
+            "ws",
+            generators::ensure_connected(
+                generators::watts_strogatz(300, 8, 0.1, &mut rng),
+                &mut rng,
+            ),
+        ),
+        ("sep", generators::hub_separator(4, 75, 8.0 / 300.0, 3, &mut rng).graph),
     ];
     for (name, g) in &graphs {
         let r = (0..g.num_vertices() as u32).max_by_key(|&v| g.degree(v)).unwrap();
@@ -36,7 +62,7 @@ fn single_space_bit_identical_across_thread_counts() {
             let config = SingleSpaceConfig::new(1_500, seed);
             let seq = SingleSpaceSampler::new(g, r, config.clone()).unwrap().run();
             for threads in [1usize, 2, 8] {
-                let par = pipeline::run_single_view(
+                let par = run_fixed(
                     SpdView::direct(g),
                     r,
                     &config,
@@ -58,13 +84,7 @@ fn single_space_traces_are_bit_identical_too() {
     let g = generators::barbell(8, 2);
     let config = SingleSpaceConfig::new(1_200, 7).with_trace();
     let seq = SingleSpaceSampler::new(&g, 8, config.clone()).unwrap().run();
-    let par = pipeline::run_single_view(
-        SpdView::direct(&g),
-        8,
-        &config,
-        &PrefetchConfig::with_threads(8),
-    )
-    .unwrap();
+    let par = run_fixed(SpdView::direct(&g), 8, &config, &PrefetchConfig::with_threads(8)).unwrap();
     let (st, pt) = (seq.trace.unwrap(), par.trace.unwrap());
     assert_eq!(st.len(), pt.len());
     for (i, (a, b)) in st.iter().zip(&pt).enumerate() {
@@ -84,13 +104,8 @@ fn single_space_ablation_configs_stay_identical() {
         SingleSpaceConfig::new(900, 3).with_initial(2),
     ] {
         let seq = SingleSpaceSampler::new(&g, 7, config.clone()).unwrap().run();
-        let par = pipeline::run_single_view(
-            SpdView::direct(&g),
-            7,
-            &config,
-            &PrefetchConfig::with_threads(4),
-        )
-        .unwrap();
+        let par =
+            run_fixed(SpdView::direct(&g), 7, &config, &PrefetchConfig::with_threads(4)).unwrap();
         assert_eq!(single_fingerprint(&seq), single_fingerprint(&par));
     }
 }
@@ -129,37 +144,12 @@ fn joint_space_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn ensemble_bit_identical_with_and_without_prefetch_squads() {
-    let g = generators::barbell(6, 2);
-    let base = EnsembleConfig::new(4, 1_000, 23).with_prefetch(PrefetchConfig::sequential());
-    let seq = run_ensemble_view(SpdView::direct(&g), 6, &base).unwrap();
-    for threads in [2usize, 4] {
-        let cfg = base.clone().with_prefetch(PrefetchConfig::with_threads(threads));
-        let par = run_ensemble_view(SpdView::direct(&g), 6, &cfg).unwrap();
-        assert_eq!(seq.bc.to_bits(), par.bc.to_bits(), "threads {threads}");
-        assert_eq!(seq.bc_corrected.to_bits(), par.bc_corrected.to_bits());
-        assert_eq!(seq.acceptance_rate.to_bits(), par.acceptance_rate.to_bits());
-        assert_eq!(seq.spd_passes, par.spd_passes);
-        assert_eq!(seq.r_hat.to_bits(), par.r_hat.to_bits());
-        for (a, b) in seq.per_chain.iter().zip(&par.per_chain) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-#[test]
 fn weighted_graphs_flow_through_the_pipeline_unchanged() {
     let mut rng = SmallRng::seed_from_u64(55);
     let g = generators::assign_uniform_weights(&generators::barbell(6, 2), 1.0, 4.0, &mut rng);
     let config = SingleSpaceConfig::new(800, 31);
     let seq = SingleSpaceSampler::new(&g, 6, config.clone()).unwrap().run();
-    let par = pipeline::run_single_view(
-        SpdView::direct(&g),
-        6,
-        &config,
-        &PrefetchConfig::with_threads(4),
-    )
-    .unwrap();
+    let par = run_fixed(SpdView::direct(&g), 6, &config, &PrefetchConfig::with_threads(4)).unwrap();
     assert_eq!(single_fingerprint(&seq), single_fingerprint(&par));
 }
 
@@ -199,16 +189,10 @@ fn preprocessed_runs_bit_identical_across_thread_counts() {
                 .max_by_key(|&v| g.degree(v))
                 .unwrap();
             let config = SingleSpaceConfig::new(1_200, 5);
-            let seq =
-                pipeline::run_single_view(view, r, &config, &PrefetchConfig::sequential()).unwrap();
+            let seq = run_fixed(view, r, &config, &PrefetchConfig::sequential()).unwrap();
             for threads in [1usize, 2, 8] {
-                let par = pipeline::run_single_view(
-                    view,
-                    r,
-                    &config,
-                    &PrefetchConfig::with_threads(threads),
-                )
-                .unwrap();
+                let par =
+                    run_fixed(view, r, &config, &PrefetchConfig::with_threads(threads)).unwrap();
                 assert_eq!(
                     single_fingerprint(&seq),
                     single_fingerprint(&par),
@@ -238,16 +222,9 @@ fn preprocess_full_matches_off_run_for_run_on_pendant_free_graphs() {
         let view = SpdView::preprocessed(&g, &red);
         for seed in [2u64, 41, 97] {
             let config = SingleSpaceConfig::new(2_000, seed);
-            let off = pipeline::run_single_view(
-                SpdView::direct(&g),
-                0,
-                &config,
-                &PrefetchConfig::sequential(),
-            )
-            .unwrap();
-            let full =
-                pipeline::run_single_view(view, 0, &config, &PrefetchConfig::with_threads(2))
-                    .unwrap();
+            let off =
+                run_fixed(SpdView::direct(&g), 0, &config, &PrefetchConfig::sequential()).unwrap();
+            let full = run_fixed(view, 0, &config, &PrefetchConfig::with_threads(2)).unwrap();
             assert_eq!(
                 (off.bc.to_bits(), off.bc_corrected.to_bits(), off.acceptance_rate.to_bits()),
                 (full.bc.to_bits(), full.bc_corrected.to_bits(), full.acceptance_rate.to_bits()),
@@ -313,13 +290,8 @@ fn sampler_pipeline_bit_identical_across_kernel_modes_and_threads() {
         for mode in modes {
             let view = SpdView::from_option(&g, reduced).with_kernel(mode);
             for threads in [1usize, 2, 8] {
-                let est = pipeline::run_single_view(
-                    view,
-                    r,
-                    &config,
-                    &PrefetchConfig::with_threads(threads),
-                )
-                .unwrap();
+                let est =
+                    run_fixed(view, r, &config, &PrefetchConfig::with_threads(threads)).unwrap();
                 let fp = single_fingerprint(&est);
                 match &reference {
                     None => reference = Some(fp),
@@ -362,15 +334,14 @@ fn sampler_pipeline_bit_identical_across_kernel_modes_and_threads() {
 
 /// PR 5 (adaptive engine): a checkpoint written at any segment boundary,
 /// deserialized and continued, reproduces the uninterrupted run **bit for
-/// bit** — across single/joint/ensemble, `--threads 1/2/8`, and `--kernel
+/// bit** — across single/joint, `--threads 1/2/8`, and `--kernel
 /// auto/topdown` on both sides of the checkpoint. Property-based over
 /// graph family, seed, and cut point.
 mod checkpoint_roundtrip {
     use super::single_fingerprint;
-    use mhbc_core::ensemble::{resume_ensemble, run_ensemble_view_adaptive};
     use mhbc_core::{
-        pipeline, EngineConfig, EnsembleConfig, JointSpaceConfig, JointSpaceSampler,
-        PrefetchConfig, SingleSpaceConfig, SingleSpaceSampler,
+        pipeline, EngineConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
+        SingleSpaceConfig, SingleSpaceSampler,
     };
     use mhbc_graph::generators;
     use mhbc_spd::{KernelMode, SpdView};
@@ -449,13 +420,10 @@ mod checkpoint_roundtrip {
 
             // …deserialize and run to completion under independently chosen
             // thread count and kernel mode.
-            let (resumed, report) = pipeline::resume_single_view(
-                resume_view,
-                &bytes,
-                &PrefetchConfig::with_threads(THREADS[resume_threads_i]),
-                None,
-            )
-            .unwrap();
+            let (resumed, report) = mhbc_core::resume_single(resume_view, &bytes)
+                .unwrap()
+                .with_prefetch(PrefetchConfig::with_threads(THREADS[resume_threads_i]))
+                .run();
             prop_assert_eq!(report.resumed_from, cut * 150);
             prop_assert_eq!(single_fingerprint(&uninterrupted), single_fingerprint(&resumed));
             prop_assert_eq!(uninterrupted.trace, resumed.trace);
@@ -518,60 +486,5 @@ mod checkpoint_roundtrip {
             }
         }
 
-        #[test]
-        fn ensemble_resume_equals_uninterrupted(
-            pick in 0u8..3,
-            seed in 0u64..1_000,
-            cut in 1u64..5,
-            write_threads_i in 0usize..3,
-            resume_threads_i in 0usize..3,
-            write_kernel_i in 0usize..2,
-            resume_kernel_i in 0usize..2,
-        ) {
-            let g = graph_for(pick);
-            let r = hub(&g);
-            let write_view = SpdView::direct(&g).with_kernel(KERNELS[write_kernel_i]);
-            let resume_view = SpdView::direct(&g).with_kernel(KERNELS[resume_kernel_i]);
-            let config = EnsembleConfig::new(3, 800, seed)
-                .with_prefetch(PrefetchConfig::with_threads(THREADS[write_threads_i]));
-            let uninterrupted =
-                mhbc_core::run_ensemble_view(write_view, r, &config).unwrap();
-
-            let mut calls = 0;
-            let mut saved = None;
-            let mut sink = nth_checkpoint(&mut calls, cut, &mut saved);
-            let _ = run_ensemble_view_adaptive(
-                write_view,
-                r,
-                &config,
-                EngineConfig::fixed().with_segment(150),
-                Some(&mut sink),
-            )
-            .unwrap();
-            drop(sink);
-            let bytes = saved.expect("cut below the boundary count");
-
-            let (resumed, _) = resume_ensemble(
-                resume_view,
-                &bytes,
-                PrefetchConfig::with_threads(THREADS[resume_threads_i]),
-            )
-            .unwrap()
-            .run();
-            prop_assert_eq!(uninterrupted.bc.to_bits(), resumed.bc.to_bits());
-            prop_assert_eq!(
-                uninterrupted.bc_corrected.to_bits(),
-                resumed.bc_corrected.to_bits()
-            );
-            prop_assert_eq!(uninterrupted.r_hat.to_bits(), resumed.r_hat.to_bits());
-            prop_assert_eq!(uninterrupted.spd_passes, resumed.spd_passes);
-            prop_assert_eq!(
-                uninterrupted.acceptance_rate.to_bits(),
-                resumed.acceptance_rate.to_bits()
-            );
-            for (a, b) in uninterrupted.per_chain.iter().zip(&resumed.per_chain) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 }
