@@ -9,11 +9,6 @@
 //!   sources drawn with `P[s] ∝ d(r, s)`, importance-weighted. Unbiased;
 //!   the paper's Eq 5 distribution is the *optimal* member of this
 //!   framework (implemented exactly in `mhbc-core::optimal` for reference).
-//! - [`LinearScalingSampler`] — Geisberger et al. \[17\]: uniform sources
-//!   with length-scaled contributions, so vertices near a sampled source
-//!   are not over-credited. Unbiased.
-//! - [`PivotSampler`] — Brandes–Pich \[9\]: `k` pivot sources chosen
-//!   uniformly or by the MaxMin / MaxSum spread heuristics.
 //! - [`RkSampler`] — Riondato–Kornaropoulos \[30\]: uniform `(s, t)` pairs,
 //!   one uniformly sampled shortest path, interior vertices credited;
 //!   sample size from the VC-dimension bound ([`rk_sample_size`]).
@@ -22,7 +17,8 @@
 //!   adaptive stopping rule (a documented simplification of KADABRA's
 //!   union-bound schedule; see DESIGN.md "Substitutions").
 //!
-//! All estimators use the Eq 1 normalisation (`BC ∈ [0, 1]`), accept a
+//! These are the samplers the `experiments` binary and the matched-budget
+//! tests run against the MH samplers. All estimators use the Eq 1 normalisation (`BC ∈ [0, 1]`), accept a
 //! caller-seeded RNG, and report the work they performed so the harness can
 //! compare at matched budgets.
 //!
@@ -43,15 +39,11 @@
 
 mod bb;
 mod distance;
-mod linear;
-mod pivots;
 mod rk;
 mod uniform;
 
 pub use bb::{AdaptiveEstimate, BbSampler};
 pub use distance::DistanceSampler;
-pub use linear::LinearScalingSampler;
-pub use pivots::{PivotSampler, PivotStrategy};
 pub use rk::{rk_sample_size, RkEstimate, RkSampler};
 pub use uniform::UniformSourceSampler;
 

@@ -1,8 +1,8 @@
 //! # mhbc-bench
 //!
-//! Shared infrastructure for the experiment harness (`experiments` binary)
-//! and the Criterion micro-benchmarks: dataset construction, probe
-//! selection, run statistics, and table/CSV reporting.
+//! Shared infrastructure for the experiment harness (`experiments` binary):
+//! dataset construction, probe selection, run statistics, and table/CSV
+//! reporting.
 //!
 //! Every experiment in DESIGN.md's index is regenerated by
 //! `cargo run --release -p mhbc-bench --bin experiments -- <id> [--quick]`;

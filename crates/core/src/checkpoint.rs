@@ -17,7 +17,7 @@
 //!                   ensemble, is rejected with a typed error)
 //! view     u8 preprocess level (off/prune/full), u8 kernel (advisory),
 //!          u64 n, u64 m, u8 weighted, u64 FNV-1a edge hash
-//! payload  kind-specific (see the engine drivers' `save`/`restore`)
+//! payload  kind-specific (see the samplers' `save`/`restore_from`)
 //! checksum u64      FNV-1a over everything above
 //! ```
 //!

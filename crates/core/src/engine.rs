@@ -16,7 +16,7 @@
 //! ## Bit-identity contract
 //!
 //! With [`StoppingRule::FixedIterations`] the engine is a pure refactor of
-//! the old run-to-completion loops: the drivers step the *same* chains with
+//! the old run-to-completion loops: the samplers step the *same* chains with
 //! the *same* RNG streams and absorb into the *same* accumulators in the
 //! same order, and segmentation only interleaves diagnostics bookkeeping
 //! *between* iterations — every estimate is bit-identical to the
@@ -38,7 +38,7 @@ use crate::checkpoint::{
     self, read_header, validate_view, write_header, CheckpointKind, Reader, Writer,
 };
 use crate::pipeline::PrefetchConfig;
-use crate::CoreError;
+use crate::{CoreError, JointSpaceSampler, SingleSpaceSampler};
 use mhbc_mcmc::{DiagnosticsMonitor, StoppingRule};
 use mhbc_spd::SpdView;
 
@@ -124,8 +124,8 @@ pub struct AdaptiveReport {
 
 /// A sampler the engine can drive in segments.
 ///
-/// Implementations wrap a concrete sampler; `run_segment` advances it and
-/// appends the chain's observation series (the per-step dependency of the
+/// The samplers implement it themselves; `run_segment` advances the chain
+/// and appends its observation series (the per-step dependency of the
 /// occupied state — the series experiment F2 diagnoses) into `out`. The
 /// engine feeds `out` to the diagnostics monitor *between* segments so the
 /// per-iteration hot loop carries nothing beyond a buffer push.
@@ -198,20 +198,6 @@ impl<D: EngineDriver> EstimationEngine<D> {
         buf.clear();
         let started = driver.iterations();
         EstimationEngine { driver, monitor, config, budget, segments: 0, started, buf }
-    }
-
-    /// Rebuilds an engine mid-run (resume path): the monitor and segment
-    /// counter continue from their checkpointed state.
-    pub(crate) fn with_state(
-        driver: D,
-        budget: u64,
-        config: EngineConfig,
-        monitor: DiagnosticsMonitor,
-        segments: u64,
-    ) -> Self {
-        let buf = Vec::with_capacity(config.segment.min(1 << 16) as usize + 1);
-        let started = driver.iterations();
-        EstimationEngine { driver, monitor, config, budget, segments, started, buf }
     }
 
     /// Runs later segments with `prefetch` (see [`crate::pipeline`]): a
@@ -368,7 +354,7 @@ impl<D: CheckpointDriver> EstimationEngine<D> {
     }
 }
 
-pub(crate) fn write_stopping(w: &mut Writer, rule: StoppingRule) {
+fn write_stopping(w: &mut Writer, rule: StoppingRule) {
     match rule {
         StoppingRule::FixedIterations => w.u8(0),
         StoppingRule::TargetStderr { epsilon, delta } => {
@@ -383,28 +369,61 @@ pub(crate) fn write_stopping(w: &mut Writer, rule: StoppingRule) {
     }
 }
 
-pub(crate) fn read_stopping(r: &mut Reader<'_>) -> Result<StoppingRule, CoreError> {
+fn read_stopping(r: &mut Reader<'_>) -> Result<StoppingRule, CoreError> {
     match r.u8()? {
         0 => Ok(StoppingRule::FixedIterations),
-        1 => Ok(StoppingRule::TargetStderr { epsilon: r.f64()?, delta: r.f64()? }),
+        1 => {
+            let (epsilon, delta) = (r.f64()?, r.f64()?);
+            // The rule takes the normal quantile of δ/2, defined only on (0, 1).
+            if !(delta > 0.0 && delta < 1.0) {
+                return Err(checkpoint::corrupt(format!("stopping delta {delta} outside (0, 1)")));
+            }
+            Ok(StoppingRule::TargetStderr { epsilon, delta })
+        }
         2 => Ok(StoppingRule::TargetEss { target: r.f64()? }),
         other => Err(checkpoint::corrupt(format!("unknown stopping rule {other}"))),
     }
 }
 
-/// Engine-level state decoded from a checkpoint payload (before the
-/// driver's own payload).
-pub(crate) struct EngineState {
-    pub(crate) budget: u64,
-    pub(crate) config: EngineConfig,
-    pub(crate) segments: u64,
-    pub(crate) monitor: DiagnosticsMonitor,
+/// Resumes a single-space run from a checkpoint written by
+/// [`EstimationEngine::checkpoint`]. The view must hold the same graph at
+/// the same preprocess level (any kernel mode); the resumed engine
+/// continues bit-identically to an uninterrupted run.
+pub fn resume_single<'g>(
+    view: SpdView<'g>,
+    bytes: &[u8],
+) -> Result<EstimationEngine<SingleSpaceSampler<'g>>, CoreError> {
+    resume(view, bytes, CheckpointKind::Single, SingleSpaceSampler::restore_from)
 }
 
-pub(crate) fn read_engine_state(r: &mut Reader<'_>) -> Result<EngineState, CoreError> {
+/// Resumes a joint-space run from a checkpoint (see [`resume_single`]).
+pub fn resume_joint<'g>(
+    view: SpdView<'g>,
+    bytes: &[u8],
+) -> Result<EstimationEngine<JointSpaceSampler<'g>>, CoreError> {
+    resume(view, bytes, CheckpointKind::Joint, JointSpaceSampler::restore_from)
+}
+
+/// Opens a checkpoint of kind `kind` against `view` (header, graph and
+/// preprocess identity), decodes the engine state, rebuilds the sampler
+/// with `restore`, and refuses payload bytes the sampler did not read. The
+/// monitor and segment counter continue from their checkpointed state.
+fn resume<'g, D: EngineDriver>(
+    view: SpdView<'g>,
+    bytes: &[u8],
+    kind: CheckpointKind,
+    restore: impl FnOnce(SpdView<'g>, &mut Reader<'_>) -> Result<D, CoreError>,
+) -> Result<EstimationEngine<D>, CoreError> {
+    let (info, mut r) = read_header(bytes)?;
+    if info.kind != kind {
+        return Err(checkpoint::corrupt(format!(
+            "checkpoint holds a {:?} run, expected {kind:?}",
+            info.kind
+        )));
+    }
+    validate_view(&info, &view)?;
     let budget = r.u64()?;
-    let segment = r.u64()?;
-    let stopping = read_stopping(r)?;
+    let config = EngineConfig { segment: r.u64()?.max(1), stopping: read_stopping(&mut r)? };
     let segments = r.u64()?;
     let n_words = r.u64()? as usize;
     if n_words > r.remaining() / 8 {
@@ -416,67 +435,13 @@ pub(crate) fn read_engine_state(r: &mut Reader<'_>) -> Result<EngineState, CoreE
     if used != words.len() {
         return Err(checkpoint::corrupt("trailing monitor words"));
     }
-    Ok(EngineState {
-        budget,
-        config: EngineConfig { segment: segment.max(1), stopping },
-        segments,
-        monitor,
-    })
-}
-
-/// Opens a checkpoint against `view`, validating header and graph/preprocess
-/// identity and checking the kind tag; returns the positioned reader and
-/// the engine-level state.
-pub(crate) fn open_checkpoint<'a>(
-    view: &SpdView<'_>,
-    bytes: &'a [u8],
-    expect: CheckpointKind,
-) -> Result<(EngineState, Reader<'a>), CoreError> {
-    let (info, mut r) = read_header(bytes)?;
-    if info.kind != expect {
-        return Err(checkpoint::corrupt(format!(
-            "checkpoint holds a {:?} run, expected {:?}",
-            info.kind, expect
-        )));
+    let driver = restore(view, &mut r)?;
+    if r.remaining() != 0 {
+        return Err(checkpoint::corrupt("trailing bytes after the sampler state"));
     }
-    validate_view(&info, view)?;
-    let state = read_engine_state(&mut r)?;
-    Ok((state, r))
-}
-
-/// Resumes a single-space run from a checkpoint written by
-/// [`EstimationEngine::checkpoint`]. The view must hold the same graph at
-/// the same preprocess level (any kernel mode); the resumed engine
-/// continues bit-identically to an uninterrupted run.
-pub fn resume_single<'g>(
-    view: SpdView<'g>,
-    bytes: &[u8],
-) -> Result<EstimationEngine<crate::single::SingleDriver<'g>>, CoreError> {
-    let (state, mut r) = open_checkpoint(&view, bytes, CheckpointKind::Single)?;
-    let driver = crate::single::SingleDriver::restore_from(view, &mut r)?;
-    Ok(EstimationEngine::with_state(
-        driver,
-        state.budget,
-        state.config,
-        state.monitor,
-        state.segments,
-    ))
-}
-
-/// Resumes a joint-space run from a checkpoint (see [`resume_single`]).
-pub fn resume_joint<'g>(
-    view: SpdView<'g>,
-    bytes: &[u8],
-) -> Result<EstimationEngine<crate::joint::JointDriver<'g>>, CoreError> {
-    let (state, mut r) = open_checkpoint(&view, bytes, CheckpointKind::Joint)?;
-    let driver = crate::joint::JointDriver::restore_from(view, &mut r)?;
-    Ok(EstimationEngine::with_state(
-        driver,
-        state.budget,
-        state.config,
-        state.monitor,
-        state.segments,
-    ))
+    let buf = Vec::with_capacity(config.segment.min(1 << 16) as usize + 1);
+    let started = driver.iterations();
+    Ok(EstimationEngine { driver, monitor, config, budget, segments, started, buf })
 }
 
 #[cfg(test)]
@@ -699,6 +664,51 @@ mod tests {
             resume_single(mhbc_spd::SpdView::direct(&other), &bytes),
             Err(CoreError::Checkpoint { .. })
         ));
+    }
+
+    /// Re-signs `body` (a checkpoint without its checksum) as a file image.
+    fn resign(body: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(body);
+        w.finish()
+    }
+
+    #[test]
+    fn resume_rejects_bytes_after_the_sampler_state() {
+        let g = generators::lollipop(6, 3);
+        let view = mhbc_spd::SpdView::direct(&g);
+        let mut engine = SingleSpaceSampler::for_view(view, 0, SingleSpaceConfig::new(1_000, 1))
+            .unwrap()
+            .into_engine(EngineConfig::fixed().with_segment(100));
+        let _ = engine.step_segment();
+        let bytes = engine.checkpoint();
+        let body = &bytes[..bytes.len() - 8];
+        assert!(resume_single(view, &resign(body)).is_ok());
+        let mut padded = body.to_vec();
+        padded.push(0);
+        match resume_single(view, &resign(&padded)) {
+            Err(CoreError::Checkpoint { reason }) => {
+                assert!(reason.contains("trailing"), "{reason}")
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("a payload with trailing bytes was accepted"),
+        }
+    }
+
+    #[test]
+    fn stopping_rules_with_delta_outside_the_unit_interval_are_rejected() {
+        for delta in [0.0, 1.0, -0.5, 2.0, f64::NAN] {
+            let mut w = Writer::new();
+            write_stopping(&mut w, StoppingRule::TargetStderr { epsilon: 0.1, delta });
+            let bytes = w.finish();
+            let mut r = Reader::new(&bytes);
+            assert!(read_stopping(&mut r).is_err(), "delta {delta}");
+        }
+        let mut w = Writer::new();
+        let rule = StoppingRule::TargetStderr { epsilon: 0.1, delta: 0.05 };
+        write_stopping(&mut w, rule);
+        let bytes = w.finish();
+        assert_eq!(read_stopping(&mut Reader::new(&bytes)).unwrap(), rule);
     }
 
     #[test]

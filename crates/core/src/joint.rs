@@ -83,17 +83,6 @@ impl JointSpaceConfig {
     }
 }
 
-/// Per-step report from the streaming API.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JointStepInfo {
-    /// Iterations done so far.
-    pub iteration: u64,
-    /// Whether the proposal was accepted.
-    pub accepted: bool,
-    /// The probe index occupied after the step.
-    pub probe_index: u32,
-}
-
 /// Result of a joint-space run.
 #[derive(Debug, Clone)]
 pub struct JointSpaceEstimate {
@@ -214,14 +203,19 @@ impl JointAccumulator {
 /// simultaneously (the backward accumulation yields the whole dependency
 /// vector).
 ///
-/// This type is the streaming sampler; [`JointSpaceSampler::into_engine`]
-/// runs it in segments, at any thread count (see [`crate::pipeline`]).
+/// The sampler is its own [`EngineDriver`]: [`JointSpaceSampler::into_engine`]
+/// runs it in segments, at any thread count (see [`crate::pipeline`]). The
+/// monitored series is the occupied state's dependency `δ_{v•}(r_j)` — the
+/// same series the single-space diagnostics use; a stderr target applies to
+/// its normalised mean (a proxy for overall chain stability, since the
+/// joint estimate is a matrix rather than one scalar).
 pub struct JointSpaceSampler<'g> {
     chain: MetropolisHastings<JointTarget<'g>, JointProposal, SmallRng>,
     probes: Vec<Vertex>,
     config: JointSpaceConfig,
     iteration: u64,
     acc: JointAccumulator,
+    prefetch: PrefetchConfig,
 }
 
 /// Validates a joint-space configuration, returning `(n, k)`.
@@ -313,6 +307,7 @@ impl<'g> JointSpaceSampler<'g> {
             acc: JointAccumulator::new(k, config.trace_pair),
             config,
             iteration: 0,
+            prefetch: PrefetchConfig::sequential(),
         };
         sampler.absorb_current_state();
         Ok(sampler)
@@ -323,8 +318,9 @@ impl<'g> JointSpaceSampler<'g> {
         &self.probes
     }
 
-    fn view(&self) -> SpdView<'g> {
-        self.chain.target().oracle.view()
+    /// The density oracle (its counters are the run's SPD-pass record).
+    pub fn oracle(&self) -> &ProbeOracle<'g> {
+        &self.chain.target().oracle
     }
 
     /// Adds the chain's current state to the estimator multisets.
@@ -335,24 +331,12 @@ impl<'g> JointSpaceSampler<'g> {
         self.acc.absorb(j as usize, deps);
     }
 
-    /// Current estimate of `BC_{r_j}(r_i)`; `NaN` while `M(j)` is empty.
-    pub fn relative_estimate(&self, i: usize, j: usize) -> f64 {
-        self.acc.relative_estimate(i, j)
-    }
-
-    /// Performs one MH iteration.
-    pub fn step(&mut self) -> JointStepInfo {
-        let accepted = self.step_raw();
-        JointStepInfo { iteration: self.iteration, accepted, probe_index: self.chain.state().0 }
-    }
-
-    /// One MH iteration; returns whether the proposal was accepted. The
-    /// engine driver reads the occupied density off the chain afterwards.
-    fn step_raw(&mut self) -> bool {
-        let out = self.chain.step();
+    /// One MH iteration. Segments read the occupied density off the chain
+    /// afterwards.
+    fn step(&mut self) {
+        self.chain.step();
         self.iteration += 1;
         self.absorb_current_state();
-        out.accepted
     }
 
     /// Runs the configured number of iterations and finalises.
@@ -366,72 +350,35 @@ impl<'g> JointSpaceSampler<'g> {
 
     /// Wraps the sampler in a segmented [`EstimationEngine`] for adaptive
     /// stopping and checkpointing.
-    pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<JointDriver<'g>> {
+    pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<Self> {
         let budget = self.config.iterations;
-        let driver = JointDriver { sampler: self, prefetch: PrefetchConfig::sequential() };
-        EstimationEngine::new(driver, budget, engine)
-    }
-
-    /// Finalises early.
-    pub fn finish(self) -> JointSpaceEstimate {
-        let acceptance_rate = self.chain.stats().acceptance_rate();
-        let target = self.chain.into_target();
-        self.acc.finish(
-            self.probes,
-            self.iteration,
-            acceptance_rate,
-            target.oracle.spd_passes(),
-            target.oracle.stats(),
-        )
+        EstimationEngine::new(self, budget, engine)
     }
 }
 
-/// [`EngineDriver`] for the joint-space sampler at every thread count (the
-/// batch prefetch of [`crate::pipeline`] runs in front of each chunk of
-/// steps). The monitored series is the occupied state's dependency
-/// `δ_{v•}(r_j)` — the same series the single-space diagnostics use; a
-/// stderr target applies to its normalised mean (a proxy for overall chain
-/// stability, since the joint estimate is a matrix rather than one scalar).
-pub struct JointDriver<'g> {
-    sampler: JointSpaceSampler<'g>,
-    prefetch: PrefetchConfig,
-}
-
-impl JointDriver<'_> {
-    /// The wrapped sampler's probe set.
-    pub fn probes(&self) -> &[Vertex] {
-        self.sampler.probes()
-    }
-
-    /// The density oracle (its counters are the run's SPD-pass record).
-    pub fn oracle(&self) -> &ProbeOracle<'_> {
-        &self.sampler.chain.target().oracle
-    }
-}
-
-impl EngineDriver for JointDriver<'_> {
+impl EngineDriver for JointSpaceSampler<'_> {
     type Output = JointSpaceEstimate;
 
     fn prime(&mut self, out: &mut Vec<f64>) {
         // The constructor absorbed the initial state as sample 0.
-        if self.sampler.iteration == 0 {
-            out.push(self.sampler.chain.current_density());
+        if self.iteration == 0 {
+            out.push(self.chain.current_density());
         }
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let (k, n) = (self.sampler.probes.len() as u32, self.sampler.view().num_vertices() as u32);
+        let (k, n) = (self.probes.len() as u32, self.oracle().view().num_vertices() as u32);
         for chunk in self.prefetch.chunks(iters) {
             if self.prefetch.is_parallel() {
-                let chain = &mut self.sampler.chain;
+                let chain = &mut self.chain;
                 let upcoming =
                     pipeline::upcoming(JointProposal { k, n }, chain.proposal_rng().clone(), chunk);
                 let sources = upcoming.map(|(_, v): JointState| v);
                 chain.target_mut().oracle.prefetch(sources, self.prefetch.threads);
             }
             for _ in 0..chunk {
-                self.sampler.step_raw();
-                out.push(self.sampler.chain.current_density());
+                self.step();
+                out.push(self.chain.current_density());
             }
         }
     }
@@ -441,15 +388,23 @@ impl EngineDriver for JointDriver<'_> {
     }
 
     fn iterations(&self) -> u64 {
-        self.sampler.iteration
+        self.iteration
     }
 
     fn scale(&self) -> f64 {
-        self.sampler.view().num_vertices() as f64 - 1.0
+        self.oracle().view().num_vertices() as f64 - 1.0
     }
 
     fn finish(self) -> JointSpaceEstimate {
-        self.sampler.finish()
+        let acceptance_rate = self.chain.stats().acceptance_rate();
+        let target = self.chain.into_target();
+        self.acc.finish(
+            self.probes,
+            self.iteration,
+            acceptance_rate,
+            target.oracle.spd_passes(),
+            target.oracle.stats(),
+        )
     }
 }
 
@@ -490,24 +445,23 @@ impl JointAccumulator {
     }
 }
 
-impl CheckpointDriver for JointDriver<'_> {
+impl CheckpointDriver for JointSpaceSampler<'_> {
     fn kind(&self) -> CheckpointKind {
         CheckpointKind::Joint
     }
 
     fn view(&self) -> SpdView<'_> {
-        self.sampler.view()
+        self.oracle().view()
     }
 
     fn save(&self, w: &mut Writer) {
-        let s = &self.sampler;
-        w.u64(s.probes.len() as u64);
-        for &p in &s.probes {
+        w.u64(self.probes.len() as u64);
+        for &p in &self.probes {
             w.u32(p);
         }
-        w.u64(s.config.iterations);
-        w.u64(s.config.seed);
-        match s.config.trace_pair {
+        w.u64(self.config.iterations);
+        w.u64(self.config.seed);
+        match self.config.trace_pair {
             None => w.u8(0),
             Some((i, j)) => {
                 w.u8(1);
@@ -515,19 +469,19 @@ impl CheckpointDriver for JointDriver<'_> {
                 w.u64(j as u64);
             }
         }
-        w.u64(s.iteration);
-        checkpoint::save_chain(w, &s.chain.snapshot(), |w, &(j, v)| {
+        w.u64(self.iteration);
+        checkpoint::save_chain(w, &self.chain.snapshot(), |w, &(j, v)| {
             w.u32(j);
             w.u32(v);
         });
-        s.acc.save_into(w);
+        self.acc.save_into(w);
         self.oracle().save(w);
     }
 }
 
-impl<'g> JointDriver<'g> {
-    /// Rebuilds a driver from a checkpoint payload against `view` (see
-    /// `SingleDriver::restore_from`): nothing is re-evaluated.
+impl<'g> JointSpaceSampler<'g> {
+    /// Rebuilds a sampler from a checkpoint payload against `view` (see
+    /// `SingleSpaceSampler::restore_from`): nothing is re-evaluated.
     pub(crate) fn restore_from(view: SpdView<'g>, r: &mut Reader<'_>) -> Result<Self, CoreError> {
         let np = r.u64()? as usize;
         if np > r.remaining() / 4 {
@@ -552,8 +506,8 @@ impl<'g> JointDriver<'g> {
             JointProposal { k: k as u32, n: n as u32 },
             snap,
         );
-        let sampler = JointSpaceSampler { chain, probes, config, iteration, acc };
-        Ok(JointDriver { sampler, prefetch: PrefetchConfig::sequential() })
+        let prefetch = PrefetchConfig::sequential();
+        Ok(JointSpaceSampler { chain, probes, config, iteration, acc, prefetch })
     }
 }
 

@@ -25,7 +25,7 @@
 //! - [`engine`] — the segmented [`EstimationEngine`] every sampler runs
 //!   under: adaptive stopping, diagnostics, and checkpoints;
 //! - [`pipeline`] — the batch prefetch behind `--threads`: before each
-//!   chunk of at most `K` steps, a driver replays its chain's next
+//!   chunk of at most `K` steps, a sampler replays its chain's next
 //!   proposals, `T` threads split their distinct uncached sources, and the
 //!   chain then consumes them — bit-identical results at every thread
 //!   count, set per engine with [`EstimationEngine::with_prefetch`];
@@ -98,7 +98,6 @@
 pub mod checkpoint;
 pub mod engine;
 mod error;
-pub mod extended;
 mod joint;
 pub mod optimal;
 pub mod oracle;
@@ -111,12 +110,7 @@ pub use engine::{
     resume_joint, resume_single, AdaptiveReport, EngineConfig, EstimationEngine, StopReason,
 };
 pub use error::CoreError;
-pub use extended::{extended_relative_sampled, ExtendedEstimate};
-pub use joint::{
-    JointDriver, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, JointStepInfo,
-};
+pub use joint::{JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler};
 pub use mhbc_mcmc::StoppingRule;
 pub use pipeline::{run_joint_view, PrefetchConfig};
-pub use single::{
-    SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler, SingleStepInfo,
-};
+pub use single::{SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler, SingleStepInfo};

@@ -1,7 +1,6 @@
 //! Exact ground-truth quantities: the optimal distribution (Eq 5), `µ(r)`,
-//! exact relative betweenness (Eq 23, plus the footnote-2 extension), the
-//! Theorem 2 balanced-separator analysis — **and the true limits of the
-//! paper's estimators**.
+//! exact relative betweenness (Eq 23), the Theorem 2 balanced-separator
+//! analysis — **and the true limits of the paper's estimators**.
 //!
 //! ## Soundness note (reproduction finding)
 //!
@@ -21,7 +20,7 @@
 //! an unbiased alternative (see `single.rs`).
 
 use mhbc_graph::{algo, CsrGraph, Vertex};
-use mhbc_spd::{dependency_profile_par, naive, DependencyProfile};
+use mhbc_spd::{dependency_profile_par, DependencyProfile};
 
 /// The true limit of the paper's Eq 7 estimator: the stationary mean
 /// `E_{P_r}[f] = Σ_v δ_{v•}(r)² / ((n−1) Σ_v δ_{v•}(r))` (see the module
@@ -120,41 +119,6 @@ pub fn exact_relative_matrix(g: &CsrGraph, probes: &[Vertex], threads: usize) ->
         }
     }
     out
-}
-
-/// The *extended* relative betweenness of the paper's footnote 2:
-/// `(1/(n(n-1))) Σ_v Σ_{t≠v} min{1, δ_vt(ri) / δ_vt(rj)}`, where
-/// `δ_vt(x) = σ_vt(x)/σ_vt` are pair dependencies.
-///
-/// Implemented from all-pairs counts (`O(n²)` memory, `O(n²)` time after
-/// `n` BFS passes) — an exact reference for the extension, intended for
-/// evaluation-scale graphs. Unweighted graphs only.
-pub fn extended_relative_betweenness(g: &CsrGraph, ri: Vertex, rj: Vertex) -> f64 {
-    assert!(!g.is_weighted(), "extended relative scores implemented for unweighted graphs");
-    let n = g.num_vertices();
-    let (dist, sigma) = naive::all_pairs_unweighted(g);
-    let pair_dep = |v: usize, t: usize, x: Vertex| -> f64 {
-        let x = x as usize;
-        if x == v || x == t || dist[v][t] == u32::MAX {
-            return 0.0;
-        }
-        if dist[v][x] != u32::MAX && dist[x][t] != u32::MAX && dist[v][x] + dist[x][t] == dist[v][t]
-        {
-            sigma[v][x] * sigma[x][t] / sigma[v][t]
-        } else {
-            0.0
-        }
-    };
-    let mut sum = 0.0;
-    for v in 0..n {
-        for t in 0..n {
-            if t == v {
-                continue;
-            }
-            sum += min_dependency_ratio(pair_dep(v, t, ri), pair_dep(v, t, rj));
-        }
-    }
-    sum / (n * (n - 1)) as f64
 }
 
 /// Theorem 2 analysis of a probe vertex `r`.
@@ -308,22 +272,6 @@ mod tests {
                 assert!((m[i][j] - direct).abs() < 1e-12, "({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn extended_relative_matches_simple_on_disjoint_influence() {
-        // Sanity: diagonal is 1 under both definitions.
-        let g = generators::barbell(3, 1);
-        let v = extended_relative_betweenness(&g, 3, 3);
-        assert!((v - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn extended_relative_in_unit_interval() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let g = generators::barabasi_albert(25, 2, &mut rng);
-        let v = extended_relative_betweenness(&g, 0, 1);
-        assert!((0.0..=1.0).contains(&v));
     }
 
     #[test]

@@ -230,7 +230,11 @@ impl<'g> ProbeOracle<'g> {
         }
         for _ in 0..n {
             let key = r.u64()?;
-            self.rows.insert(key, r.f64s()?.into_boxed_slice());
+            let row = r.f64s()?;
+            if row.len() != self.probes.len() {
+                return Err(corrupt("dependency row length differs from the probe count"));
+            }
+            self.rows.insert(key, row.into_boxed_slice());
         }
         Ok(())
     }
@@ -289,6 +293,27 @@ mod tests {
         assert_eq!(o.spd_passes(), 2);
         assert_eq!(o.stats().misses, 2);
         assert_eq!(o.stats().hits, 6);
+    }
+
+    #[test]
+    fn restore_rejects_rows_whose_length_is_not_the_probe_count() {
+        let g = generators::barbell(4, 2);
+        for len in [0usize, 1, 2, 3] {
+            let mut w = Writer::new();
+            for x in [1u64, 0, 1, 1, 0] {
+                w.u64(x); // passes, hits, misses, one row, its key
+            }
+            w.f64s(&vec![0.5; len]);
+            let bytes = w.finish();
+            let mut r = Reader::new(&bytes[..bytes.len() - 8]);
+            let mut o = ProbeOracle::new(&g, &[4, 5]);
+            match (len, o.restore(&mut r)) {
+                (2, Ok(())) => assert_eq!(o.dep(0, 1), 0.5),
+                (2, Err(e)) => panic!("a row of 2 must restore: {e}"),
+                (_, Err(CoreError::Checkpoint { .. })) => {}
+                (_, other) => panic!("row of {len}: expected a checkpoint error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

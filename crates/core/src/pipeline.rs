@@ -4,7 +4,7 @@
 //! and the paper's samplers are independence chains (`q(·|x)` uniform,
 //! §4.2–4.3): the proposal at step `t` does not depend on the chain's
 //! state, so the whole proposal sequence is a pure function of the seed.
-//! Both drivers (single and joint) use that with one batch model, set per
+//! Both samplers (single and joint) use that with one batch model, set per
 //! engine by [`EstimationEngine::with_prefetch`]. Given a
 //! [`PrefetchConfig`] with `threads = T ≥ 2` and `depth = K`, each segment
 //! runs in chunks of at most `K` iterations, and each chunk takes four

@@ -14,7 +14,7 @@ use crate::optimal::theorem2_report;
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_mcmc::bounds;
-use mhbc_spd::{dependency_profile_par, dependency_profile_view_par, SpdView};
+use mhbc_spd::{dependency_profile_view_par, SpdView};
 
 /// How to obtain `µ(r)` for planning.
 #[derive(Debug, Clone, Copy)]
@@ -104,14 +104,9 @@ pub fn plan_single_view(
         return Err(PlanError::Core(CoreError::PrunedProbe { probe: r }));
     }
     let mu = match mu_source {
-        MuSource::Exact { threads } => match view.reduced() {
-            None => dependency_profile_par(view.graph(), r, threads)
-                .mu()
-                .ok_or(PlanError::ZeroBetweenness)?,
-            Some(_) => dependency_profile_view_par(view, r, threads)
-                .mu()
-                .ok_or(PlanError::ZeroBetweenness)?,
-        },
+        MuSource::Exact { threads } => {
+            dependency_profile_view_par(view, r, threads).mu().ok_or(PlanError::ZeroBetweenness)?
+        }
         MuSource::TheoremTwo => {
             theorem2_report(view.graph(), r, 0.0).mu_bound.ok_or(PlanError::NotASeparator)?
         }

@@ -18,7 +18,7 @@
 //! per-probe seeds, and ties break toward the lowest probe index.
 
 use crate::engine::{AdaptiveReport, EngineConfig, EstimationEngine, StopReason};
-use crate::single::{SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
+use crate::single::{SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
 use crate::CoreError;
 use mhbc_graph::Vertex;
 use mhbc_mcmc::monitor::normal_upper_quantile;
@@ -126,7 +126,7 @@ pub fn run_probe_schedule(
     let engine_cfg = EngineConfig::adaptive(config.target).with_segment(config.segment);
 
     // One engine per probe; each may in principle consume the whole budget.
-    let mut engines: Vec<Option<EstimationEngine<SingleDriver<'_>>>> = probes
+    let mut engines: Vec<Option<EstimationEngine<SingleSpaceSampler<'_>>>> = probes
         .iter()
         .enumerate()
         .map(|(i, &p)| {
@@ -141,7 +141,7 @@ pub fn run_probe_schedule(
     let mut spent = 0u64;
     let mut rounds = 0u64;
 
-    let width = |e: &EstimationEngine<SingleDriver<'_>>| -> f64 {
+    let width = |e: &EstimationEngine<SingleSpaceSampler<'_>>| -> f64 {
         let se = e.estimate_stderr();
         if se.is_finite() {
             z * se
@@ -151,7 +151,7 @@ pub fn run_probe_schedule(
     };
 
     let grant = |i: usize,
-                 engines: &mut Vec<Option<EstimationEngine<SingleDriver<'_>>>>,
+                 engines: &mut Vec<Option<EstimationEngine<SingleSpaceSampler<'_>>>>,
                  finished: &mut Vec<Option<StopReason>>,
                  allocated: &mut Vec<u64>,
                  spent: &mut u64,

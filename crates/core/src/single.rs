@@ -290,15 +290,21 @@ fn derive_streams(seed: u64, initial: Option<Vertex>, n: usize) -> (Vertex, Smal
 /// with `T ≥ µ(r)²/(2ε²) ln(2/δ)` iterations (Theorem 1 / Ineq 14); see
 /// [`crate::planner`].
 ///
-/// This type is the streaming sampler; [`SingleSpaceSampler::into_engine`]
-/// runs it in segments, and [`EstimationEngine::with_prefetch`] computes its
+/// The sampler steps one iteration at a time ([`SingleSpaceSampler::step`])
+/// and is its own [`EngineDriver`]: [`SingleSpaceSampler::into_engine`] runs
+/// it in segments, and [`EstimationEngine::with_prefetch`] computes its
 /// upcoming densities on several threads with bit-identical output (see
-/// [`crate::pipeline`]).
+/// [`crate::pipeline`]). Segments also track the observed proposal-stream
+/// maximum and mean for the planner's `µ(r)` refit (the proposals are
+/// uniform i.i.d. draws, so `max/mean` is a plug-in for `n·max δ / Σ δ`).
 pub struct SingleSpaceSampler<'g> {
     chain: MetropolisHastings<SingleTarget<'g>, UniformProposal, SmallRng>,
     r: Vertex,
     config: SingleSpaceConfig,
     acc: SingleAccumulator,
+    proposal_sum: f64,
+    max_proposed: f64,
+    prefetch: PrefetchConfig,
 }
 
 impl<'g> SingleSpaceSampler<'g> {
@@ -347,7 +353,15 @@ impl<'g> SingleSpaceSampler<'g> {
 
         let mut acc = SingleAccumulator::new(&config, n);
         acc.absorb_initial(chain.current_density());
-        Ok(SingleSpaceSampler { chain, r, config, acc })
+        Ok(SingleSpaceSampler {
+            chain,
+            r,
+            config,
+            acc,
+            proposal_sum: 0.0,
+            max_proposed: 0.0,
+            prefetch: PrefetchConfig::sequential(),
+        })
     }
 
     /// The probe vertex.
@@ -366,6 +380,11 @@ impl<'g> SingleSpaceSampler<'g> {
         self.acc.estimate_corrected()
     }
 
+    /// The density oracle (its counters are the run's SPD-pass record).
+    pub fn oracle(&self) -> &ProbeOracle<'g> {
+        &self.chain.target().oracle
+    }
+
     /// Performs one MH iteration and updates the estimator.
     pub fn step(&mut self) -> SingleStepInfo {
         let out = self.step_raw();
@@ -376,9 +395,9 @@ impl<'g> SingleSpaceSampler<'g> {
         }
     }
 
-    /// One MH iteration, exposing the raw chain outcome (the engine driver
-    /// needs the occupied-state and proposal densities).
-    pub(crate) fn step_raw(&mut self) -> StepOutcome {
+    /// One MH iteration, exposing the raw chain outcome (segments need the
+    /// occupied-state and proposal densities).
+    fn step_raw(&mut self) -> StepOutcome {
         let out = self.chain.step();
         self.acc.absorb(&out);
         out
@@ -396,15 +415,9 @@ impl<'g> SingleSpaceSampler<'g> {
     /// Wraps the sampler in a segmented [`EstimationEngine`] for adaptive
     /// stopping and checkpointing; the iteration count in the sampler's
     /// config becomes the engine's budget (upper bound).
-    pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<SingleDriver<'g>> {
+    pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<Self> {
         let budget = self.config.iterations;
-        let driver = SingleDriver {
-            sampler: self,
-            proposal_sum: 0.0,
-            max_proposed: 0.0,
-            prefetch: PrefetchConfig::sequential(),
-        };
-        EstimationEngine::new(driver, budget, engine)
+        EstimationEngine::new(self, budget, engine)
     }
 
     /// Finalises early (fewer than `config.iterations` steps).
@@ -412,6 +425,37 @@ impl<'g> SingleSpaceSampler<'g> {
         let acceptance_rate = self.chain.stats().acceptance_rate();
         let target = self.chain.into_target();
         self.acc.finish(self.r, acceptance_rate, target.oracle.spd_passes(), target.oracle.stats())
+    }
+
+    /// Rebuilds a sampler from a checkpoint payload against `view`
+    /// (validated by the caller). Nothing is re-evaluated: the chain's
+    /// cached density, the accumulators, and the memoised rows come back
+    /// verbatim, so the resumed run is bit-identical to an uninterrupted
+    /// one.
+    pub(crate) fn restore_from(view: SpdView<'g>, r: &mut Reader<'_>) -> Result<Self, CoreError> {
+        let probe = r.u32()?;
+        let config = restore_config(r)?;
+        let n = validate_single(&view, probe, &config)?;
+        let snap = checkpoint::read_chain(r, |r| r.u32())?;
+        if (snap.state as usize) >= n {
+            return Err(checkpoint::corrupt("chain state out of range"));
+        }
+        let acc = SingleAccumulator::restore_from(&config, n, r)?;
+        let proposal_sum = r.f64()?;
+        let max_proposed = r.f64()?;
+        let mut oracle = ProbeOracle::for_view(view, &[probe]);
+        oracle.restore(r)?;
+        let chain =
+            MetropolisHastings::restore(SingleTarget { oracle }, UniformProposal::new(n), snap);
+        Ok(SingleSpaceSampler {
+            chain,
+            r: probe,
+            config,
+            acc,
+            proposal_sum,
+            max_proposed,
+            prefetch: PrefetchConfig::sequential(),
+        })
     }
 }
 
@@ -461,74 +505,33 @@ fn restore_config(r: &mut Reader<'_>) -> Result<SingleSpaceConfig, CoreError> {
     Ok(config)
 }
 
-/// [`EngineDriver`] for the single-space sampler at every thread count: the
-/// thin configuration layer that turns [`SingleSpaceSampler`] into an
-/// [`EstimationEngine`] workload, with the batch prefetch of
-/// [`crate::pipeline`] in front of each chunk of steps. Also tracks the
-/// observed proposal-stream maximum and mean for the planner's `µ(r)` refit
-/// (the proposals are uniform i.i.d. draws, so `max/mean` is a plug-in for
-/// `n·max δ / Σ δ`).
-pub struct SingleDriver<'g> {
-    sampler: SingleSpaceSampler<'g>,
-    proposal_sum: f64,
-    max_proposed: f64,
-    prefetch: PrefetchConfig,
-}
-
-impl SingleDriver<'_> {
-    /// The wrapped sampler's probe vertex.
-    pub fn probe(&self) -> Vertex {
-        self.sampler.r
-    }
-
-    /// The wrapped sampler's configuration.
-    pub fn sampler_config(&self) -> &SingleSpaceConfig {
-        &self.sampler.config
-    }
-
-    /// Current Eq 7 estimate.
-    pub fn estimate(&self) -> f64 {
-        self.sampler.acc.estimate()
-    }
-
-    /// Current support-corrected estimate.
-    pub fn estimate_corrected(&self) -> f64 {
-        self.sampler.acc.estimate_corrected()
-    }
-
-    /// The density oracle (its counters are the run's SPD-pass record).
-    pub fn oracle(&self) -> &ProbeOracle<'_> {
-        &self.sampler.chain.target().oracle
-    }
-}
-
-impl EngineDriver for SingleDriver<'_> {
+impl EngineDriver for SingleSpaceSampler<'_> {
     type Output = SingleSpaceEstimate;
 
     fn prime(&mut self, out: &mut Vec<f64>) {
         // Mirror `absorb_initial`: a fresh, unburnt sampler counted the
         // initial state's density as sample 0.
-        if self.sampler.acc.iteration() == 0 && self.sampler.acc.counted == 1 {
-            out.push(self.sampler.chain.current_density());
+        if self.acc.iteration() == 0 && self.acc.counted == 1 {
+            out.push(self.chain.current_density());
         }
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let burn_in = self.sampler.config.burn_in;
+        let burn_in = self.config.burn_in;
         for chunk in self.prefetch.chunks(iters) {
             if self.prefetch.is_parallel() {
-                let chain = &mut self.sampler.chain;
-                let proposal = UniformProposal::new(self.sampler.acc.n);
+                let chain = &mut self.chain;
+                let proposal = UniformProposal::new(self.acc.n);
                 let sources = pipeline::upcoming(proposal, chain.proposal_rng().clone(), chunk);
                 chain.target_mut().oracle.prefetch(sources, self.prefetch.threads);
             }
             for _ in 0..chunk {
-                let o = self.sampler.step_raw();
+                let o = self.step_raw();
                 self.proposal_sum += o.proposed_density;
                 if o.proposed_density > self.max_proposed {
                     self.max_proposed = o.proposed_density;
                 }
-                if self.sampler.acc.iteration() > burn_in {
+                if self.acc.iteration() > burn_in {
                     out.push(o.density);
                 }
             }
@@ -540,15 +543,15 @@ impl EngineDriver for SingleDriver<'_> {
     }
 
     fn iterations(&self) -> u64 {
-        self.sampler.acc.iteration()
+        self.acc.iteration()
     }
 
     fn scale(&self) -> f64 {
-        self.sampler.acc.n as f64 - 1.0
+        self.acc.n as f64 - 1.0
     }
 
     fn observed_mu(&self) -> Option<f64> {
-        let t = self.sampler.acc.iteration();
+        let t = self.acc.iteration();
         if t == 0 || self.proposal_sum <= 0.0 {
             return None;
         }
@@ -556,11 +559,11 @@ impl EngineDriver for SingleDriver<'_> {
     }
 
     fn finish(self) -> SingleSpaceEstimate {
-        self.sampler.finish()
+        SingleSpaceSampler::finish(self)
     }
 }
 
-impl CheckpointDriver for SingleDriver<'_> {
+impl CheckpointDriver for SingleSpaceSampler<'_> {
     fn kind(&self) -> CheckpointKind {
         CheckpointKind::Single
     }
@@ -570,45 +573,13 @@ impl CheckpointDriver for SingleDriver<'_> {
     }
 
     fn save(&self, w: &mut Writer) {
-        let s = &self.sampler;
-        w.u32(s.r);
-        save_config(w, &s.config);
-        checkpoint::save_chain(w, &s.chain.snapshot(), |w, &v| w.u32(v));
-        s.acc.save_into(w);
+        w.u32(self.r);
+        save_config(w, &self.config);
+        checkpoint::save_chain(w, &self.chain.snapshot(), |w, &v| w.u32(v));
+        self.acc.save_into(w);
         w.f64(self.proposal_sum);
         w.f64(self.max_proposed);
         self.oracle().save(w);
-    }
-}
-
-impl<'g> SingleDriver<'g> {
-    /// Rebuilds a driver from a checkpoint payload against `view`
-    /// (validated by the caller). Nothing is re-evaluated: the chain's
-    /// cached density, the accumulators, and the memoised rows come back
-    /// verbatim, so the resumed run is bit-identical to an uninterrupted
-    /// one.
-    pub(crate) fn restore_from(view: SpdView<'g>, r: &mut Reader<'_>) -> Result<Self, CoreError> {
-        let probe = r.u32()?;
-        let config = restore_config(r)?;
-        let n = validate_single(&view, probe, &config)?;
-        let snap = checkpoint::read_chain(r, |r| r.u32())?;
-        if (snap.state as usize) >= n {
-            return Err(checkpoint::corrupt("chain state out of range"));
-        }
-        let acc = SingleAccumulator::restore_from(&config, n, r)?;
-        let proposal_sum = r.f64()?;
-        let max_proposed = r.f64()?;
-        let mut oracle = ProbeOracle::for_view(view, &[probe]);
-        oracle.restore(r)?;
-        let chain =
-            MetropolisHastings::restore(SingleTarget { oracle }, UniformProposal::new(n), snap);
-        let sampler = SingleSpaceSampler { chain, r: probe, config, acc };
-        Ok(SingleDriver {
-            sampler,
-            proposal_sum,
-            max_proposed,
-            prefetch: PrefetchConfig::sequential(),
-        })
     }
 }
 

@@ -24,7 +24,7 @@
 //! batch-means variance consistent). No query ever rescans the series.
 //!
 //! [`StoppingRule`] turns the monitor into a decision: run a fixed budget,
-//! stop at a target standard error (an `(ε, δ)`-style CLT criterion), or
+//! stop at a target standard error (an `(ε, δ)`-style CLT test), or
 //! stop at a target effective sample size — the adaptive sample-size
 //! selection of Chehreghani et al. 2018 ("Novel Adaptive Algorithms …"),
 //! which dominates fixed a-priori budgets whenever the planner's `µ(r)`
@@ -258,14 +258,21 @@ impl DiagnosticsMonitor {
         if n_batches >= Self::MAX_BATCHES {
             return None;
         }
+        // `push` completes a batch only when `cur_count` reaches
+        // `batch_size` exactly; past it (or at size 0) no batch ever
+        // completes again and the stopping rule reads stale batch means.
+        let (batch_size, cur_count) = (header[4], header[6]);
+        if batch_size == 0 || cur_count >= batch_size {
+            return None;
+        }
         let means = words.get(8..8 + n_batches)?;
         Some((
             DiagnosticsMonitor {
                 total: RunningMoments::from_raw((header[0], header[1], header[2])),
                 max_observed: f64::from_bits(header[3]),
-                batch_size: header[4],
+                batch_size,
                 cur_sum: f64::from_bits(header[5]),
-                cur_count: header[6],
+                cur_count,
                 batch_means: means.iter().map(|&b| f64::from_bits(b)).collect(),
             },
             8 + n_batches,
@@ -524,6 +531,25 @@ mod tests {
         let mut full = vec![0u64; 8 + DiagnosticsMonitor::MAX_BATCHES];
         full[7] = DiagnosticsMonitor::MAX_BATCHES as u64;
         assert!(DiagnosticsMonitor::decode(&full).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_monitors_that_could_never_complete_a_batch() {
+        let mut m = DiagnosticsMonitor::new();
+        m.absorb(&iid_series(100, 9));
+        let mut words = Vec::new();
+        m.encode(&mut words);
+        assert!(DiagnosticsMonitor::decode(&words).is_some());
+        // Word 4 is the batch size, word 6 the in-progress batch count.
+        for (batch_size, cur_count) in [(0, 0), (32, 32), (32, 33), (8, u64::MAX)] {
+            let mut forged = words.clone();
+            forged[4] = batch_size;
+            forged[6] = cur_count;
+            assert!(
+                DiagnosticsMonitor::decode(&forged).is_none(),
+                "batch size {batch_size}, count {cur_count}"
+            );
+        }
     }
 
     #[test]

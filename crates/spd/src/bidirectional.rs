@@ -180,7 +180,7 @@ impl BidirectionalSearch {
             if best_d != UNREACHED && self.fwd.completed() + self.bwd.completed() >= best_d {
                 break;
             }
-            // Expand the cheaper side (balanced criterion of [7]).
+            // Expand the cheaper side (the balanced rule of [7]).
             let (cf, cb) = (self.fwd.frontier_cost(g), self.bwd.frontier_cost(g));
             let expand_fwd = cf <= cb;
             self.last_edges_touched += if expand_fwd { cf } else { cb };

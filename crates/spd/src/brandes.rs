@@ -236,47 +236,13 @@ impl DependencyProfile {
 /// source (`n` SPD passes — same asymptotic cost as full Brandes, but only
 /// needed for ground truth and diagnostics, never inside the samplers).
 pub fn dependency_profile(g: &CsrGraph, r: Vertex) -> DependencyProfile {
-    let n = g.num_vertices();
-    let mut calc = DependencyCalculator::new(g);
-    let mut profile = vec![0.0; n];
-    for (v, slot) in profile.iter_mut().enumerate() {
-        *slot = calc.dependency_on(g, v as Vertex, r);
-    }
-    DependencyProfile { profile, r }
+    dependency_profile_par(g, r, 1)
 }
 
-/// Parallel [`dependency_profile`]. `threads = 0` uses available parallelism.
+/// Parallel [`dependency_profile`]: [`crate::dependency_profile_view_par`]
+/// on the direct view. `threads = 0` uses available parallelism.
 pub fn dependency_profile_par(g: &CsrGraph, r: Vertex, threads: usize) -> DependencyProfile {
-    let n = g.num_vertices();
-    let threads = effective_threads(threads, n);
-    if threads <= 1 {
-        return dependency_profile(g, r);
-    }
-    let chunks: Vec<Vec<(usize, f64)>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            handles.push(scope.spawn(move |_| {
-                let mut calc = DependencyCalculator::new(g);
-                let mut out = Vec::with_capacity(n / threads + 1);
-                let mut v = t;
-                while v < n {
-                    out.push((v, calc.dependency_on(g, v as Vertex, r)));
-                    v += threads;
-                }
-                out
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-    .expect("scope panicked");
-
-    let mut profile = vec![0.0; n];
-    for chunk in chunks {
-        for (v, d) in chunk {
-            profile[v] = d;
-        }
-    }
-    DependencyProfile { profile, r }
+    crate::dependency_profile_view_par(crate::SpdView::direct(g), r, threads)
 }
 
 /// Exact `BC(r)` for a single probe vertex (via its dependency profile,
@@ -290,7 +256,7 @@ pub fn exact_betweenness_of(g: &CsrGraph, r: Vertex) -> f64 {
 /// each thread owns at least [`MIN_SOURCES_PER_THREAD`] work items — on a
 /// 40-vertex graph, asking for 8 threads runs 1, not 8 threads with 5
 /// sources each.
-fn effective_threads(requested: usize, work_items: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let t = if requested == 0 { hw } else { requested };
     t.clamp(1, (work_items / MIN_SOURCES_PER_THREAD).max(1))

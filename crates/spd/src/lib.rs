@@ -80,8 +80,8 @@ pub use brandes::{
 };
 pub use dependency::DependencyCalculator;
 pub use reduced::{
-    dependency_profile_view, dependency_profile_view_par, exact_betweenness_preprocessed,
-    exact_betweenness_reduced, ReducedCalculator, SpdView, ViewCalculator,
+    dependency_profile_view_par, exact_betweenness_preprocessed, exact_betweenness_reduced,
+    ReducedCalculator, SpdView, ViewCalculator,
 };
 pub use unweighted::{BfsSpd, KernelMode, UNREACHED};
 pub use weighted::DijkstraSpd;

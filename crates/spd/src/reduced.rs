@@ -535,18 +535,14 @@ pub fn exact_betweenness_preprocessed(
 /// The dependency profile `δ_{v•}(r)` of a retained probe over every
 /// *original* source, evaluated through the view: one SPD pass per distinct
 /// dependency row ([`SpdView::row_key`] — twin classes and pendant branches
-/// coalesce) instead of one per vertex. Identical values to
-/// [`crate::dependency_profile`]; direct views degenerate to it.
+/// coalesce) instead of one per vertex. The rows are computed across
+/// `threads` workers (0 = available parallelism), each with its own
+/// workspace. Deterministic — rows are pure functions of the view — and
+/// identical values to [`crate::dependency_profile`], which is this
+/// function on the direct view.
 ///
 /// # Panics
 /// If the view's reduction pruned `r`.
-pub fn dependency_profile_view(view: SpdView<'_>, r: Vertex) -> crate::DependencyProfile {
-    dependency_profile_view_par(view, r, 1)
-}
-
-/// Parallel [`dependency_profile_view`]: the distinct dependency rows are
-/// computed across `threads` workers (0 = available parallelism), each with
-/// its own workspace. Deterministic — rows are pure functions of the view.
 pub fn dependency_profile_view_par(
     view: SpdView<'_>,
     r: Vertex,
@@ -566,12 +562,7 @@ pub fn dependency_profile_view_par(
         });
         assign[v as usize] = idx;
     }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(reps.len().max(1));
+    let threads = crate::brandes::effective_threads(threads, reps.len());
     let mut vals = vec![0.0f64; reps.len()];
     if threads <= 1 {
         let mut calc = ViewCalculator::new(view);
@@ -725,7 +716,7 @@ mod tests {
         let r = 0; // clique vertex, retained
         assert!(red.is_retained(r));
         let direct = crate::dependency_profile(&g, r);
-        let through = dependency_profile_view(view, r);
+        let through = dependency_profile_view_par(view, r, 1);
         assert_eq!(through.r, r);
         for v in 0..g.num_vertices() {
             assert_close(through.profile[v], direct.profile[v], &format!("source {v}"));

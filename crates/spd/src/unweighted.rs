@@ -85,7 +85,7 @@ impl KernelMode {
 ///
 /// The struct doubles as a reusable workspace: allocate once with
 /// [`BfsSpd::new`] and call [`BfsSpd::compute`] per source. Predecessors are
-/// not materialised; parent tests use the distance criterion
+/// not materialised; parent tests use the distance condition
 /// `d(s, u) + 1 == d(s, w)` on demand (saves one `O(m)` array per pass and
 /// keeps the kernel allocation-free).
 ///

@@ -6,7 +6,10 @@
 //! single-space file written through a `--preprocess full` reduction, which
 //! pins the reduction's row-key space (`row_group` and reduced ids) across
 //! versions. The multi-chain ensemble's file (kind 3) is kept to pin its
-//! typed rejection, and a crafted joint file pins the arity check.
+//! typed rejection, and a crafted joint file pins the arity check. A
+//! property test damages the single and joint files (truncations and byte
+//! flips, re-signed so they pass the checksum) and checks that resuming
+//! them fails with a typed error or runs, never panics.
 
 use mhbc_core::{
     resume_joint, resume_single, CoreError, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
@@ -15,6 +18,7 @@ use mhbc_core::{
 use mhbc_graph::generators;
 use mhbc_graph::reduce::{reduce, ReduceLevel};
 use mhbc_spd::SpdView;
+use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -184,4 +188,76 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Re-signs `body` (a checkpoint image without its checksum).
+fn resign(body: &[u8]) -> Vec<u8> {
+    let mut bytes = body.to_vec();
+    bytes.extend_from_slice(&fnv1a(body).to_le_bytes());
+    bytes
+}
+
+/// Resumes `bytes` as the single-space fixture's run (`joint = false`) or
+/// the joint one's, and steps two segments. `Ok` or a typed error are
+/// both fine; a panic fails the calling test.
+fn resume_and_step(joint: bool, bytes: &[u8]) -> Result<(), CoreError> {
+    if joint {
+        let g = generators::barbell(5, 3);
+        let mut engine = resume_joint(SpdView::direct(&g), bytes)?;
+        engine.step_segment();
+        engine.step_segment();
+    } else {
+        let g = generators::lollipop(8, 4);
+        let mut engine = resume_single(SpdView::direct(&g), bytes)?;
+        engine.step_segment();
+        engine.step_segment();
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A checkpoint truncated at a sampled length, or with one byte
+    /// flipped, and then re-signed resumes to `Ok` or a `CoreError`.
+    #[test]
+    fn damaged_checkpoints_resume_or_fail_with_a_typed_error(
+        joint in any::<bool>(),
+        at in any::<u64>(),
+        mask in 1u8..=255,
+    ) {
+        let original = fixture(if joint { "joint_v1.ckpt" } else { "single_v1.ckpt" });
+        let body = &original[..original.len() - 8];
+        let at = (at % body.len() as u64) as usize;
+        prop_assert!(resume_and_step(joint, &resign(&body[..at])).is_err(), "cut at {}", at);
+        prop_assert!(resume_and_step(joint, &original[..at]).is_err(), "unsigned cut at {}", at);
+        let mut flipped = body.to_vec();
+        flipped[at] ^= mask;
+        let _ = resume_and_step(joint, &resign(&flipped));
+    }
+}
+
+/// Re-signed single-bit flips that shorten a cached dependency row. These
+/// once resumed `Ok` and then panicked on the first lookup of that row.
+#[test]
+fn flips_that_shorten_a_cached_row_are_rejected() {
+    let flips = [
+        (false, 6891, 1u8),
+        (false, 6915, 1),
+        (false, 7155, 1),
+        (true, 4262, 1),
+        (true, 4302, 1),
+        (true, 4462, 2),
+        (true, 4662, 1),
+        (true, 4662, 2),
+    ];
+    for (joint, at, mask) in flips {
+        let original = fixture(if joint { "joint_v1.ckpt" } else { "single_v1.ckpt" });
+        let mut body = original[..original.len() - 8].to_vec();
+        body[at] ^= mask;
+        match resume_and_step(joint, &resign(&body)) {
+            Err(CoreError::Checkpoint { .. }) => {}
+            other => panic!("flip {mask:#x} at {at}: expected a checkpoint error, got {other:?}"),
+        }
+    }
 }
