@@ -9,7 +9,10 @@
 //! For the joint-space sampler the oracle stores the dependency of a source
 //! on *all* probe vertices at once — a single backward accumulation already
 //! produces `δ_{v•}(x)` for every `x` (Eq 4), so the per-probe marginal cost
-//! is zero.
+//! is zero. The probe scheduler ([`crate::schedule`]) uses the same fact: its
+//! single-space chains, one per probe, all read one oracle over the whole
+//! probe set, each its own column, so a source any chain visits costs one
+//! pass for all of them.
 //!
 //! The oracle evaluates through an [`SpdView`] — a graph together with
 //! (optionally) its reduction from `mhbc_graph::reduce`. With a reduction
@@ -128,14 +131,20 @@ impl<'g> ProbeOracle<'g> {
 
     /// `δ_{source•}(r)` for every probe `r`, cached.
     pub fn deps(&mut self, source: Vertex) -> &[f64] {
+        self.lookup(source).0
+    }
+
+    /// [`ProbeOracle::deps`], and whether this call computed the row (a
+    /// miss) — what a chain sharing the oracle counts as its own pass.
+    pub(crate) fn lookup(&mut self, source: Vertex) -> (&[f64], bool) {
         match self.rows.entry(self.key(source)) {
             Entry::Occupied(e) => {
                 self.stats.hits += 1;
-                e.into_mut()
+                (e.into_mut(), false)
             }
             Entry::Vacant(e) => {
                 self.stats.misses += 1;
-                e.insert(compute_row(&mut self.calcs[0], &self.probes, source))
+                (e.insert(compute_row(&mut self.calcs[0], &self.probes, source)), true)
             }
         }
     }
@@ -149,8 +158,9 @@ impl<'g> ProbeOracle<'g> {
     /// missing row keys are split across `threads` calculators in a scoped
     /// fork-join, the calling thread computing one share. Touches no
     /// hit/miss counter, so warming the cache never changes what a chain
-    /// observes — only how long its lookups take.
-    pub fn prefetch(&mut self, sources: impl IntoIterator<Item = Vertex>, threads: usize) {
+    /// observes — only how long its lookups take. Returns the number of rows
+    /// computed.
+    pub fn prefetch(&mut self, sources: impl IntoIterator<Item = Vertex>, threads: usize) -> u64 {
         let mut seen = HashSet::new();
         let missing: Vec<(u64, Vertex)> = sources
             .into_iter()
@@ -158,7 +168,7 @@ impl<'g> ProbeOracle<'g> {
             .filter(|&(key, _)| !self.rows.contains_key(&key) && seen.insert(key))
             .collect();
         if missing.is_empty() {
-            return;
+            return 0;
         }
         let threads = threads.clamp(1, missing.len());
         while self.calcs.len() < threads {
@@ -180,6 +190,7 @@ impl<'g> ProbeOracle<'g> {
             rows
         });
         self.rows.extend(computed);
+        missing.len() as u64
     }
 
     /// Cache statistics.
@@ -375,8 +386,8 @@ mod tests {
     fn warm_populates_without_touching_stats() {
         let g = generators::barbell(4, 1);
         let mut o = ProbeOracle::new(&g, &[4]);
-        o.prefetch([0], 2);
-        o.prefetch([0], 2);
+        assert_eq!(o.prefetch([0, 0], 2), 1);
+        assert_eq!(o.prefetch([0], 2), 0);
         assert_eq!(o.computed_passes(), 1, "second prefetch is a no-op");
         assert_eq!(o.stats(), OracleStats::default());
         // The chain's subsequent read is a hit.

@@ -16,6 +16,18 @@
 //!
 //! The schedule is deterministic: interval widths are pure functions of the
 //! per-probe seeds, and ties break toward the lowest probe index.
+//!
+//! **Cost.** The probes' chains all read one [`ProbeOracle`] over the whole
+//! probe set, each its own column. One SPD pass from a source yields its
+//! dependency on every probe (Eq 4), so a schedule costs one pass per
+//! *distinct* source across all probes ([`ScheduleOutcome::spd_passes`],
+//! at most `n`), however many chains visit it. Each chain still reads
+//! exactly the value its own one-probe cache would have held (the targeted
+//! pass is exact at every probe), so sharing changes no estimate, interval,
+//! grant or stopping decision. The chains run on the calling thread, one
+//! segment at a time.
+//!
+//! [`ProbeOracle`]: crate::oracle::ProbeOracle
 
 use crate::engine::{AdaptiveReport, EngineConfig, EstimationEngine, StopReason};
 use crate::single::{SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
@@ -87,6 +99,11 @@ pub struct ScheduleOutcome {
     pub spent: u64,
     /// Scheduling decisions taken (segments granted).
     pub rounds: u64,
+    /// SPD passes for the whole probe set: the rows of the cache the
+    /// probes' chains share. Each row is counted by the one probe whose
+    /// chain added it, so this is the sum of the probes'
+    /// `estimate.spd_passes`.
+    pub spd_passes: u64,
 }
 
 impl ScheduleOutcome {
@@ -125,17 +142,13 @@ pub fn run_probe_schedule(
     let z = ci_z(config.target);
     let engine_cfg = EngineConfig::adaptive(config.target).with_segment(config.segment);
 
-    // One engine per probe; each may in principle consume the whole budget.
-    let mut engines: Vec<Option<EstimationEngine<SingleSpaceSampler<'_>>>> = probes
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let sampler_cfg =
-                SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64));
-            SingleSpaceSampler::for_view(view, p, sampler_cfg)
-                .map(|s| Some(s.into_engine(engine_cfg)))
-        })
-        .collect::<Result<_, _>>()?;
+    // One engine per probe, all reading one shared dependency-row cache;
+    // each may in principle consume the whole budget.
+    let samplers = SingleSpaceSampler::sharing_oracle(view, probes, |i| {
+        SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64))
+    })?;
+    let mut engines: Vec<EstimationEngine<SingleSpaceSampler<'_>>> =
+        samplers.into_iter().map(|s| s.into_engine(engine_cfg)).collect();
     let mut finished: Vec<Option<StopReason>> = vec![None; probes.len()];
     let mut allocated = vec![0u64; probes.len()];
     let mut spent = 0u64;
@@ -151,12 +164,12 @@ pub fn run_probe_schedule(
     };
 
     let grant = |i: usize,
-                 engines: &mut Vec<Option<EstimationEngine<SingleSpaceSampler<'_>>>>,
+                 engines: &mut [EstimationEngine<SingleSpaceSampler<'_>>],
                  finished: &mut Vec<Option<StopReason>>,
                  allocated: &mut Vec<u64>,
                  spent: &mut u64,
                  rounds: &mut u64| {
-        let engine = engines[i].as_mut().expect("unfinished engines exist");
+        let engine = &mut engines[i];
         let before = engine.iterations();
         let reason = engine.step_segment();
         let delta = engine.iterations() - before;
@@ -184,7 +197,7 @@ pub fn run_probe_schedule(
             if finished[i].is_some() {
                 continue;
             }
-            let w = width(engines[i].as_ref().expect("present until finished"));
+            let w = width(&engines[i]);
             // Strict > keeps ties on the lowest index (deterministic).
             if pick.is_none_or(|(_, best)| w > best) {
                 pick = Some((i, w));
@@ -194,11 +207,13 @@ pub fn run_probe_schedule(
         grant(i, &mut engines, &mut finished, &mut allocated, &mut spent, &mut rounds);
     }
 
+    // The rows of the shared cache; each probe's estimate counts the rows
+    // its own chain added.
+    let spd_passes = engines[0].driver().oracle().spd_passes();
     let outcomes = engines
         .into_iter()
         .enumerate()
         .map(|(i, engine)| {
-            let engine = engine.expect("engine present");
             let ci = width(&engine);
             let reached = matches!(finished[i], Some(StopReason::TargetReached));
             let reason = finished[i].unwrap_or(StopReason::BudgetExhausted);
@@ -214,13 +229,15 @@ pub fn run_probe_schedule(
         })
         .collect();
 
-    Ok(ScheduleOutcome { probes: outcomes, spent, rounds })
+    Ok(ScheduleOutcome { probes: outcomes, spent, rounds, spd_passes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mhbc_graph::generators;
+    use mhbc_graph::reduce::{reduce, ReduceLevel};
+    use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
     fn budget_flows_to_the_uncertain_probe() {
@@ -297,6 +314,103 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    type GoldenProbe = (u64, bool, u64, [u64; 4]);
+    type GoldenCase = (&'static str, bool, [Vertex; 3], u64, u64, [GoldenProbe; 3]);
+
+    /// The scheduler's outputs on lollipop, BA and duplication–divergence
+    /// graphs, each through a direct view and a kept `Full` reduction:
+    /// `(spent, rounds)`, and per probe `allocated`, `reached`, `iterations`
+    /// and the bits of `bc`, `bc_corrected`, `ci_halfwidth` and
+    /// `acceptance_rate`. Captured when every probe's chain still had its own
+    /// oracle: sharing one must not move a single bit.
+    #[rustfmt::skip]
+    const GOLDEN: [GoldenCase; 6] = [
+        ("lollipop", false, [7, 9, 10], 6144, 24, [
+            (256, true, 256, [4602554559968212919, 4601317175267673582, 4580702788384841120, 4605599122056019968]),
+            (1280, false, 1280, [4602566956290695335, 4598547806633504583, 4585413994924987064, 4603973604065515930]),
+            (4608, false, 4608, [4602344640159290282, 4594432887734815830, 4585187265676966250, 4603179219131243634]),
+        ]),
+        ("lollipop", true, [7, 0, 3], 768, 3, [
+            (256, true, 256, [4602554559968212919, 4601317175267673582, 4580702788384841120, 4605599122056019968]),
+            (256, true, 256, [0, 0, 0, 4607182418800017408]),
+            (256, true, 256, [0, 0, 0, 4607182418800017408]),
+        ]),
+        ("ba", false, [4, 2, 109], 6144, 24, [
+            (3328, false, 3328, [4601088829450981871, 4597762471120201948, 4581575016710315118, 4603350028732495399]),
+            (2560, true, 2560, [4599937629253027575, 4595344119115172611, 4581213374565830932, 4602988441647028634]),
+            (256, true, 256, [4579376526127265162, 4558192031332106544, 4569355762691207506, 4586916220476850176]),
+        ]),
+        ("ba", true, [4, 2, 109], 6144, 24, [
+            (3328, false, 3328, [4601088829450981871, 4597762471120201948, 4581575016710315118, 4603350028732495399]),
+            (2560, true, 2560, [4599937629253027575, 4595344119115172611, 4581213374565830932, 4602988441647028634]),
+            (256, true, 256, [4579376526127265162, 4558192031332106544, 4569355762691207506, 4586916220476850176]),
+        ]),
+        ("dup", false, [3, 6, 9], 5376, 21, [
+            (4096, true, 4096, [4602944487538415549, 4599813991834906055, 4581003577956816708, 4604202742288744448]),
+            (1024, true, 1024, [4603683316490865208, 4603083482955025729, 4581329365270370057, 4605616714242064384]),
+            (256, true, 256, [4569858272055455237, 4569828147643232023, 0, 4607147234427928576]),
+        ]),
+        ("dup", true, [3, 6, 257], 6144, 24, [
+            (3072, false, 3072, [4602935665595945853, 4599828074162978069, 4582754545281969647, 4604203475296496299]),
+            (768, false, 768, [4603669668462553226, 4603071024624614265, 4581962417833039783, 4605575665807960747]),
+            (2304, false, 2304, [4593679697661624926, 4580714018504350518, 4582672791215115198, 4601732750500924985]),
+        ]),
+    ];
+
+    #[test]
+    fn shared_oracle_keeps_every_output_bit_identical() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let graphs = [
+            ("lollipop", generators::lollipop(8, 4)),
+            ("ba", generators::barabasi_albert(200, 3, &mut rng)),
+            ("dup", generators::duplication_divergence(300, 0.5, &mut rng)),
+        ];
+        let cfg = ScheduleConfig::target_stderr(6_000, 0.02, 0.05, 5).with_segment(256);
+        let mut cases = GOLDEN.iter();
+        for (name, g) in &graphs {
+            let red = reduce(g, ReduceLevel::Full).unwrap();
+            for view in [SpdView::direct(g), SpdView::preprocessed(g, &red)] {
+                let &(gname, reduced, probes, spent, rounds, want) = cases.next().unwrap();
+                assert_eq!((gname, reduced), (*name, view.reduced().is_some()));
+                let out = run_probe_schedule(view, &probes, cfg).unwrap();
+                assert_eq!((out.spent, out.rounds), (spent, rounds), "{name} reduced {reduced}");
+                for (p, &(allocated, reached, iterations, bits)) in out.probes.iter().zip(&want) {
+                    let e = &p.estimate;
+                    let got_bits = [e.bc, e.bc_corrected, p.ci_halfwidth, e.acceptance_rate];
+                    assert_eq!(
+                        (p.allocated, p.reached, e.iterations, got_bits.map(f64::to_bits)),
+                        (allocated, reached, iterations, bits),
+                        "{name} reduced {reduced} probe {}",
+                        p.probe
+                    );
+                }
+            }
+        }
+        assert!(cases.next().is_none());
+    }
+
+    #[test]
+    fn one_spd_pass_per_distinct_source_across_probes() {
+        let g = generators::duplication_divergence(300, 0.5, &mut SmallRng::seed_from_u64(3));
+        let view = SpdView::direct(&g);
+        let probes = [3u32, 6, 9];
+        let cfg = ScheduleConfig::target_stderr(6_000, 0.02, 0.05, 5).with_segment(256);
+        let out = run_probe_schedule(view, &probes, cfg).unwrap();
+        let per_probe: u64 = out.probes.iter().map(|p| p.estimate.spd_passes).sum();
+        assert_eq!(out.spd_passes, per_probe);
+        assert!(out.spd_passes <= g.num_vertices() as u64, "{} passes", out.spd_passes);
+        // The same chains one by one, each with its own oracle: the same
+        // estimates for strictly more SPD passes.
+        let mut alone = 0;
+        for (i, p) in out.probes.iter().enumerate() {
+            let config = SingleSpaceConfig::new(p.allocated, cfg.seed + i as u64);
+            let solo = SingleSpaceSampler::for_view(view, p.probe, config).unwrap().run();
+            assert_eq!(solo.bc.to_bits(), p.estimate.bc.to_bits(), "probe {}", p.probe);
+            alone += solo.spd_passes;
+        }
+        assert!(out.spd_passes < alone, "shared {} vs one by one {alone}", out.spd_passes);
+    }
+
     #[test]
     fn validation_errors() {
         let g = generators::path(10);
@@ -312,6 +426,24 @@ mod tests {
         assert!(matches!(
             run_probe_schedule(mhbc_spd::SpdView::direct(&g), &[99], cfg),
             Err(CoreError::ProbeOutOfRange { .. })
+        ));
+        assert!(matches!(
+            run_probe_schedule(mhbc_spd::SpdView::direct(&generators::path(2)), &[0], cfg),
+            Err(CoreError::GraphTooSmall { num_vertices: 2 })
+        ));
+        // Every probe is checked before the shared oracle is built, so a
+        // pruned probe anywhere in the set is a typed error, not a panic.
+        let lollipop = generators::lollipop(5, 3);
+        let red = reduce(&lollipop, ReduceLevel::Prune).unwrap();
+        assert!(!red.is_retained(7));
+        let view = SpdView::preprocessed(&lollipop, &red);
+        assert!(matches!(
+            run_probe_schedule(view, &[0, 7], cfg),
+            Err(CoreError::PrunedProbe { probe: 7 })
+        ));
+        assert!(matches!(
+            run_probe_schedule(view, &[0, 99], cfg),
+            Err(CoreError::ProbeOutOfRange { probe: 99, .. })
         ));
     }
 }

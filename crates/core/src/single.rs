@@ -9,18 +9,56 @@ use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_mcmc::{MetropolisHastings, StepOutcome, StreamSplit, TargetDensity, UniformProposal};
 use mhbc_spd::SpdView;
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
+use std::cell::{Ref, RefCell};
+use std::rc::Rc;
 
 /// Target density of the single-space chain: `f(v) = δ_{v•}(r)` — the
 /// unnormalised form of the optimal distribution `P_r[v]` (Eq 5).
+///
+/// The oracle is this chain's own one-probe cache, or one the probe
+/// scheduler shares among the chains of a whole probe set; either way the
+/// chain reads column `idx` of its rows and counts its own cache traffic.
 struct SingleTarget<'g> {
-    oracle: ProbeOracle<'g>,
+    oracle: Rc<RefCell<ProbeOracle<'g>>>,
+    idx: usize,
+    /// Rows this chain added to the cache (lookups and prefetches), plus
+    /// the rows restored from a checkpoint.
+    passes: u64,
+    /// This chain's lookups.
+    stats: OracleStats,
+}
+
+impl<'g> SingleTarget<'g> {
+    /// A chain owning `oracle` (one probe, fresh or restored), whose
+    /// counters are therefore the oracle's.
+    fn private(oracle: ProbeOracle<'g>) -> Self {
+        let (passes, stats) = (oracle.spd_passes(), oracle.stats());
+        SingleTarget { oracle: Rc::new(RefCell::new(oracle)), idx: 0, passes, stats }
+    }
+
+    /// A chain reading probe `idx` of a shared `oracle`.
+    fn shared(oracle: &Rc<RefCell<ProbeOracle<'g>>>, idx: usize) -> Self {
+        SingleTarget { oracle: Rc::clone(oracle), idx, passes: 0, stats: OracleStats::default() }
+    }
+
+    fn prefetch(&mut self, sources: impl IntoIterator<Item = Vertex>, threads: usize) {
+        self.passes += self.oracle.borrow_mut().prefetch(sources, threads);
+    }
 }
 
 impl TargetDensity for SingleTarget<'_> {
     type State = Vertex;
 
     fn density(&mut self, v: &Vertex) -> f64 {
-        self.oracle.dep(*v, 0)
+        let mut oracle = self.oracle.borrow_mut();
+        let (row, computed) = oracle.lookup(*v);
+        if computed {
+            self.passes += 1;
+            self.stats.misses += 1;
+        } else {
+            self.stats.hits += 1;
+        }
+        row[self.idx]
     }
 }
 
@@ -110,9 +148,11 @@ pub struct SingleSpaceEstimate {
     pub iterations: u64,
     /// Fraction of proposals accepted.
     pub acceptance_rate: f64,
-    /// SPD passes spent (distinct sources evaluated) — the true cost.
+    /// SPD passes spent (distinct sources evaluated) — the true cost: the
+    /// rows this chain added to its oracle, restored rows included. Chains
+    /// sharing one oracle (the probe scheduler) split its rows between them.
     pub spd_passes: u64,
-    /// Oracle cache statistics.
+    /// This chain's oracle lookups.
     pub oracle_stats: OracleStats,
     /// Running estimate after each counted iteration (when traced).
     pub trace: Option<Vec<f64>>,
@@ -341,8 +381,43 @@ impl<'g> SingleSpaceSampler<'g> {
         config: SingleSpaceConfig,
     ) -> Result<Self, CoreError> {
         let n = validate_single(&view, r, &config)?;
+        let target = SingleTarget::private(ProbeOracle::for_view(view, &[r]));
+        Ok(Self::with_target(target, r, config, n))
+    }
+
+    /// One sampler per probe of `probes`, all reading one shared oracle
+    /// over the whole probe set, so a source that several chains visit
+    /// costs one SPD pass; `config(i)` configures probe `i`'s chain. Each
+    /// chain's values are bit-identical to its own
+    /// [`SingleSpaceSampler::for_view`] run's (the targeted pass is exact at
+    /// every probe). Probes must be distinct; every one is validated before
+    /// the oracle is built.
+    pub(crate) fn sharing_oracle(
+        view: SpdView<'g>,
+        probes: &[Vertex],
+        config: impl Fn(usize) -> SingleSpaceConfig,
+    ) -> Result<Vec<Self>, CoreError> {
+        let configs: Vec<_> = (0..probes.len()).map(config).collect();
+        for (&r, config) in probes.iter().zip(&configs) {
+            validate_single(&view, r, config)?;
+        }
+        let n = view.num_vertices();
+        let oracle = Rc::new(RefCell::new(ProbeOracle::for_view(view, probes)));
+        let samplers = probes.iter().zip(configs).enumerate().map(|(i, (&r, config))| {
+            Self::with_target(SingleTarget::shared(&oracle, i), r, config, n)
+        });
+        Ok(samplers.collect())
+    }
+
+    /// Starts the chain of probe `r` on `target` (`config` validated, `n`
+    /// the state-space size).
+    fn with_target(
+        target: SingleTarget<'g>,
+        r: Vertex,
+        config: SingleSpaceConfig,
+        n: usize,
+    ) -> Self {
         let (initial, prop_rng, acc_rng) = derive_streams(config.seed, config.initial, n);
-        let target = SingleTarget { oracle: ProbeOracle::for_view(view, &[r]) };
         let chain = MetropolisHastings::with_streams(
             target,
             UniformProposal::new(n),
@@ -353,7 +428,7 @@ impl<'g> SingleSpaceSampler<'g> {
 
         let mut acc = SingleAccumulator::new(&config, n);
         acc.absorb_initial(chain.current_density());
-        Ok(SingleSpaceSampler {
+        SingleSpaceSampler {
             chain,
             r,
             config,
@@ -361,7 +436,7 @@ impl<'g> SingleSpaceSampler<'g> {
             proposal_sum: 0.0,
             max_proposed: 0.0,
             prefetch: PrefetchConfig::sequential(),
-        })
+        }
     }
 
     /// The probe vertex.
@@ -380,9 +455,10 @@ impl<'g> SingleSpaceSampler<'g> {
         self.acc.estimate_corrected()
     }
 
-    /// The density oracle (its counters are the run's SPD-pass record).
-    pub fn oracle(&self) -> &ProbeOracle<'g> {
-        &self.chain.target().oracle
+    /// The density oracle (its counters are the run's SPD-pass record;
+    /// under the probe scheduler, the record of every probe's chain).
+    pub fn oracle(&self) -> Ref<'_, ProbeOracle<'g>> {
+        self.chain.target().oracle.borrow()
     }
 
     /// Performs one MH iteration and updates the estimator.
@@ -424,7 +500,7 @@ impl<'g> SingleSpaceSampler<'g> {
     pub fn finish(self) -> SingleSpaceEstimate {
         let acceptance_rate = self.chain.stats().acceptance_rate();
         let target = self.chain.into_target();
-        self.acc.finish(self.r, acceptance_rate, target.oracle.spd_passes(), target.oracle.stats())
+        self.acc.finish(self.r, acceptance_rate, target.passes, target.stats)
     }
 
     /// Rebuilds a sampler from a checkpoint payload against `view`
@@ -445,8 +521,8 @@ impl<'g> SingleSpaceSampler<'g> {
         let max_proposed = r.f64()?;
         let mut oracle = ProbeOracle::for_view(view, &[probe]);
         oracle.restore(r)?;
-        let chain =
-            MetropolisHastings::restore(SingleTarget { oracle }, UniformProposal::new(n), snap);
+        let target = SingleTarget::private(oracle);
+        let chain = MetropolisHastings::restore(target, UniformProposal::new(n), snap);
         Ok(SingleSpaceSampler {
             chain,
             r: probe,
@@ -523,7 +599,7 @@ impl EngineDriver for SingleSpaceSampler<'_> {
                 let chain = &mut self.chain;
                 let proposal = UniformProposal::new(self.acc.n);
                 let sources = pipeline::upcoming(proposal, chain.proposal_rng().clone(), chunk);
-                chain.target_mut().oracle.prefetch(sources, self.prefetch.threads);
+                chain.target_mut().prefetch(sources, self.prefetch.threads);
             }
             for _ in 0..chunk {
                 let o = self.step_raw();
@@ -579,6 +655,10 @@ impl CheckpointDriver for SingleSpaceSampler<'_> {
         self.acc.save_into(w);
         w.f64(self.proposal_sum);
         w.f64(self.max_proposed);
+        // Only a chain that owns its oracle is ever checkpointed (the probe
+        // scheduler's sharing chains are not), so the oracle's rows and
+        // counters are this chain's.
+        debug_assert_eq!(Rc::strong_count(&self.chain.target().oracle), 1);
         self.oracle().save(w);
     }
 }
