@@ -46,7 +46,7 @@
 //! exactly through the reduction (see [`SingleSpaceSampler::for_view`] for
 //! the argument) — while each density evaluation costs one SPD pass over
 //! the smaller, cache-friendlier reduced CSR, shared across structurally
-//! equivalent sources via [`mhbc_spd::SpdView::row_key`] coalescing.
+//! equivalent sources via [`mhbc_spd::SpdView::row_keys`] coalescing.
 //!
 //! The view also carries the SPD [`mhbc_spd::KernelMode`]
 //! ([`mhbc_spd::SpdView::with_kernel`]): everything built from it —

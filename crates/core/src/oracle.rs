@@ -15,13 +15,21 @@
 //! pass for all of them.
 //!
 //! The oracle evaluates through an [`SpdView`] — a graph together with
-//! (optionally) its reduction from `mhbc_graph::reduce`. With a reduction
-//! active, cache entries are keyed by [`SpdView::row_key`] rather than by
-//! source vertex: structurally equivalent sources (twins of equal pendant
-//! weight; pendant vertices of the same attachment and branch shape) have
-//! *identical* dependency rows, so a whole equivalence class costs one SPD
-//! pass over the reduced CSR instead of one per member. Direct views key by
-//! vertex id, which reproduces the pre-reduction behaviour exactly.
+//! (optionally) its reduction from `mhbc_graph::reduce` — and keys its
+//! cache by the probe set's [`SpdView::row_keys`] rather than by source
+//! vertex: sources with equal keys have bit-identical dependency rows, so a
+//! whole class costs one SPD pass instead of one per member.
+//!
+//! - Through a reduction, the classes are twins of equal pendant weight and
+//!   pendant vertices of the same attachment and branch size.
+//! - On an unweighted direct view, a pendant-tree vertex shares the row of
+//!   the vertex its tree hangs from, unless a probe lies in its branch or
+//!   is that vertex. The values are those of one pass per vertex, bit for
+//!   bit (`mhbc_spd::reduced`, "Row coalescing").
+//! - Weighted direct views key by vertex id.
+//!
+//! Checkpoints store each row under its key, and restored rows keep the
+//! key they were stored under.
 //!
 //! Rows are never evicted and never computed twice, so the number of
 //! cached rows *is* the run's SPD-pass count, whichever thread computed
@@ -30,7 +38,7 @@
 use crate::checkpoint::{corrupt, Reader, Writer};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_spd::{SpdView, ViewCalculator};
+use mhbc_spd::{RowKeys, SpdView, ViewCalculator};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -58,19 +66,16 @@ impl OracleStats {
 /// Validates a probe set against a view: non-empty, in range, and (for
 /// reduced views) retained — pruned probes have closed-form exact BC and
 /// must not reach the samplers.
-fn validate_probes(view: &SpdView<'_>, probes: &[Vertex]) -> Vec<bool> {
+fn validate_probes(view: &SpdView<'_>, probes: &[Vertex]) {
     assert!(!probes.is_empty(), "probe set must be non-empty");
     let n = view.num_vertices();
-    let mut flag = vec![false; n];
     for &p in probes {
         assert!((p as usize) < n, "probe {p} out of range");
         assert!(
             view.is_retained(p),
             "probe {p} was pruned by the reduction; use ReducedGraph::exact_pruned_bc"
         );
-        flag[p as usize] = true;
     }
-    flag
 }
 
 /// One SPD pass: `δ_{source•}(probes)`.
@@ -80,12 +85,12 @@ fn compute_row(calc: &mut ViewCalculator<'_>, probes: &[Vertex], source: Vertex)
     row.into_boxed_slice()
 }
 
-/// Memoises `δ_{source•}(r)` for a fixed probe set, keyed by the source's
-/// [`SpdView::row_key`] (equal to the vertex id on direct views).
+/// Memoises `δ_{source•}(r)` for a fixed probe set, keyed by the probe
+/// set's [`SpdView::row_keys`].
 pub struct ProbeOracle<'g> {
     view: SpdView<'g>,
     probes: Vec<Vertex>,
-    probe_flag: Vec<bool>,
+    keys: RowKeys<'g>,
     /// `calcs[0]` serves cache misses; [`ProbeOracle::prefetch`] adds one
     /// workspace per extra thread on first use.
     calcs: Vec<ViewCalculator<'g>>,
@@ -104,11 +109,11 @@ impl<'g> ProbeOracle<'g> {
     /// reduction, every probe must be retained (panics otherwise; the
     /// samplers surface this as a `CoreError` first).
     pub fn for_view(view: SpdView<'g>, probes: &[Vertex]) -> Self {
-        let probe_flag = validate_probes(&view, probes);
+        validate_probes(&view, probes);
         ProbeOracle {
             view,
             probes: probes.to_vec(),
-            probe_flag,
+            keys: view.row_keys(probes),
             calcs: vec![ViewCalculator::new(view)],
             rows: HashMap::new(),
             stats: OracleStats::default(),
@@ -126,7 +131,7 @@ impl<'g> ProbeOracle<'g> {
     }
 
     fn key(&self, source: Vertex) -> u64 {
-        self.view.row_key(source, self.probe_flag[source as usize])
+        self.keys.key(source)
     }
 
     /// `δ_{source•}(r)` for every probe `r`, cached.
@@ -304,6 +309,30 @@ mod tests {
         assert_eq!(o.spd_passes(), 2);
         assert_eq!(o.stats().misses, 2);
         assert_eq!(o.stats().hits, 6);
+    }
+
+    #[test]
+    fn pendant_sources_share_their_attachments_row() {
+        // `lollipop(6, 5)`: the path 6..=10 hangs off clique vertex 5.
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = generators::lollipop(6, 5);
+        let weighted =
+            generators::assign_uniform_weights(&g, 1.0, 3.0, &mut SmallRng::seed_from_u64(1));
+        let sweep = |g: &CsrGraph, probe: Vertex| {
+            let mut o = ProbeOracle::new(g, &[probe]);
+            let mut reference = DependencyCalculator::new(g);
+            for v in g.vertices() {
+                let want = reference.dependency_on(g, v, probe);
+                assert_eq!(o.dep(v, 0).to_bits(), want.to_bits(), "source {v}, probe {probe}");
+            }
+            o.spd_passes()
+        };
+        // A clique probe: the path's rows are vertex 5's.
+        assert_eq!(sweep(&g, 2), 6);
+        // A path probe, or weighted graphs: one row per vertex.
+        assert_eq!(sweep(&g, 8), 11);
+        assert_eq!(sweep(&weighted, 8), 11);
+        assert_eq!(sweep(&weighted, 2), 11);
     }
 
     #[test]

@@ -238,6 +238,7 @@ mod tests {
     use mhbc_graph::generators;
     use mhbc_graph::reduce::{reduce, ReduceLevel};
     use rand::{rngs::SmallRng, SeedableRng};
+    use std::collections::HashSet;
 
     #[test]
     fn budget_flows_to_the_uncertain_probe() {
@@ -409,6 +410,23 @@ mod tests {
             alone += solo.spd_passes;
         }
         assert!(out.spd_passes < alone, "shared {} vs one by one {alone}", out.spd_passes);
+    }
+
+    #[test]
+    fn pendant_rows_shrink_the_shared_cache() {
+        // Single-edge arrivals grow pendant trees: their rows are their
+        // attachments', so 300 sources have 186 keys, and the cache holds
+        // one row per key.
+        let mut rng = SmallRng::seed_from_u64(4);
+        let g = generators::preferential_attachment_mixed(300, 1, 3, 0.6, &mut rng);
+        let view = SpdView::direct(&g);
+        let probes = [0u32, 1, 2];
+        let keys = view.row_keys(&probes);
+        let distinct: HashSet<u64> = g.vertices().map(|v| keys.key(v)).collect();
+        assert_eq!(distinct.len(), 186);
+        let cfg = ScheduleConfig::target_stderr(20_000, 0.005, 0.05, 5).with_segment(256);
+        let out = run_probe_schedule(view, &probes, cfg).unwrap();
+        assert_eq!(out.spd_passes, 186);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Graph algorithms: traversal, connectivity, distance estimation.
+//! Graph algorithms: traversal, connectivity, distance estimation, and
+//! degree-1 peeling.
 
 mod components;
 mod distance;
+mod pendant;
 mod traversal;
 mod union_find;
 
@@ -10,5 +12,6 @@ pub use components::{
     ComponentLabels,
 };
 pub use distance::{double_sweep_lower_bound, eccentricity, vertex_diameter_bounds};
+pub use pendant::PendantForest;
 pub use traversal::{bfs_distances, bfs_distances_into, bfs_order, dfs_preorder, UNREACHED};
 pub use union_find::UnionFind;

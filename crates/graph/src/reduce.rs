@@ -94,9 +94,8 @@
 //! assert!(red.csr().num_vertices() <= 2);
 //! ```
 
-use crate::algo::connected_components;
+use crate::algo::{connected_components, PendantForest};
 use crate::{CsrGraph, Vertex};
-use std::collections::VecDeque;
 
 /// How much preprocessing to apply before sampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,9 +394,8 @@ pub struct ReducePlan<'g> {
     /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
     omega: Vec<u64>,
     corrections: Vec<f64>,
-    pruned: Vec<bool>,
-    /// The live neighbour each pruned vertex was pruned into.
-    parent: Vec<u32>,
+    /// The pruning: which vertices went, into which neighbour, in what order.
+    forest: PendantForest,
     /// Pre-relabel class of each retained vertex (`u32::MAX` if pruned).
     class_pre: Vec<u32>,
     kinds: Vec<TwinKind>,
@@ -419,44 +417,28 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
     let comp_of = |v: usize| comps.labels[v] as usize;
 
     // ---- Degree-1 pruning to fixpoint --------------------------------
-    let mut degree: Vec<u32> = (0..n).map(|v| g.degree(v as Vertex) as u32).collect();
+    // The credits are floating-point sums taken in the peel's removal
+    // order, which fixes how they round.
+    let forest =
+        if level == ReduceLevel::Off { PendantForest::default() } else { PendantForest::peel(g) };
     let mut omega = vec![1u64; n];
     let mut corrections = vec![0.0f64; n];
-    let mut pruned = vec![false; n];
-    let mut parent = vec![u32::MAX; n];
-    if level != ReduceLevel::Off {
-        let mut queue: VecDeque<u32> = (0..n as u32).filter(|&v| degree[v as usize] == 1).collect();
-        while let Some(v) = queue.pop_front() {
-            let vu = v as usize;
-            if pruned[vu] || degree[vu] != 1 {
-                continue;
-            }
-            let u = *g
-                .neighbors(v)
-                .iter()
-                .find(|&&u| !pruned[u as usize])
-                .expect("degree-1 vertex has a live neighbour");
-            let uu = u as usize;
-            let c = comp_sizes[comp_of(vu)] as u64;
-            corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
-            omega[uu] += omega[vu];
-            parent[vu] = u;
-            pruned[vu] = true;
-            degree[vu] = 0;
-            degree[uu] -= 1;
-            if degree[uu] == 1 {
-                queue.push_back(u);
-            }
-        }
+    for &v in forest.order() {
+        let (vu, uu) =
+            (v as usize, forest.parent(v).expect("pruned vertices have a parent") as usize);
+        let c = comp_sizes[comp_of(vu)] as u64;
+        corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
+        omega[uu] += omega[vu];
     }
-    let pruned_count = pruned.iter().filter(|&&p| p).count();
+    let pruned = |v: u32| forest.is_pruned(v);
+    let pruned_count = forest.order().len();
 
     // ---- Twin classes over the retained subgraph ----------------------
     // class_pre[v]: pre-relabel class id of retained v. Off / Prune keep
     // singleton classes in ascending retained order; Full numbers false
     // classes first (by smallest member), then true and singleton classes
     // in retained order.
-    let retained: Vec<u32> = (0..n as u32).filter(|&v| !pruned[v as usize]).collect();
+    let retained: Vec<u32> = (0..n as u32).filter(|&v| !pruned(v)).collect();
     let mut class_pre = vec![u32::MAX; n];
     let mut kinds: Vec<TwinKind> = Vec::with_capacity(retained.len());
     let mut new_class = |kind: TwinKind| {
@@ -474,8 +456,8 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
             let mut tgt = Vec::with_capacity(g.degree_sum());
             off.push(0u32);
             for v in 0..n as u32 {
-                if !pruned[v as usize] {
-                    tgt.extend(g.neighbors(v).iter().filter(|&&u| !pruned[u as usize]));
+                if !pruned(v) {
+                    tgt.extend(g.neighbors(v).iter().filter(|&&u| !pruned(u)));
                 }
                 off.push(tgt.len() as u32);
             }
@@ -555,8 +537,7 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
         comp_sizes,
         omega,
         corrections,
-        pruned,
-        parent,
+        forest,
         class_pre,
         kinds,
         stats,
@@ -574,8 +555,8 @@ impl ReducePlan<'_> {
     /// Exact betweenness of a pruned vertex, bit-identical to
     /// [`ReducedGraph::exact_pruned_bc`]; `None` if `v` is retained.
     pub fn exact_pruned_bc(&self, v: Vertex) -> Option<f64> {
-        let v = v as usize;
-        self.pruned[v].then(|| closed_form(self.corrections[v], self.g.num_vertices()))
+        let raw = self.corrections[v as usize];
+        self.forest.is_pruned(v).then(|| closed_form(raw, self.g.num_vertices()))
     }
 }
 
@@ -675,44 +656,22 @@ impl ReducePlan<'_> {
             comp_sizes,
             omega,
             corrections,
-            pruned,
-            parent,
+            forest,
             class_pre,
             kinds,
             stats: planned,
         } = self;
         let n = g.num_vertices();
         let h_n = kinds.len();
+        let pruned = |v: usize| forest.is_pruned(v as Vertex);
 
         // ---- Attachment / branch resolution ------------------------------
         // att(v): the first retained vertex on v's parent chain. broot(v): the
         // last pruned vertex before it (the root of v's branch).
-        let mut att = vec![u32::MAX; n];
-        let mut broot = vec![u32::MAX; n];
-        let mut chain: Vec<u32> = Vec::new();
-        for v in 0..n as u32 {
-            if !pruned[v as usize] || att[v as usize] != u32::MAX {
-                continue;
-            }
-            chain.clear();
-            let mut x = v;
-            while pruned[x as usize] && att[x as usize] == u32::MAX {
-                chain.push(x);
-                x = parent[x as usize];
-            }
-            let (a, root) = if pruned[x as usize] {
-                (att[x as usize], broot[x as usize])
-            } else {
-                (x, *chain.last().expect("chain non-empty"))
-            };
-            for &c in &chain {
-                att[c as usize] = a;
-                broot[c as usize] = root;
-            }
-        }
+        let (att, broot): (Vec<u32>, Vec<u32>) = forest.branches().into_iter().unzip();
         let mut branch_size = vec![0u32; n];
         for v in 0..n {
-            if pruned[v] {
+            if pruned(v) {
                 branch_size[broot[v] as usize] += 1;
             }
         }
@@ -720,7 +679,7 @@ impl ReducePlan<'_> {
         // Class membership, flat: members of class c (ascending) are
         // `class_ids[class_off[c]..class_off[c + 1]]`.
         let (class_off, class_ids) =
-            bucket(h_n, (0..n).filter(|&v| !pruned[v]).map(|v| (class_pre[v] as usize, v as u32)));
+            bucket(h_n, (0..n).filter(|&v| !pruned(v)).map(|v| (class_pre[v] as usize, v as u32)));
 
         // H in pre-relabel ids: the class map applied to the retained graph,
         // with intra-class edges dropped — `g` itself when nothing was pruned
@@ -855,12 +814,12 @@ impl ReducePlan<'_> {
         };
         first_by_size(&member_offsets, &member_ids, &|v| omega[v as usize] as usize);
         let (att_off, att_ids) =
-            bucket(n, (0..n).filter(|&v| pruned[v]).map(|v| (att[v] as usize, v as u32)));
+            bucket(n, (0..n).filter(|&v| pruned(v)).map(|v| (att[v] as usize, v as u32)));
         first_by_size(&att_off, &att_ids, &|v| branch_size[broot[v as usize] as usize] as usize);
         let mut row_group = vec![0u32; n];
         let mut groups = 0u32;
         for v in 0..n {
-            state[v] = if pruned[v] {
+            state[v] = if pruned(v) {
                 VertexState::Pruned { att: att[v], branch: branch_size[broot[v] as usize] }
             } else {
                 VertexState::Retained { h: perm[class_pre[v] as usize], omega: omega[v] as u32 }

@@ -81,7 +81,7 @@ pub use brandes::{
 pub use dependency::DependencyCalculator;
 pub use reduced::{
     dependency_profile_view_par, exact_betweenness_preprocessed, exact_betweenness_reduced,
-    ReducedCalculator, SpdView, ViewCalculator,
+    ReducedCalculator, RowKeys, SpdView, ViewCalculator,
 };
 pub use unweighted::{BfsSpd, KernelMode, UNREACHED};
 pub use weighted::DijkstraSpd;

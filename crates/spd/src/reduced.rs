@@ -55,13 +55,43 @@
 //!
 //! # Row coalescing
 //!
-//! Two original sources with equal [`ReducedGraph::row_group`] produce
-//! *identical* dependency rows whenever neither is itself a probe (twins of
-//! equal pendant weight; pendant vertices of the same attachment and
-//! branch size). [`SpdView::row_key`] exposes a cache key built on this, so
-//! density caches pay one SPD pass per *group*, not per vertex.
+//! [`SpdView::row_keys`] gives every source a cache key for one probe set,
+//! such that sources with equal keys have bit-identical dependency rows, so
+//! density caches pay one SPD pass per *key*, not per vertex.
+//!
+//! **Reduced views.** Two original sources with equal
+//! [`ReducedGraph::row_group`] produce *identical* rows whenever neither is
+//! itself a probe (twins of equal pendant weight; pendant vertices of the
+//! same attachment and branch size). A probe keys by its own id.
+//!
+//! **Unweighted direct views.** Let `v` lie in a pendant tree `B` (a branch
+//! of `mhbc_graph::algo::PendantForest`) that hangs at vertex `a`. Every
+//! path from `v` to a vertex outside `B` passes through `a`, along the one
+//! path through the tree. So for every target `t ∉ B ∪ {a}`:
+//!
+//! - `d(v, t) = d(v, a) + d(a, t)` and `σ_vt = σ_at` (`σ_va = 1`);
+//! - no vertex of `B` is a parent or child of a vertex outside `B ∪ {a}`.
+//!
+//! Take a probe `r ∉ B ∪ {a}`. Its shortest-path descendants lie outside
+//! `B ∪ {a}`, in the same levels relative to `a` from either source and with
+//! the same parents and children. The kernel forms σ in ascending parent
+//! id and δ in reverse canonical order (see [`BfsSpd`]), so from `v` and
+//! from `a` it adds the same terms in the same order. Hence `δ_{v•}(r)`
+//! equals `δ_{a•}(r)` bit for bit, in every [`KernelMode`], and whether the
+//! backward scan is targeted or full. So `v` keys by `a` unless a probe lies
+//! in `B` or is `a` itself. Then `δ_{v•}(r)` differs from `δ_{a•}(r)`, and
+//! `v` keys by its own id.
+//!
+//! False twins of a direct view are *not* folded. Their rows are equal in
+//! exact arithmetic, but their δ sums run in different orders, so the rows
+//! are not bitwise equal.
+//!
+//! **Weighted direct views** key by id: Dijkstra's floating-point distance
+//! sums along the tree do not cancel, so ties may break differently from
+//! `v` than from `a`.
 
 use crate::{BfsSpd, DependencyCalculator, DijkstraSpd, KernelMode, UNREACHED};
+use mhbc_graph::algo::PendantForest;
 use mhbc_graph::reduce::{ReduceError, ReduceLevel, ReducedGraph, TwinKind, VertexState};
 use mhbc_graph::{CsrGraph, Vertex};
 
@@ -71,7 +101,7 @@ use mhbc_graph::{CsrGraph, Vertex};
 /// answer queries in **original** vertex ids.
 ///
 /// Because every kernel mode is bit-identical (see [`KernelMode`]), the
-/// mode is *not* part of [`SpdView::row_key`]: cached dependency rows are
+/// mode is *not* part of [`SpdView::row_keys`]: cached dependency rows are
 /// interchangeable across modes, and switching modes mid-run can never
 /// change a sampler's output.
 #[derive(Clone, Copy)]
@@ -146,21 +176,97 @@ impl<'g> SpdView<'g> {
         self.reduced.is_none_or(|red| red.is_retained(v))
     }
 
-    /// Cache key under which `v`'s dependency row may be shared. Sources
-    /// with equal keys have bit-identical rows; `v_is_probe` must be set
-    /// when `v` belongs to the probe set (its own row contains a
-    /// structural zero no twin shares).
-    #[inline]
-    pub fn row_key(&self, v: Vertex, v_is_probe: bool) -> u64 {
-        match self.reduced {
-            None => v as u64,
+    /// The cache key of every source's dependency row on `probes`: sources
+    /// with equal keys have bit-identical rows (see "Row coalescing" in the
+    /// module docs).
+    ///
+    /// - Reduced views key each source by its [`ReducedGraph::row_group`],
+    ///   except that a probe keys by its own id (its row holds a structural
+    ///   zero no twin shares).
+    /// - Unweighted direct views key each pendant-tree vertex by its
+    ///   attachment, unless a probe lies in its branch or is the attachment
+    ///   itself; every other source keys by its id.
+    /// - Weighted direct views key by id.
+    ///
+    /// # Panics
+    /// If a probe is out of range.
+    pub fn row_keys(&self, probes: &[Vertex]) -> RowKeys<'g> {
+        let n = self.num_vertices();
+        for &p in probes {
+            assert!((p as usize) < n, "probe {p} out of range");
+        }
+        let kind = match self.reduced {
             Some(red) => {
-                if v_is_probe {
+                let mut probes = probes.to_vec();
+                probes.sort_unstable();
+                probes.dedup();
+                KeyKind::Reduced { red, probes: probes.into_boxed_slice() }
+            }
+            None if self.graph.is_weighted() => KeyKind::Id,
+            None => {
+                let forest = PendantForest::peel(self.graph);
+                if forest.order().is_empty() {
+                    return RowKeys { kind: KeyKind::Id };
+                }
+                // `own[v]`: `v` keys by its own id. A branch keeps its own
+                // ids when it holds a probe (its root is marked) or hangs
+                // from one.
+                let branches = forest.branches();
+                let mut own = vec![false; n];
+                for &p in probes {
+                    own[p as usize] = true;
+                    if forest.is_pruned(p) {
+                        own[branches[p as usize].1 as usize] = true;
+                    }
+                }
+                let shares = |(a, root): (Vertex, Vertex)| {
+                    a != u32::MAX && !own[a as usize] && !own[root as usize]
+                };
+                let keys = (0..n)
+                    .map(|v| if shares(branches[v]) { branches[v].0 as u64 } else { v as u64 })
+                    .collect();
+                KeyKind::Table(keys)
+            }
+        };
+        RowKeys { kind }
+    }
+}
+
+/// Cache keys of the dependency rows on one probe set, built by
+/// [`SpdView::row_keys`]: sources with equal keys have bit-identical rows.
+///
+/// Only unweighted direct views with pendant trees hold a per-source
+/// table. Reduced-view keys are worked out on demand from the reduction's
+/// row groups and the sorted probe list, and every other view keys by id.
+#[derive(Debug, Clone)]
+pub struct RowKeys<'g> {
+    kind: KeyKind<'g>,
+}
+
+#[derive(Debug, Clone)]
+enum KeyKind<'g> {
+    /// Every source keys by its own id.
+    Id,
+    /// A probe keys by its id, every other source by its row group.
+    Reduced { red: &'g ReducedGraph, probes: Box<[Vertex]> },
+    /// One key per source.
+    Table(Box<[u64]>),
+}
+
+impl RowKeys<'_> {
+    /// The key of source `v`'s row.
+    #[inline]
+    pub fn key(&self, v: Vertex) -> u64 {
+        match &self.kind {
+            KeyKind::Id => v as u64,
+            KeyKind::Reduced { red, probes } => {
+                if probes.binary_search(&v).is_ok() {
                     (1u64 << 33) | v as u64
                 } else {
                     (1u64 << 32) | red.row_group(v) as u64
                 }
             }
+            KeyKind::Table(keys) => keys[v as usize],
         }
     }
 }
@@ -534,7 +640,7 @@ pub fn exact_betweenness_preprocessed(
 
 /// The dependency profile `δ_{v•}(r)` of a retained probe over every
 /// *original* source, evaluated through the view: one SPD pass per distinct
-/// dependency row ([`SpdView::row_key`] — twin classes and pendant branches
+/// dependency row ([`SpdView::row_keys`] — twin classes and pendant branches
 /// coalesce) instead of one per vertex. The rows are computed across
 /// `threads` workers (0 = available parallelism), each with its own
 /// workspace. Deterministic — rows are pure functions of the view — and
@@ -554,8 +660,9 @@ pub fn dependency_profile_view_par(
     let mut key_index: HashMap<u64, u32> = HashMap::new();
     let mut reps: Vec<Vertex> = Vec::new();
     let mut assign = vec![0u32; n];
+    let keys = view.row_keys(&[r]);
     for v in 0..n as Vertex {
-        let key = view.row_key(v, v == r);
+        let key = keys.key(v);
         let idx = *key_index.entry(key).or_insert_with(|| {
             reps.push(v);
             reps.len() as u32 - 1
@@ -733,12 +840,24 @@ mod tests {
         let red = reduce(&g, ReduceLevel::Full).unwrap();
         let view = SpdView::preprocessed(&g, &red);
         // All leaves share a row group; the probe exception separates one.
-        assert_eq!(view.row_key(1, false), view.row_key(2, false));
-        assert_ne!(view.row_key(1, true), view.row_key(2, false));
-        assert_ne!(view.row_key(0, false), view.row_key(1, false));
-        // Direct views key by vertex id.
+        let keys = view.row_keys(&[0]);
+        assert_eq!(keys.key(1), keys.key(2));
+        assert_ne!(keys.key(0), keys.key(1));
+        let keys = view.row_keys(&[1]);
+        assert_ne!(keys.key(1), keys.key(2));
+        assert_eq!(keys.key(2), keys.key(3));
+        assert_ne!(keys.key(0), keys.key(2));
+        // Direct views key a leaf by the centre it hangs from, unless a
+        // probe is the centre or the leaf itself; otherwise by vertex id.
         let direct = SpdView::direct(&g);
-        assert_eq!(direct.row_key(3, false), 3);
+        let keys = direct.row_keys(&[1]);
+        assert_eq!((keys.key(0), keys.key(1), keys.key(3)), (0, 1, 0));
+        let keys = direct.row_keys(&[0]);
+        assert!((0..6).all(|v| keys.key(v) == v as u64));
+        // Weighted direct views key by vertex id.
+        let weighted = g.map_weights(|_, _| 2.0).unwrap();
+        let keys = SpdView::direct(&weighted).row_keys(&[1]);
+        assert!((0..6).all(|v| keys.key(v) == v as u64));
     }
 
     #[test]

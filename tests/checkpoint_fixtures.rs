@@ -5,11 +5,14 @@
 //! kind, plus a single-space file the old threaded pipeline wrote, plus a
 //! single-space file written through a `--preprocess full` reduction, which
 //! pins the reduction's row-key space (`row_group` and reduced ids) across
-//! versions. The multi-chain ensemble's file (kind 3) is kept to pin its
-//! typed rejection, and a crafted joint file pins the arity check. A
-//! property test damages the single and joint files (truncations and byte
-//! flips, re-signed so they pass the checksum) and checks that resuming
-//! them fails with a typed error or runs, never panics.
+//! versions, plus a direct-view file written while every source still had
+//! its own row key, which pins that restored rows keep their stored keys.
+//! The multi-chain ensemble's file (kind 3) is kept to pin its typed
+//! rejection, and a crafted joint file pins the arity check. Property tests
+//! damage the single and joint files (truncations and byte flips, re-signed
+//! so they pass the checksum; foreign versions; absurd length prefixes) and
+//! resume them against the wrong graph, and check that resuming fails with
+//! a typed error or runs, never panics.
 
 use mhbc_core::{
     resume_joint, resume_single, CoreError, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
@@ -82,6 +85,37 @@ fn reduced_view_fixture_resumes_bit_identically() {
         assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
         assert_eq!(full.acceptance_rate.to_bits(), resumed.acceptance_rate.to_bits());
         assert_eq!(full.spd_passes, resumed.spd_passes);
+        assert_eq!(full.trace, resumed.trace);
+        assert_eq!(full.density_series, resumed.density_series);
+    }
+}
+
+#[test]
+fn pendant_fixture_resumes_bit_identically() {
+    // Written after 400 of 1000 iterations, segment 200, for clique probe 3
+    // of `lollipop(8, 4)`, whose path 8..=11 hangs off vertex 7. Probe 3
+    // lies on no shortest path between two other vertices, so every density
+    // is 0. The file holds one row per vertex, keyed by vertex id; today the
+    // path vertices key by vertex 7, so a fresh run computes 8 rows, and
+    // the resumed run keeps the 12 it restored and computes none.
+    let g = generators::lollipop(8, 4);
+    let view = SpdView::direct(&g);
+    let config = SingleSpaceConfig::new(1_000, 7).with_trace();
+    let full = SingleSpaceSampler::for_view(view, 3, config).unwrap().run();
+    assert_eq!(
+        (full.bc.to_bits(), full.bc_corrected.to_bits(), full.acceptance_rate.to_bits()),
+        (0, 0, 0x3ff0000000000000)
+    );
+    assert_eq!(full.spd_passes, 8);
+    for threads in [1usize, 2] {
+        let prefetch = PrefetchConfig::with_threads(threads);
+        let engine = resume_single(view, &fixture("single_pendant_v1.ckpt")).unwrap();
+        let (resumed, report) = engine.with_prefetch(prefetch).run();
+        assert_eq!(report.resumed_from, 400);
+        assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "threads {threads}");
+        assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
+        assert_eq!(full.acceptance_rate.to_bits(), resumed.acceptance_rate.to_bits());
+        assert_eq!(resumed.spd_passes, 12);
         assert_eq!(full.trace, resumed.trace);
         assert_eq!(full.density_series, resumed.density_series);
     }
@@ -215,6 +249,31 @@ fn resume_and_step(joint: bool, bytes: &[u8]) -> Result<(), CoreError> {
     Ok(())
 }
 
+/// Offsets of a single-space fixture's length prefixes (fixed-iteration
+/// runs): the monitor block, the trace, the density series, the row table
+/// and each row. Walks the whole payload, so a layout change fails here.
+fn single_length_fields(body: &[u8]) -> Vec<usize> {
+    let len_at = |i: usize| u64::from_le_bytes(body[i..i + 8].try_into().unwrap()) as usize;
+    // Header (magic, version, kind, level, kernel, n, m, weighted, hash),
+    // then budget, segment, the stopping rule's tag and the segment count.
+    let words = (8 + 4 + 3 + 8 + 8 + 1 + 8) + 8 + 8 + 1 + 8;
+    // Probe; config (iterations, seed, burn-in, two flags); chain (state,
+    // density, two counters, eight RNG words); six accumulator scalars.
+    let trace = words + 8 + 8 * len_at(words) + 4 + (3 * 8 + 2) + (4 + 11 * 8) + 6 * 8;
+    let density = trace + 8 + 8 * len_at(trace);
+    // Proposal sum and maximum; oracle passes, hits and misses.
+    let rows = density + 8 + 8 * len_at(density) + 2 * 8 + 3 * 8;
+    let mut fields = vec![words, trace, density, rows];
+    let mut at = rows + 8;
+    for _ in 0..len_at(rows) {
+        at += 8; // the row's key
+        fields.push(at);
+        at += 8 + 8 * len_at(at);
+    }
+    assert_eq!(at, body.len(), "the layout walk must cover the whole payload");
+    fields
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -234,6 +293,50 @@ proptest! {
         let mut flipped = body.to_vec();
         flipped[at] ^= mask;
         let _ = resume_and_step(joint, &resign(&flipped));
+    }
+
+    /// A foreign format version, the wrong graph, or a length prefix longer
+    /// than the file is a typed checkpoint error.
+    #[test]
+    fn foreign_and_absurd_checkpoints_fail_with_a_typed_error(
+        joint in any::<bool>(),
+        version in 2u32..=u32::MAX,
+        k in 3usize..8,
+        path in 1usize..6,
+        field in any::<usize>(),
+        huge in any::<u64>(),
+    ) {
+        let is_checkpoint_error =
+            |r: Result<(), CoreError>| matches!(r, Err(CoreError::Checkpoint { .. }));
+        let name = if joint { "joint_v1.ckpt" } else { "single_v1.ckpt" };
+        let original = fixture(name);
+        let body = &original[..original.len() - 8];
+        let mut foreign = body.to_vec();
+        foreign[8..12].copy_from_slice(&version.to_le_bytes());
+        prop_assert!(is_checkpoint_error(resume_and_step(joint, &resign(&foreign))), "v{}", version);
+
+        // Neither fixture's graph is a lollipop with a clique of 3..8.
+        let other = generators::lollipop(k, path);
+        let resumed = if joint {
+            resume_joint(SpdView::direct(&other), &original).map(|_| ())
+        } else {
+            resume_single(SpdView::direct(&other), &original).map(|_| ())
+        };
+        prop_assert!(is_checkpoint_error(resumed), "{} against lollipop({}, {})", name, k, path);
+
+        let fixture_graph = generators::lollipop(8, 4);
+        for name in ["single_v1.ckpt", "single_pendant_v1.ckpt"] {
+            let original = fixture(name);
+            let mut body = original[..original.len() - 8].to_vec();
+            let fields = single_length_fields(&body);
+            let at = fields[field % fields.len()];
+            let absurd = huge.max(body.len() as u64);
+            body[at..at + 8].copy_from_slice(&absurd.to_le_bytes());
+            let resumed = resume_single(SpdView::direct(&fixture_graph), &resign(&body));
+            prop_assert!(
+                is_checkpoint_error(resumed.map(|_| ())), "{} length {} at {}", name, absurd, at
+            );
+        }
     }
 }
 
