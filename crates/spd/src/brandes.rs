@@ -385,6 +385,28 @@ mod tests {
         let a = dependency_profile(&g, r);
         let b = dependency_profile_par(&g, r, 3);
         assert_eq!(a.profile, b.profile);
+
+        // Enough distinct row keys that `effective_threads` grants 2 and 4
+        // workers, through the direct view and through a full reduction.
+        use crate::{dependency_profile_view_par, SpdView};
+        use mhbc_graph::reduce::{reduce, ReduceLevel};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let g = generators::duplication_divergence(1024, 0.4, &mut SmallRng::seed_from_u64(16));
+        let red = reduce(&g, ReduceLevel::Full).unwrap();
+        let r = g.vertices().filter(|&v| red.is_retained(v)).max_by_key(|&v| g.degree(v)).unwrap();
+        for view in [SpdView::direct(&g), SpdView::preprocessed(&g, &red)] {
+            let keys = view.row_keys(&[r]);
+            let distinct: std::collections::HashSet<u64> =
+                g.vertices().map(|v| keys.key(v)).collect();
+            assert!(distinct.len() >= 4 * MIN_SOURCES_PER_THREAD, "{} keys", distinct.len());
+            let bits = |threads| -> Vec<u64> {
+                let p = dependency_profile_view_par(view, r, threads).profile;
+                p.iter().map(|d| d.to_bits()).collect()
+            };
+            let one = bits(1);
+            assert_eq!(one, bits(2), "2 threads, reduced: {}", view.reduced().is_some());
+            assert_eq!(one, bits(4), "4 threads, reduced: {}", view.reduced().is_some());
+        }
     }
 
     #[test]
