@@ -112,11 +112,6 @@ impl JointSpaceEstimate {
     pub fn ratio(&self, i: usize, j: usize) -> f64 {
         self.relative[i][j] / self.relative[j][i]
     }
-
-    /// Whether both multisets backing `ratio(i, j)` are non-trivial.
-    pub fn ratio_reliable(&self, i: usize, j: usize, min_samples: u64) -> bool {
-        self.counts[i] >= min_samples && self.counts[j] >= min_samples
-    }
 }
 
 /// The Eq 22/23 estimator state.
@@ -559,7 +554,6 @@ mod tests {
             JointSpaceSampler::new(&g, &probes, JointSpaceConfig::new(80_000, 5)).unwrap().run();
         let ratio = est.ratio(0, 1);
         assert!((ratio - truth).abs() / truth < 0.1, "ratio {ratio} vs truth {truth}");
-        assert!(est.ratio_reliable(0, 1, 100));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use crate::checkpoint::{corrupt, Reader, Writer};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_spd::{RowKeys, SpdView, ViewCalculator};
+use mhbc_spd::{sweep, RowKeys, SpdView, ViewCalculator};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
@@ -160,9 +160,9 @@ impl<'g> ProbeOracle<'g> {
     }
 
     /// Caches the rows of `sources` that are not cached yet: the distinct
-    /// missing row keys are split across `threads` calculators in a scoped
-    /// fork-join, the calling thread computing one share. Touches no
-    /// hit/miss counter, so warming the cache never changes what a chain
+    /// missing row keys are split by [`mhbc_spd::sweep`] across `threads`
+    /// calculators, the calling thread computing the first share. Touches
+    /// no hit/miss counter, so warming the cache never changes what a chain
     /// observes — only how long its lookups take. Returns the number of rows
     /// computed.
     pub fn prefetch(&mut self, sources: impl IntoIterator<Item = Vertex>, threads: usize) -> u64 {
@@ -172,29 +172,14 @@ impl<'g> ProbeOracle<'g> {
             .map(|v| (self.key(v), v))
             .filter(|&(key, _)| !self.rows.contains_key(&key) && seen.insert(key))
             .collect();
-        if missing.is_empty() {
-            return 0;
-        }
-        let threads = threads.clamp(1, missing.len());
+        let threads = threads.clamp(1, missing.len().max(1));
         while self.calcs.len() < threads {
             self.calcs.push(ViewCalculator::new(self.view));
         }
         let probes = &self.probes;
-        let share = |calc: &mut ViewCalculator<'g>, part: &[(u64, Vertex)]| {
-            part.iter().map(|&(key, v)| (key, compute_row(calc, probes, v))).collect::<Vec<_>>()
-        };
-        let mut parts = missing.chunks(missing.len().div_ceil(threads)).zip(&mut self.calcs);
-        let (own, own_calc) = parts.next().expect("at least one missing row");
-        let computed = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                parts.map(|(part, calc)| s.spawn(move || share(calc, part))).collect();
-            let mut rows = share(own_calc, own);
-            for h in handles {
-                rows.extend(h.join().expect("prefetch thread panicked"));
-            }
-            rows
-        });
-        self.rows.extend(computed);
+        self.rows.extend(sweep(&mut self.calcs[..threads], &missing, |calc, &(key, v)| {
+            (key, compute_row(calc, probes, v))
+        }));
         missing.len() as u64
     }
 

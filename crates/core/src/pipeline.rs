@@ -13,8 +13,8 @@
 //! 1. replay the chain's next proposals from a copy of its proposal stream
 //!    (the accept/reject stream is never touched);
 //! 2. collect the distinct row keys that are not cached yet;
-//! 3. compute those rows across `T` calculators in a scoped fork-join, the
-//!    calling thread being one of them, and cache them
+//! 3. compute those rows across `T` calculators with [`mhbc_spd::sweep`],
+//!    the calling thread being one of them, and cache them
 //!    ([`ProbeOracle::prefetch`] — no hit/miss counter moves);
 //! 4. step the chain through the chunk exactly as at `T = 1`; every lookup
 //!    is now a hit.

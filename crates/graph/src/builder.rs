@@ -47,11 +47,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn num_edges_added(&self) -> usize {
-        self.edges.len()
-    }
-
     fn check_endpoints(&self, u: Vertex, v: Vertex) -> Result<(), GraphError> {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });

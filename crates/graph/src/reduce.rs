@@ -209,11 +209,6 @@ impl ReduceStats {
         let red = (self.reduced_vertices + self.reduced_edges).max(1) as f64;
         orig / red
     }
-
-    /// `n / n_H` (`>= 1`).
-    pub fn vertex_ratio(&self) -> f64 {
-        self.orig_vertices as f64 / self.reduced_vertices.max(1) as f64
-    }
 }
 
 /// A reduced graph: the collapsed, relabelled CSR plus the exact forward
@@ -1106,7 +1101,6 @@ mod tests {
             (0..red.csr().num_vertices() as u32).map(|z| red.members(z).len()).sum();
         assert_eq!(members, 200 - s.pruned_vertices);
         assert!(s.work_ratio() >= 1.0);
-        assert!(s.vertex_ratio() >= 1.0);
     }
 
     #[test]

@@ -4,34 +4,14 @@ use crate::DependencyCalculator;
 use mhbc_graph::{CsrGraph, Vertex};
 
 /// Exact betweenness centrality of every vertex, normalised as in Eq 1
-/// (divide raw dependency sums by `n (n - 1)`).
+/// (divide raw dependency sums by `n (n - 1)`): [`exact_betweenness_par`]
+/// on one thread, so the two are **bitwise identical** at every thread
+/// count.
 ///
 /// `O(nm)` unweighted / `O(nm + n² log n)` weighted — the §1 cost that makes
 /// exact computation impractical on large graphs and motivates the paper.
-///
-/// Accumulates through the same fixed source-chunking as
-/// [`exact_betweenness_par`], so the two entry points are **bitwise
-/// identical** to each other at every thread count.
 pub fn exact_betweenness(g: &CsrGraph) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n < 2 {
-        return vec![0.0; n];
-    }
-    let chunk = source_chunk(n);
-    let mut calc = DependencyCalculator::new(g);
-    let mut bc = vec![0.0f64; n];
-    let mut part = vec![0.0f64; n];
-    for c in 0..n.div_ceil(chunk) {
-        chunk_partial(g, &mut calc, c * chunk, n.min((c + 1) * chunk), &mut part);
-        for (b, p) in bc.iter_mut().zip(&part) {
-            *b += p;
-        }
-    }
-    let norm = (n * (n - 1)) as f64;
-    for b in &mut bc {
-        *b /= norm;
-    }
-    bc
+    exact_betweenness_par(g, 1)
 }
 
 /// Fewest sources a worker thread must have to be worth spawning: below
@@ -44,18 +24,17 @@ const MIN_SOURCES_PER_THREAD: usize = 32;
 /// function of `n` (never of the thread count), so the chunk partial sums
 /// and their left-to-right fold associate identically at every thread
 /// count: `exact_betweenness_par` is **bit-identical** across
-/// `threads = 1, 2, 8, …`. Scales with `n` to cap the chunk count (and so
-/// the ordered-commit bookkeeping) at ~128.
+/// `threads = 1, 2, 8, …`. Scales with `n` to cap the chunk count at ~128.
 fn source_chunk(n: usize) -> usize {
     MIN_SOURCES_PER_THREAD.max(n.div_ceil(128))
 }
 
 /// Parallel exact betweenness: the source range is cut into fixed chunks
-/// (see `source_chunk`), workers drain a shared chunk queue with private
-/// SPD workspaces, and the per-chunk accumulators are folded in chunk order
-/// — making the result a pure function of the graph, identical bit for bit
-/// at every thread count (including `threads = 1`, which runs the same
-/// chunked fold sequentially).
+/// (see `source_chunk`), each wave of up to `threads` chunks is computed by
+/// [`crate::sweep`] with one SPD workspace per thread, and the chunk
+/// partials are folded in chunk order — making the result a pure function
+/// of the graph, identical bit for bit at every thread count. Memory stays
+/// `O(threads · n)`: one partial per chunk of the current wave.
 ///
 /// `threads = 0` means "use available parallelism"; the count is clamped so
 /// every thread gets at least `MIN_SOURCES_PER_THREAD` sources — tiny
@@ -67,92 +46,19 @@ pub fn exact_betweenness_par(g: &CsrGraph, threads: usize) -> Vec<f64> {
     }
     let threads = effective_threads(threads, n);
     let chunk = source_chunk(n);
-    let num_chunks = n.div_ceil(chunk);
-
-    if threads <= 1 {
-        // `exact_betweenness` runs the identical chunked fold.
-        return exact_betweenness(g);
-    }
-
-    // Chunk partials are folded strictly in chunk order — the one fixed
-    // left-to-right association — but *eagerly*, so memory stays
-    // O(threads · n): workers drain a shared chunk queue (which worker
-    // computes a chunk is scheduler-dependent, but each partial is a pure
-    // function of the graph) and commit through an ordered cursor that
-    // parks the partials finished ahead of turn. Parking is bounded at
-    // O(threads) by backpressure (each worker can slip one chunk past the
-    // 2·threads spin gate, so the transient worst case is ~3·threads−1):
-    // a worker whose commits are running far ahead of the fold cursor (a
-    // descheduled straggler owns the next chunk in line) yields instead
-    // of computing further chunks, so even a worst-case scheduler cannot
-    // pile up O(num_chunks) partials.
-    struct Commit {
-        next: usize,
-        pending: std::collections::BTreeMap<usize, Vec<f64>>,
-        bc: Vec<f64>,
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Lock-free mirror of `pending.len()`, so the backpressure spin below
-    // never touches the mutex the straggler needs for its commit.
-    let parked = std::sync::atomic::AtomicUsize::new(0);
-    let commit = std::sync::Mutex::new(Commit {
-        next: 0,
-        pending: std::collections::BTreeMap::new(),
-        bc: vec![0.0f64; n],
-    });
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (next, commit, parked) = (&next, &commit, &parked);
-            scope.spawn(move |_| {
-                let mut calc = DependencyCalculator::new(g);
-                let mut scratch = vec![0.0f64; n];
-                loop {
-                    let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if c >= num_chunks {
-                        break;
-                    }
-                    chunk_partial(g, &mut calc, c * chunk, n.min((c + 1) * chunk), &mut scratch);
-                    let mut state = commit.lock().expect("commit lock");
-                    if state.next == c {
-                        // In-order (the common case): fold the reusable
-                        // scratch straight into bc — no allocation.
-                        for (b, p) in state.bc.iter_mut().zip(&scratch) {
-                            *b += p;
-                        }
-                        state.next += 1;
-                    } else {
-                        // Ahead of turn: park a copy (bounded below).
-                        state.pending.insert(c, scratch.clone());
-                        parked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    // Fold every parked partial whose turn has come.
-                    loop {
-                        let turn = state.next;
-                        let Some(part) = state.pending.remove(&turn) else { break };
-                        parked.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-                        for (b, p) in state.bc.iter_mut().zip(&part) {
-                            *b += p;
-                        }
-                        state.next += 1;
-                    }
-                    drop(state);
-                    // Backpressure: wait for the straggler owning the next
-                    // in-order chunk rather than parking more memory. That
-                    // worker never reaches this loop before committing its
-                    // own chunk, so it always makes progress — no deadlock —
-                    // and the spin reads only the atomic, never the mutex.
-                    while parked.load(std::sync::atomic::Ordering::Relaxed) >= 2 * threads {
-                        std::thread::yield_now();
-                    }
-                }
-            });
+    let chunks: Vec<usize> = (0..n.div_ceil(chunk)).collect();
+    let mut calcs: Vec<_> = (0..threads).map(|_| DependencyCalculator::new(g)).collect();
+    let mut bc = vec![0.0f64; n];
+    for wave in chunks.chunks(threads) {
+        let partials = crate::sweep(&mut calcs, wave, |calc, &c| {
+            chunk_partial(g, calc, c * chunk..n.min((c + 1) * chunk))
+        });
+        for part in partials {
+            for (b, p) in bc.iter_mut().zip(&part) {
+                *b += p;
+            }
         }
-    })
-    .expect("scope panicked");
-    let state = commit.into_inner().expect("commit lock");
-    debug_assert_eq!(state.next, num_chunks);
-    let mut bc = state.bc;
-
+    }
     let norm = (n * (n - 1)) as f64;
     for b in &mut bc {
         *b /= norm;
@@ -160,24 +66,20 @@ pub fn exact_betweenness_par(g: &CsrGraph, threads: usize) -> Vec<f64> {
     bc
 }
 
-/// Dependency sums of sources `start..end`, accumulated in source order
-/// into `acc` (reset here, so callers can reuse one scratch buffer across
-/// chunks without per-chunk allocation).
+/// Dependency sums of `sources`, accumulated in source order.
 fn chunk_partial(
     g: &CsrGraph,
     calc: &mut DependencyCalculator,
-    start: usize,
-    end: usize,
-    acc: &mut [f64],
-) {
-    let n = g.num_vertices();
-    acc.fill(0.0);
-    for s in start..end {
+    sources: std::ops::Range<usize>,
+) -> Vec<f64> {
+    let mut acc = vec![0.0f64; g.num_vertices()];
+    for s in sources {
         let delta = calc.dependencies(g, s as Vertex);
-        for v in 0..n {
-            acc[v] += delta[v];
+        for (a, d) in acc.iter_mut().zip(delta) {
+            *a += d;
         }
     }
+    acc
 }
 
 /// The dependency profile of a probe vertex `r`: `δ_{v•}(r)` for every

@@ -95,11 +95,6 @@ impl DependencyCalculator {
     pub fn passes(&self) -> u64 {
         self.passes
     }
-
-    /// Resets the pass counter (e.g. between experiment phases).
-    pub fn reset_passes(&mut self) {
-        self.passes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +141,5 @@ mod tests {
         let mut out = Vec::new();
         calc.dependency_on_many(&g, 3, &[0, 1], &mut out);
         assert_eq!(calc.passes(), 3);
-        calc.reset_passes();
-        assert_eq!(calc.passes(), 0);
     }
 }

@@ -641,11 +641,11 @@ pub fn exact_betweenness_preprocessed(
 /// The dependency profile `δ_{v•}(r)` of a retained probe over every
 /// *original* source, evaluated through the view: one SPD pass per distinct
 /// dependency row ([`SpdView::row_keys`] — twin classes and pendant branches
-/// coalesce) instead of one per vertex. The rows are computed across
-/// `threads` workers (0 = available parallelism), each with its own
-/// workspace. Deterministic — rows are pure functions of the view — and
-/// identical values to [`crate::dependency_profile`], which is this
-/// function on the direct view.
+/// coalesce) instead of one per vertex. The rows are computed by
+/// [`crate::sweep`] across `threads` workers (0 = available parallelism),
+/// each with its own workspace. Deterministic — rows are pure functions of
+/// the view — and identical values to [`crate::dependency_profile`], which
+/// is this function on the direct view.
 ///
 /// # Panics
 /// If the view's reduction pruned `r`.
@@ -670,37 +670,8 @@ pub fn dependency_profile_view_par(
         assign[v as usize] = idx;
     }
     let threads = crate::brandes::effective_threads(threads, reps.len());
-    let mut vals = vec![0.0f64; reps.len()];
-    if threads <= 1 {
-        let mut calc = ViewCalculator::new(view);
-        for (i, &v) in reps.iter().enumerate() {
-            vals[i] = calc.dependency_on(v, r);
-        }
-    } else {
-        let chunks: Vec<Vec<(usize, f64)>> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let reps = &reps;
-                handles.push(scope.spawn(move |_| {
-                    let mut calc = ViewCalculator::new(view);
-                    let mut out = Vec::with_capacity(reps.len() / threads + 1);
-                    let mut i = t;
-                    while i < reps.len() {
-                        out.push((i, calc.dependency_on(reps[i], r)));
-                        i += threads;
-                    }
-                    out
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("profile worker joined")).collect()
-        })
-        .expect("profile threads joined");
-        for chunk in chunks {
-            for (i, d) in chunk {
-                vals[i] = d;
-            }
-        }
-    }
+    let mut calcs: Vec<_> = (0..threads).map(|_| ViewCalculator::new(view)).collect();
+    let vals = crate::sweep(&mut calcs, &reps, |calc, &v| calc.dependency_on(v, r));
     let profile = assign.iter().map(|&i| vals[i as usize]).collect();
     crate::DependencyProfile { profile, r }
 }

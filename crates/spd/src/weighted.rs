@@ -189,24 +189,7 @@ impl DijkstraSpd {
     /// # Panics
     /// If `g` does not match the workspace size.
     pub fn accumulate_dependencies(&self, g: &CsrGraph, delta: &mut Vec<f64>) {
-        assert_eq!(g.num_vertices(), self.dist.len(), "graph does not match workspace");
-        delta.clear();
-        delta.resize(self.dist.len(), 0.0);
-        let discovered = 2 * self.epoch;
-        for &w in self.order.iter().rev() {
-            let coeff = (1.0 + delta[w as usize]) / self.sigma[w as usize];
-            let dw = self.dist[w as usize];
-            for (u, wt) in g.neighbors_weighted(w) {
-                if self.stamp[u as usize] < discovered {
-                    continue;
-                }
-                let du = self.dist[u as usize];
-                if du < dw && ties(du + wt, dw) {
-                    delta[u as usize] += self.sigma[u as usize] * coeff;
-                }
-            }
-        }
-        delta[self.source as usize] = 0.0;
+        self.backward::<false>(g, &[], delta);
     }
 
     /// Vertex-weighted Brandes accumulation: like
@@ -224,13 +207,23 @@ impl DijkstraSpd {
         seeds: &[f64],
         delta: &mut Vec<f64>,
     ) {
+        self.backward::<true>(g, seeds, delta);
+    }
+
+    /// The one backward scan behind both accumulations: each target seeds
+    /// the recurrence with `1` (`SEEDED = false`, `seeds` ignored) or with
+    /// `seeds[w]`.
+    fn backward<const SEEDED: bool>(&self, g: &CsrGraph, seeds: &[f64], delta: &mut Vec<f64>) {
         assert_eq!(g.num_vertices(), self.dist.len(), "graph does not match workspace");
-        assert_eq!(seeds.len(), self.dist.len(), "seeds do not match workspace");
+        if SEEDED {
+            assert_eq!(seeds.len(), self.dist.len(), "seeds do not match workspace");
+        }
         delta.clear();
         delta.resize(self.dist.len(), 0.0);
         let discovered = 2 * self.epoch;
         for &w in self.order.iter().rev() {
-            let coeff = (seeds[w as usize] + delta[w as usize]) / self.sigma[w as usize];
+            let seed = if SEEDED { seeds[w as usize] } else { 1.0 };
+            let coeff = (seed + delta[w as usize]) / self.sigma[w as usize];
             let dw = self.dist[w as usize];
             for (u, wt) in g.neighbors_weighted(w) {
                 if self.stamp[u as usize] < discovered {
@@ -319,6 +312,11 @@ mod tests {
             for v in 0..80 {
                 assert!((d1[v] - d2[v]).abs() < 1e-9, "delta mismatch at {v}");
             }
+            // Unit seeds reproduce the plain accumulation bit for bit.
+            let mut d3 = Vec::new();
+            dij.accumulate_dependencies_seeded(&gw, &[1.0; 80], &mut d3);
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&d2), bits(&d3));
         }
     }
 
