@@ -73,7 +73,10 @@
 //! counted, not built) and the pruned vertices' closed forms;
 //! [`ReducePlan::assemble`] then builds the CSR, relabels it and fills the
 //! maps — on a 262k-vertex BA graph about two thirds of the total. A caller
-//! that may discard the reduction decides from the plan.
+//! that may discard the reduction decides from the plan. Only the pruning
+//! credits and the assembled per-vertex component sizes read the connected
+//! components, so a plan with nothing to prune leaves labelling them to
+//! `assemble`.
 //!
 //! # Using a reduction
 //!
@@ -384,8 +387,9 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
 pub struct ReducePlan<'g> {
     g: &'g CsrGraph,
     level: ReduceLevel,
-    comp_labels: Vec<u32>,
-    comp_sizes: Vec<usize>,
+    /// Component label and size of every vertex, when the pruning needed
+    /// them (`assemble` labels the components itself otherwise).
+    comps: Option<(Vec<u32>, Vec<usize>)>,
     /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
     omega: Vec<u64>,
     corrections: Vec<f64>,
@@ -406,24 +410,23 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
     }
     let n = g.num_vertices();
 
-    // Component sizes (pair counting must never cross components).
-    let comps = connected_components(g);
-    let comp_sizes = comps.sizes();
-    let comp_of = |v: usize| comps.labels[v] as usize;
-
     // ---- Degree-1 pruning to fixpoint --------------------------------
     // The credits are floating-point sums taken in the peel's removal
-    // order, which fixes how they round.
+    // order, which fixes how they round. They count pairs inside the
+    // pruned vertex's component, so only a non-empty forest labels them.
     let forest =
         if level == ReduceLevel::Off { PendantForest::default() } else { PendantForest::peel(g) };
+    let comps = (!forest.order().is_empty()).then(|| components(g));
     let mut omega = vec![1u64; n];
     let mut corrections = vec![0.0f64; n];
-    for &v in forest.order() {
-        let (vu, uu) =
-            (v as usize, forest.parent(v).expect("pruned vertices have a parent") as usize);
-        let c = comp_sizes[comp_of(vu)] as u64;
-        corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
-        omega[uu] += omega[vu];
+    if let Some((labels, sizes)) = &comps {
+        for &v in forest.order() {
+            let (vu, uu) =
+                (v as usize, forest.parent(v).expect("pruned vertices have a parent") as usize);
+            let c = sizes[labels[vu] as usize] as u64;
+            corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
+            omega[uu] += omega[vu];
+        }
     }
     let pruned = |v: u32| forest.is_pruned(v);
     let pruned_count = forest.order().len();
@@ -525,18 +528,7 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
         // `g` itself is H when nothing was pruned or collapsed.
         reduced_edges: if h_n == n { g.num_edges() } else { count_class_edges(g, &class_pre, h_n) },
     };
-    Ok(ReducePlan {
-        g,
-        level,
-        comp_labels: comps.labels,
-        comp_sizes,
-        omega,
-        corrections,
-        forest,
-        class_pre,
-        kinds,
-        stats,
-    })
+    Ok(ReducePlan { g, level, comps, omega, corrections, forest, class_pre, kinds, stats })
 }
 
 impl ReducePlan<'_> {
@@ -553,6 +545,14 @@ impl ReducePlan<'_> {
         let raw = self.corrections[v as usize];
         self.forest.is_pruned(v).then(|| closed_form(raw, self.g.num_vertices()))
     }
+}
+
+/// Component label and size of every vertex: pair counting must never
+/// cross components.
+fn components(g: &CsrGraph) -> (Vec<u32>, Vec<usize>) {
+    let comps = connected_components(g);
+    let sizes = comps.sizes();
+    (comps.labels, sizes)
 }
 
 /// Normalised betweenness (Eq 1) from a raw pair count on `n` vertices.
@@ -647,8 +647,7 @@ impl ReducePlan<'_> {
         let ReducePlan {
             g,
             level,
-            comp_labels,
-            comp_sizes,
+            comps,
             omega,
             corrections,
             forest,
@@ -659,6 +658,7 @@ impl ReducePlan<'_> {
         let n = g.num_vertices();
         let h_n = kinds.len();
         let pruned = |v: usize| forest.is_pruned(v as Vertex);
+        let (comp_labels, comp_sizes) = comps.unwrap_or_else(|| components(g));
 
         // ---- Attachment / branch resolution ------------------------------
         // att(v): the first retained vertex on v's parent chain. broot(v): the

@@ -14,17 +14,20 @@ use mhbc_graph::{algo, io, CsrGraph, Vertex};
 use mhbc_spd::{KernelMode, SpdView};
 use std::io::BufRead;
 
-/// The `--preprocess` argument: a fixed [`ReduceLevel`], or `auto` — plan
-/// the strongest applicable reduction, and build it only when the plan's
-/// exact work ratio says an SPD pass shrinks enough (an empty reduction
-/// still taxes the sampler with multiplicity bookkeeping and a second CSR
-/// in cache: 0.96–0.98x sampler throughput measured on `ws`/`grid`). A
-/// discarded reduction costs only its pruning and twin detection.
+/// The `--preprocess` argument: a fixed [`ReduceLevel`], or `auto` (the
+/// default of `estimate`, `rank` and `plan`) — plan the strongest applicable
+/// reduction, and build it only when the plan's exact work ratio says an SPD
+/// pass shrinks enough (an empty reduction still taxes the sampler with
+/// multiplicity bookkeeping and a second CSR in cache: 0.96–0.98x sampler
+/// throughput measured on `ws`/`grid`) and, for `rank`, when it retains
+/// every probe (the joint chain samples retained vertices only). A discarded
+/// reduction costs only its pruning and twin detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreprocessChoice {
     /// `off`, `prune`, or `full` — exactly as requested.
     Level(ReduceLevel),
-    /// Plan `full` (`prune` on weighted graphs); build it only if it pays.
+    /// Plan `full` (`prune` on weighted graphs); build it only if it pays
+    /// and keeps every `rank` probe, else sample on the direct view.
     Auto,
 }
 
@@ -156,12 +159,16 @@ Edge lists are whitespace-separated `u v [w]` lines; `#`/`%` comments allowed.
                  results are bit-identical to --threads 1.
 --prefetch K     prefetch batch: how many upcoming proposals each batch
                  covers (default 1024).
---preprocess L   graph reduction before sampling: off (default), prune
-                 (degree-1 pruning with exact corrections), full (pruning
-                 + twin collapsing + cache relabelling), or auto (build the
-                 reduction, keep it only when the measured work ratio pays).
-                 Estimates stay in original vertex ids; `full` requires an
-                 unweighted graph.
+--preprocess L   graph reduction before sampling: auto (default), off,
+                 prune (degree-1 pruning with exact corrections), or full
+                 (pruning + twin collapsing + cache relabelling). auto plans
+                 full (prune on weighted graphs) per query and samples
+                 through it only when its work ratio pays; `rank` samples
+                 on the unreduced graph, as with off, when the reduction
+                 would prune one of its vertices. A pruned `estimate`/`plan`
+                 vertex is answered from its closed form at any level but
+                 off. Estimates stay in original vertex ids; `full`
+                 requires an unweighted graph.
 --kernel M       SPD forward-pass strategy: auto (default), topdown, or
                  hybrid (direction-optimizing top-down/bottom-up BFS). All
                  modes produce bit-identical estimates; this is purely a
@@ -189,7 +196,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut exact = false;
     let mut threads = 1usize;
     let mut prefetch_depth = PrefetchConfig::DEFAULT_DEPTH;
-    let mut preprocess = PreprocessChoice::Level(ReduceLevel::Off);
+    let mut preprocess = PreprocessChoice::Auto;
     let mut kernel = KernelMode::Auto;
     let mut adaptive = AdaptiveArgs::default();
     let mut i = 0;
@@ -364,9 +371,15 @@ impl Preprocess {
 /// build-time refusals (twin collapsing on a weighted graph) into readable
 /// CLI errors. For [`PreprocessChoice::Auto`], plans the strongest
 /// applicable level and assembles it only when the plan's exact work ratio
-/// clears [`AUTO_MIN_WORK_RATIO`]; otherwise it keeps just the pruned
-/// vertices' closed forms.
-fn build_reduction(g: &CsrGraph, choice: PreprocessChoice) -> Result<Preprocess, String> {
+/// clears [`AUTO_MIN_WORK_RATIO`] and it retains every one of `ranked`
+/// (`rank`'s probes as `(input id, internal id)`; the joint chain cannot
+/// sample a pruned vertex, while `estimate` and `plan` answer one from its
+/// closed form); otherwise it keeps just the pruned vertices' closed forms.
+fn build_reduction(
+    g: &CsrGraph,
+    choice: PreprocessChoice,
+    ranked: &[(Vertex, Vertex)],
+) -> Result<Preprocess, String> {
     match choice {
         PreprocessChoice::Level(ReduceLevel::Off) => Ok(Preprocess::default()),
         PreprocessChoice::Level(level) => reduce(g, level)
@@ -378,7 +391,16 @@ fn build_reduction(g: &CsrGraph, choice: PreprocessChoice) -> Result<Preprocess,
             let level = if g.is_weighted() { ReduceLevel::Prune } else { ReduceLevel::Full };
             let plan = reduce::plan(g, level).map_err(|e| format!("--preprocess auto: {e}"))?;
             let ratio = plan.stats().work_ratio();
-            if ratio >= AUTO_MIN_WORK_RATIO {
+            let why = if ratio < AUTO_MIN_WORK_RATIO {
+                format!(
+                    "work ratio {ratio:.2}x < {AUTO_MIN_WORK_RATIO}x — an empty reduction would \
+                     only tax the sampler"
+                )
+            } else if let Some(&(input, _)) =
+                ranked.iter().find(|&&(_, p)| plan.exact_pruned_bc(p).is_some())
+            {
+                format!("vertex {input} was pruned into a pendant tree")
+            } else {
                 let note = format!(
                     "preprocess auto: kept {} (work ratio {ratio:.2}x >= {AUTO_MIN_WORK_RATIO}x)",
                     level.as_str()
@@ -388,12 +410,9 @@ fn build_reduction(g: &CsrGraph, choice: PreprocessChoice) -> Result<Preprocess,
                     discarded: None,
                     note: Some(note),
                 });
-            }
-            let note = format!(
-                "preprocess auto: discarded {} for sampling (work ratio {ratio:.2}x < \
-                 {AUTO_MIN_WORK_RATIO}x — an empty reduction would only tax the sampler)",
-                level.as_str()
-            );
+            };
+            let note =
+                format!("preprocess auto: discarded {} for sampling ({why})", level.as_str());
             let forms =
                 g.vertices().filter_map(|v| plan.exact_pruned_bc(v).map(|bc| (v, bc))).collect();
             Ok(Preprocess { kept: None, discarded: Some(forms), note: Some(note) })
@@ -500,7 +519,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             ..
         } => {
             let r = internal(*vertex)?;
-            let prep = build_reduction(g, *preprocess)?;
+            let prep = build_reduction(g, *preprocess, &[])?;
             let mut out = vec![format!("graph: {g}")];
             out.extend(prep.note.clone());
             if let Some(red) = prep.kept.as_ref() {
@@ -566,14 +585,17 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             ..
         } => {
             let probes = vertices.iter().map(|&v| internal(v)).collect::<Result<Vec<_>, _>>()?;
-            let prep = build_reduction(g, *preprocess)?;
+            let ids: Vec<(Vertex, Vertex)> =
+                vertices.iter().copied().zip(probes.iter().copied()).collect();
+            let prep = build_reduction(g, *preprocess, &ids)?;
             if let Some(red) = prep.kept.as_ref() {
-                for (&input, &p) in vertices.iter().zip(&probes) {
+                for &(input, p) in &ids {
                     if !red.is_retained(p) {
                         return Err(format!(
                             "vertex {input} was pruned into a pendant tree at --preprocess {}; \
                              ranking needs retained probes — its exact BC is {:.6}, or rerun \
-                             with --preprocess off",
+                             without --preprocess: the default (auto) ranks such vertices on \
+                             the unreduced graph, as --preprocess off does",
                             preprocess.as_str(),
                             red.exact_pruned_bc(p).expect("pruned vertex has closed form"),
                         ));
@@ -652,7 +674,7 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
         }
         Command::Plan { vertex, epsilon, delta, preprocess, kernel, .. } => {
             let r = internal(*vertex)?;
-            let prep = build_reduction(g, *preprocess)?;
+            let prep = build_reduction(g, *preprocess, &[])?;
             if let Some(bc) = prep.exact_pruned_bc(r) {
                 // Known in closed form even when auto discarded the
                 // reduction for sampling.
@@ -804,7 +826,7 @@ mod tests {
                 exact: true,
                 threads: 1,
                 prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
-                preprocess: PreprocessChoice::Level(ReduceLevel::Off),
+                preprocess: PreprocessChoice::Auto,
                 kernel: KernelMode::Auto,
                 adaptive: AdaptiveArgs::default(),
             }
@@ -825,7 +847,7 @@ mod tests {
                 exact: false,
                 threads: 4,
                 prefetch_depth: 64,
-                preprocess: PreprocessChoice::Level(ReduceLevel::Off),
+                preprocess: PreprocessChoice::Auto,
                 kernel: KernelMode::Auto,
                 adaptive: AdaptiveArgs::default(),
             }
@@ -846,7 +868,7 @@ mod tests {
                 seed: 7,
                 threads: 1,
                 prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
-                preprocess: PreprocessChoice::Level(ReduceLevel::Off),
+                preprocess: PreprocessChoice::Auto,
                 kernel: KernelMode::Auto,
                 adaptive: AdaptiveArgs::default(),
             }
@@ -1239,6 +1261,58 @@ mod tests {
         let err = execute(&cmd, &lcc, &map).unwrap_err();
         assert!(err.contains("vertex 8"), "{err}");
         assert!(err.contains("--preprocess off"), "{err}");
+    }
+
+    /// A duplication–divergence graph whose `full` reduction pays (work
+    /// ratio 1.47x), with its top-BC vertex 3 retained and vertex 83 (exact
+    /// BC 0.076784) pruned into a pendant tree.
+    fn dup_fixture() -> (CsrGraph, Vec<Vertex>) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let g = mhbc_graph::generators::duplication_divergence(200, 0.5, &mut rng);
+        load_graph(Cursor::new(edge_list_text(&g))).unwrap()
+    }
+
+    fn run(args: &str, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String>, String> {
+        execute(&parse(&args.split(' ').map(String::from).collect::<Vec<_>>())?, g, map)
+    }
+
+    #[test]
+    fn default_rank_samples_a_pruned_probe_on_the_direct_view() {
+        let (g, map) = dup_fixture();
+        let note = "preprocess auto: discarded full for sampling (vertex 83 was pruned into a \
+                    pendant tree)";
+        for query in [
+            "rank g 3,83 --iters 3000 --seed 4",
+            "rank g 3,83 --iters 3000 --seed 4 --target-se 0.001 --segment 512",
+        ] {
+            // The default succeeds, says why it discarded the reduction, and
+            // prints exactly the lines of an unreduced run after that note.
+            let auto = run(query, &g, &map).unwrap();
+            let off = run(&format!("{query} --preprocess off"), &g, &map).unwrap();
+            assert_eq!(auto[0], note, "{query}");
+            assert_eq!(auto[1..], off[..], "{query}");
+            assert!(off.iter().any(|l| l.trim_start().starts_with("83 ")), "{off:?}");
+        }
+    }
+
+    #[test]
+    fn explicit_full_rank_still_refuses_a_pruned_probe() {
+        let (g, map) = dup_fixture();
+        let err = run("rank g 3,83 --iters 3000 --seed 4 --preprocess full", &g, &map).unwrap_err();
+        assert!(err.starts_with("vertex 83 was pruned into a pendant tree at --preprocess full"));
+        assert!(err.contains("its exact BC is 0.076784"), "{err}");
+        assert!(err.contains("rerun without --preprocess"), "{err}");
+    }
+
+    #[test]
+    fn default_estimate_evaluates_through_a_paying_reduction() {
+        let (g, map) = dup_fixture();
+        let query = "estimate g 3 --iters 2000 --seed 4";
+        let default = run(query, &g, &map).unwrap();
+        assert_eq!(default[1], "preprocess auto: kept full (work ratio 1.47x >= 1.05x)");
+        assert!(default[2].starts_with("preprocess full:"), "{default:?}");
+        assert_eq!(default, run(&format!("{query} --preprocess auto"), &g, &map).unwrap());
     }
 
     #[test]
