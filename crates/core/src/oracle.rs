@@ -20,8 +20,10 @@
 //! vertex: sources with equal keys have bit-identical dependency rows, so a
 //! whole class costs one SPD pass instead of one per member.
 //!
-//! - Through a reduction, the classes are twins of equal pendant weight and
-//!   pendant vertices of the same attachment and branch size.
+//! - Through a reduction, the classes are twins of equal pendant weight,
+//!   and a pendant vertex shares the row of the vertex its tree hangs from
+//!   unless that vertex is a probe. Then pendant vertices of the same
+//!   attachment and branch size share one row.
 //! - On an unweighted direct view, a pendant-tree vertex shares the row of
 //!   the vertex its tree hangs from, unless a probe lies in its branch or
 //!   is that vertex. The values are those of one pass per vertex, bit for

@@ -33,6 +33,9 @@ pub enum MuSource {
 pub struct Plan {
     /// The `µ(r)` value used.
     pub mu: f64,
+    /// Exact `BC(r)`, when `µ(r)` came from the dependency profile
+    /// ([`MuSource::Exact`]), which holds it at no extra cost.
+    pub bc: Option<f64>,
     /// Iterations guaranteeing `P[|B̂C(r) − BC(r)| > ε] ≤ δ` (Ineq 14).
     pub iterations: u64,
     /// The requested additive error.
@@ -103,19 +106,20 @@ pub fn plan_single_view(
     if !view.is_retained(r) {
         return Err(PlanError::Core(CoreError::PrunedProbe { probe: r }));
     }
-    let mu = match mu_source {
+    let (mu, bc) = match mu_source {
         MuSource::Exact { threads } => {
-            dependency_profile_view_par(view, r, threads).mu().ok_or(PlanError::ZeroBetweenness)?
+            let profile = dependency_profile_view_par(view, r, threads);
+            (profile.mu().ok_or(PlanError::ZeroBetweenness)?, Some(profile.betweenness()))
         }
         MuSource::TheoremTwo => {
-            theorem2_report(view.graph(), r, 0.0).mu_bound.ok_or(PlanError::NotASeparator)?
+            (theorem2_report(view.graph(), r, 0.0).mu_bound.ok_or(PlanError::NotASeparator)?, None)
         }
-        MuSource::Provided(mu) => mu,
+        MuSource::Provided(mu) => (mu, None),
     };
     if !(mu.is_finite() && mu >= 1.0) {
         return Err(PlanError::InvalidMu(mu));
     }
-    Ok(Plan { mu, iterations: bounds::required_samples(mu, epsilon, delta), epsilon, delta })
+    Ok(Plan { mu, bc, iterations: bounds::required_samples(mu, epsilon, delta), epsilon, delta })
 }
 
 /// The planner's bound refitted from what a chain actually observed — the
@@ -300,6 +304,14 @@ mod tests {
         .unwrap();
         assert!((direct.mu - through.mu).abs() < 1e-9, "{} vs {}", direct.mu, through.mu);
         assert_eq!(direct.iterations, through.iterations);
+        let exact = mhbc_spd::exact_betweenness_of(&g, r);
+        assert!(exact > 0.0);
+        for (name, plan) in [("direct", direct), ("reduced", through)] {
+            let bc = plan.bc.expect("an exact-mu plan holds the exact BC");
+            assert!((bc - exact).abs() <= 1e-12 * exact, "{name}: {bc} vs {exact}");
+        }
+        let bound = plan_single(&g, r, 0.05, 0.05, MuSource::Provided(2.0)).unwrap();
+        assert_eq!(bound.bc, None);
         // A pruned probe plans as a dedicated error.
         assert!(matches!(
             plan_single_view(

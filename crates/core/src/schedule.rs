@@ -430,6 +430,27 @@ mod tests {
     }
 
     #[test]
+    fn reduced_pendant_rows_shrink_the_shared_cache() {
+        // The same graph through a full reduction, probed at three retained
+        // attachments. A pruned source shares its attachment's row unless
+        // the attachment is a probe; then its branch size picks the row. So
+        // 300 sources have 180 keys (174 reduced vertices, and 194 keys on
+        // the direct view), and the cache holds one row per key.
+        let mut rng = SmallRng::seed_from_u64(4);
+        let g = generators::preferential_attachment_mixed(300, 1, 3, 0.6, &mut rng);
+        let red = reduce(&g, ReduceLevel::Full).unwrap();
+        assert_eq!(red.stats().reduced_vertices, 174);
+        let view = SpdView::preprocessed(&g, &red);
+        let probes = [0u32, 2, 4];
+        let keys = view.row_keys(&probes);
+        let distinct: HashSet<u64> = g.vertices().map(|v| keys.key(v)).collect();
+        assert_eq!(distinct.len(), 180);
+        let cfg = ScheduleConfig::target_stderr(20_000, 0.005, 0.05, 5).with_segment(256);
+        let out = run_probe_schedule(view, &probes, cfg).unwrap();
+        assert_eq!(out.spd_passes, 180);
+    }
+
+    #[test]
     fn validation_errors() {
         let g = generators::path(10);
         let cfg = ScheduleConfig::target_stderr(100, 0.1, 0.05, 0);

@@ -351,9 +351,13 @@ impl ReducedGraph {
 
     /// Row-coalescing group of `v`: original vertices with equal groups have
     /// *identical dependency rows* `δ_{v•}(·)` for any probe set that does
-    /// not contain them (twins share rows; pendant vertices of the same
-    /// branch shape share rows). Density caches key on this to turn whole
-    /// classes into a single SPD pass.
+    /// not contain them (twins of equal pendant weight share rows; pendant
+    /// vertices of the same attachment and branch size share rows). Density
+    /// caches key on this to turn whole classes into a single SPD pass.
+    ///
+    /// A pendant vertex's row equals its attachment's everywhere but at the
+    /// attachment, so caches key it by the attachment's group unless the
+    /// attachment is a probe: the branch-size groups matter only then.
     #[inline]
     pub fn row_group(&self, v: Vertex) -> u32 {
         self.row_group[v as usize]

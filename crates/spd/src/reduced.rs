@@ -64,6 +64,19 @@
 //! itself a probe (twins of equal pendant weight; pendant vertices of the
 //! same attachment and branch size). A probe keys by its own id.
 //!
+//! A pruned source `v` with attachment `a` goes further: unless `a` is a
+//! probe, it keys by `a`'s row group. This follows from the code, with no
+//! floating-point argument. [`ReducedCalculator::dependency_on_many`]
+//! serves `v` with the same pass from `a`'s reduced vertex as `a`'s own row,
+//! and then maps each probe `r ≠ a` through the same `mapped` call with the
+//! same arguments. The two rows differ only at `r = a`, where `v`'s holds
+//! `C − 1 − |branch(v)|` and `a`'s holds 0. This holds for weighted
+//! (Dijkstra) reductions too. When `a` is a probe, `v` keeps its own row
+//! group, which pendant vertices of `a` with equal branch size share. So a
+//! reduced view has at most one key per (reduced vertex, pendant weight)
+//! pair, plus one per (probe attachment, branch size) pair, plus one per
+//! probe.
+//!
 //! **Unweighted direct views.** Let `v` lie in a pendant tree `B` (a branch
 //! of `mhbc_graph::algo::PendantForest`) that hangs at vertex `a`. Every
 //! path from `v` to a vertex outside `B` passes through `a`, along the one
@@ -180,9 +193,10 @@ impl<'g> SpdView<'g> {
     /// with equal keys have bit-identical rows (see "Row coalescing" in the
     /// module docs).
     ///
-    /// - Reduced views key each source by its [`ReducedGraph::row_group`],
-    ///   except that a probe keys by its own id (its row holds a structural
-    ///   zero no twin shares).
+    /// - Reduced views key a probe by its own id (its row holds a structural
+    ///   zero no twin shares), a pruned source whose attachment is not a
+    ///   probe by the attachment's [`ReducedGraph::row_group`], and every
+    ///   other source by its own row group.
     /// - Unweighted direct views key each pendant-tree vertex by its
     ///   attachment, unless a probe lies in its branch or is the attachment
     ///   itself; every other source keys by its id.
@@ -247,7 +261,9 @@ pub struct RowKeys<'g> {
 enum KeyKind<'g> {
     /// Every source keys by its own id.
     Id,
-    /// A probe keys by its id, every other source by its row group.
+    /// A probe keys by its id. A pruned source whose attachment is not a
+    /// probe keys by the attachment's row group, since the two rows differ
+    /// only at the attachment. Every other source keys by its row group.
     Reduced { red: &'g ReducedGraph, probes: Box<[Vertex]> },
     /// One key per source.
     Table(Box<[u64]>),
@@ -260,11 +276,15 @@ impl RowKeys<'_> {
         match &self.kind {
             KeyKind::Id => v as u64,
             KeyKind::Reduced { red, probes } => {
-                if probes.binary_search(&v).is_ok() {
-                    (1u64 << 33) | v as u64
-                } else {
-                    (1u64 << 32) | red.row_group(v) as u64
+                let is_probe = |v: Vertex| probes.binary_search(&v).is_ok();
+                if is_probe(v) {
+                    return (1u64 << 33) | v as u64;
                 }
+                let keyed = match red.state(v) {
+                    VertexState::Pruned { att, .. } if !is_probe(att) => att,
+                    _ => v,
+                };
+                (1u64 << 32) | red.row_group(keyed) as u64
             }
             KeyKind::Table(keys) => keys[v as usize],
         }
@@ -809,15 +829,30 @@ mod tests {
     fn row_keys_coalesce_twins_and_pendants() {
         let g = generators::star(6);
         let red = reduce(&g, ReduceLevel::Full).unwrap();
+        assert!(red.is_retained(0) && (1..6).all(|v| !red.is_retained(v)));
         let view = SpdView::preprocessed(&g, &red);
-        // All leaves share a row group; the probe exception separates one.
+        // With the centre as the probe the leaves share one row group,
+        // apart from the centre's key; otherwise they take the centre's key.
         let keys = view.row_keys(&[0]);
-        assert_eq!(keys.key(1), keys.key(2));
+        assert!((2..6).all(|v| keys.key(v) == keys.key(1)));
         assert_ne!(keys.key(0), keys.key(1));
-        let keys = view.row_keys(&[1]);
-        assert_ne!(keys.key(1), keys.key(2));
-        assert_eq!(keys.key(2), keys.key(3));
-        assert_ne!(keys.key(0), keys.key(2));
+        let keys = view.row_keys(&[]);
+        assert!((1..6).all(|v| keys.key(v) == keys.key(0)));
+        // A triangle 0, 1, 2 with leaves 3 and 4 on vertex 0 and leaf 5 on
+        // vertex 1. Vertices 0 and 1 are true twins of unequal pendant
+        // weight, so they keep separate row groups.
+        let tri =
+            CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (1, 5)]).unwrap();
+        let red_tri = reduce(&tri, ReduceLevel::Full).unwrap();
+        let view = SpdView::preprocessed(&tri, &red_tri);
+        let keys = view.row_keys(&[2]);
+        let k = |v| keys.key(v);
+        assert_eq!((k(3), k(4), k(5)), (k(0), k(0), k(1)));
+        assert!(k(0) != k(1) && k(2) != k(0) && k(2) != k(1));
+        let keys = view.row_keys(&[0]);
+        let k = |v| keys.key(v);
+        assert_eq!((k(4), k(5)), (k(3), k(1)));
+        assert!(k(3) != k(0) && k(3) != k(1) && k(0) != k(1));
         // Direct views key a leaf by the centre it hangs from, unless a
         // probe is the centre or the leaf itself; otherwise by vertex id.
         let direct = SpdView::direct(&g);

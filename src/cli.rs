@@ -689,7 +689,8 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 return Ok(out);
             }
             // With a reduction, the exact mu(r) itself is computed through
-            // it (one reduced pass per distinct dependency row).
+            // it (one reduced pass per distinct dependency row). The same
+            // dependency profile holds the exact BC(r).
             let plan = plan_single_view(
                 SpdView::from_option(g, prep.kept.as_ref()).with_kernel(*kernel),
                 r,
@@ -701,6 +702,10 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             let mut out: Vec<String> = prep.note.clone().into_iter().collect();
             out.extend([
                 format!("mu({vertex}) = {:.3}", plan.mu),
+                format!(
+                    "BC({vertex}) = {:.6} exactly",
+                    plan.bc.expect("an exact-mu plan holds the exact BC")
+                ),
                 format!(
                     "iterations for |err| <= {} with prob >= {}: {}",
                     plan.epsilon,
@@ -1147,6 +1152,7 @@ mod tests {
                 vec![
                     discarded,
                     "mu(5) = 2.050",
+                    "BC(5) = 0.237805 exactly",
                     "iterations for |err| <= 0.1 with prob >= 0.9: 630",
                     "assumed reduction ratio: 1.0 (discarded)",
                 ],
@@ -1179,6 +1185,7 @@ mod tests {
                 vec![
                     kept,
                     "mu(5) = 1.500",
+                    "BC(5) = 0.416667 exactly",
                     "iterations for |err| <= 0.1 with prob >= 0.9: 338",
                     kept_line,
                     "assumed reduction ratio: each of the 338 iterations costs one SPD pass over \

@@ -61,7 +61,11 @@ fn single_fixtures_resume_bit_identically() {
 #[test]
 fn reduced_view_fixture_resumes_bit_identically() {
     // Written through a full reduction (pendant trees pruned, false twins
-    // collapsed, ids relabelled) after 400 of 1000 iterations, segment 200.
+    // collapsed, ids relabelled) after 400 of 1000 iterations, segment 200,
+    // while each pruned source still keyed by its (attachment, branch size)
+    // row group. Today a pruned source keys by its attachment's row group
+    // unless the attachment is the probe, so a fresh run computes 66 rows,
+    // and the resumed run keeps the 83 it restored under their stored keys.
     let g = generators::duplication_divergence(120, 0.5, &mut SmallRng::seed_from_u64(2));
     let red = reduce(&g, ReduceLevel::Full).unwrap();
     let s = red.stats();
@@ -73,7 +77,7 @@ fn reduced_view_fixture_resumes_bit_identically() {
         (full.bc.to_bits(), full.bc_corrected.to_bits(), full.acceptance_rate.to_bits()),
         (0x3fe1a50dec6a4870, 0x3fd93b21c5f17c8b, 0x3fe67ef9db22d0e5)
     );
-    assert_eq!(full.spd_passes, 83);
+    assert_eq!(full.spd_passes, 66);
     for threads in [1usize, 2] {
         let prefetch = PrefetchConfig::with_threads(threads);
         let (resumed, report) = resume_single(view, &fixture("single_reduced_v1.ckpt"))
@@ -84,7 +88,7 @@ fn reduced_view_fixture_resumes_bit_identically() {
         assert_eq!(full.bc.to_bits(), resumed.bc.to_bits(), "threads {threads}");
         assert_eq!(full.bc_corrected.to_bits(), resumed.bc_corrected.to_bits());
         assert_eq!(full.acceptance_rate.to_bits(), resumed.acceptance_rate.to_bits());
-        assert_eq!(full.spd_passes, resumed.spd_passes);
+        assert_eq!(resumed.spd_passes, 83);
         assert_eq!(full.trace, resumed.trace);
         assert_eq!(full.density_series, resumed.density_series);
     }
