@@ -2,7 +2,7 @@
 
 use crate::BaselineEstimate;
 use mhbc_graph::{algo, CsrGraph, Vertex};
-use mhbc_spd::DependencyCalculator;
+use mhbc_spd::{SpdView, ViewCalculator};
 use rand::{Rng, RngExt};
 
 /// Chehreghani's non-uniform source sampler \[13\]: sources drawn with
@@ -18,7 +18,7 @@ use rand::{Rng, RngExt};
 pub struct DistanceSampler<'g> {
     graph: &'g CsrGraph,
     r: Vertex,
-    calc: DependencyCalculator,
+    calc: ViewCalculator<'g>,
     /// `cum[i]` = cumulative distance mass over vertices `0..=i`.
     cum: Vec<f64>,
     total_mass: f64,
@@ -50,7 +50,7 @@ impl<'g> DistanceSampler<'g> {
         DistanceSampler {
             graph,
             r,
-            calc: DependencyCalculator::new(graph),
+            calc: ViewCalculator::new(SpdView::direct(graph)),
             cum,
             total_mass: acc,
             sum: 0.0,
@@ -71,7 +71,7 @@ impl<'g> DistanceSampler<'g> {
         let s = self.cum.partition_point(|&c| c <= u).min(self.cum.len() - 1) as Vertex;
         let p = self.probability(s);
         debug_assert!(p > 0.0, "sampled a zero-mass vertex");
-        let delta = self.calc.dependency_on(self.graph, s, self.r);
+        let delta = self.calc.dependency_on(s, self.r);
         let n = self.graph.num_vertices() as f64;
         self.sum += delta / (p * n * (n - 1.0));
         self.samples += 1;

@@ -2,7 +2,7 @@
 
 use crate::BaselineEstimate;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_spd::DependencyCalculator;
+use mhbc_spd::{SpdView, ViewCalculator};
 use rand::{Rng, RngExt};
 
 /// Samples source vertices uniformly and averages their dependency scores
@@ -13,7 +13,7 @@ use rand::{Rng, RngExt};
 pub struct UniformSourceSampler<'g> {
     graph: &'g CsrGraph,
     r: Vertex,
-    calc: DependencyCalculator,
+    calc: ViewCalculator<'g>,
     sum: f64,
     samples: u64,
     trace: Option<Vec<f64>>,
@@ -30,7 +30,7 @@ impl<'g> UniformSourceSampler<'g> {
         UniformSourceSampler {
             graph,
             r,
-            calc: DependencyCalculator::new(graph),
+            calc: ViewCalculator::new(SpdView::direct(graph)),
             sum: 0.0,
             samples: 0,
             trace: None,
@@ -46,7 +46,7 @@ impl<'g> UniformSourceSampler<'g> {
     /// Draws one sample; returns the running estimate.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let s = rng.random_range(0..self.graph.num_vertices() as Vertex);
-        self.sum += self.calc.dependency_on(self.graph, s, self.r);
+        self.sum += self.calc.dependency_on(s, self.r);
         self.samples += 1;
         let est = self.estimate();
         if let Some(t) = &mut self.trace {

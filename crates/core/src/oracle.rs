@@ -248,7 +248,6 @@ mod tests {
     use super::*;
     use mhbc_graph::generators;
     use mhbc_graph::reduce::{reduce, ReduceLevel};
-    use mhbc_spd::DependencyCalculator;
 
     #[test]
     fn caches_repeat_evaluations() {
@@ -266,11 +265,11 @@ mod tests {
         let g = generators::barbell(4, 2);
         let probes = [0u32, 4, 5, 9];
         let mut o = ProbeOracle::new(&g, &probes);
-        let mut calc = DependencyCalculator::new(&g);
+        let mut calc = ViewCalculator::new(SpdView::direct(&g));
         for src in 0..g.num_vertices() as Vertex {
             let row = o.deps(src).to_vec();
             for (i, &p) in probes.iter().enumerate() {
-                assert_eq!(row[i], calc.dependency_on(&g, src, p), "src {src} probe {p}");
+                assert_eq!(row[i], calc.dependency_on(src, p), "src {src} probe {p}");
             }
         }
     }
@@ -286,10 +285,10 @@ mod tests {
         let probe = 0u32; // the centre (retained; leaves are pruned)
         assert!(red.is_retained(probe));
         let mut o = ProbeOracle::for_view(view, &[probe]);
-        let mut reference = DependencyCalculator::new(&g);
+        let mut reference = ViewCalculator::new(SpdView::direct(&g));
         for v in 0..g.num_vertices() as Vertex {
             let got = o.dep(v, 0);
-            let want = reference.dependency_on(&g, v, probe);
+            let want = reference.dependency_on(v, probe);
             assert!((got - want).abs() < 1e-12, "source {v}: {got} vs {want}");
         }
         // 8 sources evaluated, but leaves coalesce: centre + leaf class.
@@ -307,9 +306,9 @@ mod tests {
             generators::assign_uniform_weights(&g, 1.0, 3.0, &mut SmallRng::seed_from_u64(1));
         let sweep = |g: &CsrGraph, probe: Vertex| {
             let mut o = ProbeOracle::new(g, &[probe]);
-            let mut reference = DependencyCalculator::new(g);
+            let mut reference = ViewCalculator::new(SpdView::direct(g));
             for v in g.vertices() {
-                let want = reference.dependency_on(g, v, probe);
+                let want = reference.dependency_on(v, probe);
                 assert_eq!(o.dep(v, 0).to_bits(), want.to_bits(), "source {v}, probe {probe}");
             }
             o.spd_passes()
@@ -356,14 +355,14 @@ mod tests {
         let g = generators::barbell(4, 2);
         let probes = [0u32, 4, 9];
         let n = g.num_vertices() as Vertex;
-        let mut reference = DependencyCalculator::new(&g);
+        let mut reference = ViewCalculator::new(SpdView::direct(&g));
         for threads in [1usize, 2, 4] {
             let mut o = ProbeOracle::new(&g, &probes);
             o.prefetch(0..n, threads);
             for src in 0..n {
                 let row = o.deps(src).to_vec();
                 for (i, &p) in probes.iter().enumerate() {
-                    assert_eq!(row[i], reference.dependency_on(&g, src, p));
+                    assert_eq!(row[i], reference.dependency_on(src, p));
                 }
             }
             // Prefetched rows are pure cache hits for the reader.
@@ -392,9 +391,9 @@ mod tests {
         o.prefetch((0..4).flat_map(|t| (0..n).map(move |i| (i + t * 3) % n)), 4);
         assert_eq!(o.spd_passes(), n as u64);
         assert_eq!(o.computed_passes(), n as u64);
-        let mut reference = DependencyCalculator::new(&g);
+        let mut reference = ViewCalculator::new(SpdView::direct(&g));
         for v in 0..n {
-            assert_eq!(o.dep(v, 0), reference.dependency_on(&g, v, 6));
+            assert_eq!(o.dep(v, 0), reference.dependency_on(v, 6));
         }
     }
 

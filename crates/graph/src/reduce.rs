@@ -80,8 +80,8 @@
 //!
 //! # Using a reduction
 //!
-//! `mhbc-spd` consumes [`ReducedGraph`] through its `SpdView` /
-//! `ReducedCalculator` types, which map original-id dependency queries
+//! `mhbc-spd` consumes [`ReducedGraph`] through an `SpdView`, whose
+//! `ViewCalculator` maps original-id dependency queries
 //! `δ_{v•}(r)` through the reduction *exactly* — the samplers keep their
 //! original state space and stationary distribution. See that crate for the
 //! mapping formulas and their derivation.

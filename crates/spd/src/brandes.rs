@@ -1,6 +1,6 @@
 //! Exact betweenness (Brandes \[8\]) and fixed-probe dependency profiles.
 
-use crate::DependencyCalculator;
+use crate::{SpdView, ViewCalculator};
 use mhbc_graph::{CsrGraph, Vertex};
 
 /// Exact betweenness centrality of every vertex, normalised as in Eq 1
@@ -47,11 +47,11 @@ pub fn exact_betweenness_par(g: &CsrGraph, threads: usize) -> Vec<f64> {
     let threads = effective_threads(threads, n);
     let chunk = source_chunk(n);
     let chunks: Vec<usize> = (0..n.div_ceil(chunk)).collect();
-    let mut calcs: Vec<_> = (0..threads).map(|_| DependencyCalculator::new(g)).collect();
+    let mut calcs: Vec<_> = (0..threads).map(|_| ViewCalculator::new(SpdView::direct(g))).collect();
     let mut bc = vec![0.0f64; n];
     for wave in chunks.chunks(threads) {
         let partials = crate::sweep(&mut calcs, wave, |calc, &c| {
-            chunk_partial(g, calc, c * chunk..n.min((c + 1) * chunk))
+            chunk_partial(calc, c * chunk..n.min((c + 1) * chunk))
         });
         for part in partials {
             for (b, p) in bc.iter_mut().zip(&part) {
@@ -67,14 +67,10 @@ pub fn exact_betweenness_par(g: &CsrGraph, threads: usize) -> Vec<f64> {
 }
 
 /// Dependency sums of `sources`, accumulated in source order.
-fn chunk_partial(
-    g: &CsrGraph,
-    calc: &mut DependencyCalculator,
-    sources: std::ops::Range<usize>,
-) -> Vec<f64> {
-    let mut acc = vec![0.0f64; g.num_vertices()];
+fn chunk_partial(calc: &mut ViewCalculator<'_>, sources: std::ops::Range<usize>) -> Vec<f64> {
+    let mut acc = vec![0.0f64; calc.view().num_vertices()];
     for s in sources {
-        let delta = calc.dependencies(g, s as Vertex);
+        let delta = calc.dependencies(s as Vertex);
         for (a, d) in acc.iter_mut().zip(delta) {
             *a += d;
         }
@@ -144,7 +140,7 @@ pub fn dependency_profile(g: &CsrGraph, r: Vertex) -> DependencyProfile {
 /// Parallel [`dependency_profile`]: [`crate::dependency_profile_view_par`]
 /// on the direct view. `threads = 0` uses available parallelism.
 pub fn dependency_profile_par(g: &CsrGraph, r: Vertex, threads: usize) -> DependencyProfile {
-    crate::dependency_profile_view_par(crate::SpdView::direct(g), r, threads)
+    crate::dependency_profile_view_par(SpdView::direct(g), r, threads)
 }
 
 /// Exact `BC(r)` for a single probe vertex (via its dependency profile,

@@ -126,32 +126,6 @@ impl LegacyBfsSpd {
         }
         delta[self.source as usize] = 0.0;
     }
-
-    /// Pre-rewrite Geisberger–Sanders–Schultes linear-scaling accumulation.
-    pub fn accumulate_scaled_dependencies(&self, g: &CsrGraph, scaled: &mut Vec<f64>) {
-        scaled.clear();
-        scaled.resize(self.dist.len(), 0.0);
-        for &w in self.order.iter().rev() {
-            let dw = self.dist[w as usize];
-            if dw == 0 {
-                continue;
-            }
-            let coeff = (1.0 / dw as f64 + scaled[w as usize]) / self.sigma[w as usize];
-            for &u in g.neighbors(w) {
-                if self.dist[u as usize] != UNREACHED && self.dist[u as usize] + 1 == dw {
-                    scaled[u as usize] += self.sigma[u as usize] * coeff;
-                }
-            }
-        }
-        for (v, s) in scaled.iter_mut().enumerate() {
-            if self.dist[v] != UNREACHED && self.dist[v] > 0 {
-                *s *= self.dist[v] as f64;
-            } else {
-                *s = 0.0;
-            }
-        }
-        scaled[self.source as usize] = 0.0;
-    }
 }
 
 #[cfg(test)]

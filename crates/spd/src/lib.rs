@@ -12,11 +12,15 @@
 //!   per-sample costs quoted in §4.1. The unweighted forward pass is
 //!   direction-optimizing ([`KernelMode`]: top-down, bottom-up-hybrid, or
 //!   auto), with every mode bit-identical by the canonical settle order.
-//! - [`DependencyCalculator`] — the per-sample kernel: dependency scores
-//!   `δ_{s•}(v)` for all `v` via Brandes's recursion (Eq 4), or only what a
-//!   few probes' scores depend on (their shortest-path descendants),
-//!   dispatching on graph weightedness, with reusable buffers (no per-call
-//!   allocation).
+//! - [`ViewCalculator`] — the per-sample kernel: dependency scores
+//!   `δ_{s•}(v)` via Brandes's recursion (Eq 4) from one SPD pass, the full
+//!   row or only what a few probes' scores depend on (their shortest-path
+//!   descendants), dispatching on graph weightedness, with buffers reused
+//!   across calls. It evaluates through an [`SpdView`]: the
+//!   graph itself, or a reduction of it (`mhbc_graph::reduce`), whose
+//!   pruning, twin collapsing and relabelling shrink the pass while the
+//!   mapping back to original vertex ids stays exact (see the `reduced`
+//!   module docs for the formulas).
 //! - [`exact_betweenness_par`] — exact Brandes over all sources (ground
 //!   truth for every experiment); [`exact_betweenness`] is its 1-thread
 //!   case, bit for bit.
@@ -30,13 +34,8 @@
 //!   and sampling (the KADABRA baseline's primitive \[7\]).
 //! - [`naive`] — independent `O(n³)` reference implementations used by the
 //!   test suites to cross-validate everything above.
-//! - [`SpdView`] / [`ReducedCalculator`] / [`ViewCalculator`] — dependency
-//!   evaluation *through a reduced graph* (`mhbc_graph::reduce`): pruning,
-//!   twin collapsing, and relabelling shrink the per-sample pass while the
-//!   mapping back to original vertex ids stays exact (see the `reduced`
-//!   module docs for the formulas).
-//! - [`exact_betweenness_preprocessed`] — exact Brandes through a
-//!   reduction (`n_H` collapsed passes instead of `n` full ones).
+//! - [`exact_betweenness_reduced`] — exact Brandes through a reduction
+//!   (`n_H` collapsed passes instead of `n` full ones).
 //! - [`legacy`] — the pre-rewrite `VecDeque` BFS kernel, kept only as the
 //!   bitwise test reference for the frontier kernel.
 //! - [`sweep`] — the one fork-join behind every parallel SPD job (exact
@@ -82,11 +81,8 @@ pub use brandes::{
     dependency_profile, dependency_profile_par, exact_betweenness, exact_betweenness_of,
     exact_betweenness_par, DependencyProfile,
 };
-pub use dependency::DependencyCalculator;
-pub use reduced::{
-    dependency_profile_view_par, exact_betweenness_preprocessed, exact_betweenness_reduced,
-    ReducedCalculator, RowKeys, SpdView, ViewCalculator,
-};
+pub use dependency::ViewCalculator;
+pub use reduced::{dependency_profile_view_par, exact_betweenness_reduced, RowKeys, SpdView};
 pub use unweighted::{BfsSpd, KernelMode, UNREACHED};
 pub use weighted::DijkstraSpd;
 

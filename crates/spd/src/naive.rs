@@ -138,7 +138,7 @@ pub fn dependencies_naive(g: &CsrGraph, s: Vertex) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exact_betweenness, DependencyCalculator};
+    use crate::{exact_betweenness, SpdView, ViewCalculator};
     use mhbc_graph::generators;
     use rand::{rngs::SmallRng, SeedableRng};
 
@@ -176,9 +176,9 @@ mod tests {
     fn naive_dependencies_match_accumulation() {
         let mut rng = SmallRng::seed_from_u64(73);
         let g = generators::barabasi_albert(40, 2, &mut rng);
-        let mut calc = DependencyCalculator::new(&g);
+        let mut calc = ViewCalculator::new(SpdView::direct(&g));
         for s in [0u32, 7, 23] {
-            let fast = calc.dependencies(&g, s).to_vec();
+            let fast = calc.dependencies(s).to_vec();
             let slow = dependencies_naive(&g, s);
             for v in 0..40 {
                 assert!((fast[v] - slow[v]).abs() < 1e-10, "source {s}, vertex {v}");

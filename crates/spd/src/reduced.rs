@@ -21,8 +21,8 @@
 //! For a *retained* source `v` (class `z_v`, weight `ω(v)`) and retained
 //! probe `r` (class `z_r`, weight `ω(r)`), with `D(·)` the class-level
 //! dependency of one source member computed by
-//! [`BfsSpd::compute_collapsed`] + `accumulate_dependencies_collapsed`
-//! (target seeds `Ω`):
+//! [`BfsSpd::compute_collapsed`](crate::BfsSpd::compute_collapsed) +
+//! `accumulate_dependencies_collapsed` (target seeds `Ω`):
 //!
 //! ```text
 //! δ_{v•}(r) = D(z_r)                                  reduced-pair targets
@@ -66,7 +66,7 @@
 //!
 //! A pruned source `v` with attachment `a` goes further: unless `a` is a
 //! probe, it keys by `a`'s row group. This follows from the code, with no
-//! floating-point argument. [`ReducedCalculator::dependency_on_many`]
+//! floating-point argument. [`ViewCalculator::dependency_on_many`]
 //! serves `v` with the same pass from `a`'s reduced vertex as `a`'s own row,
 //! and then maps each probe `r ≠ a` through the same `mapped` call with the
 //! same arguments. The two rows differ only at `r = a`, where `v`'s holds
@@ -88,12 +88,12 @@
 //! Take a probe `r ∉ B ∪ {a}`. Its shortest-path descendants lie outside
 //! `B ∪ {a}`, in the same levels relative to `a` from either source and with
 //! the same parents and children. The kernel forms σ in ascending parent
-//! id and δ in reverse canonical order (see [`BfsSpd`]), so from `v` and
-//! from `a` it adds the same terms in the same order. Hence `δ_{v•}(r)`
-//! equals `δ_{a•}(r)` bit for bit, in every [`KernelMode`], and whether the
-//! backward scan is targeted or full. So `v` keys by `a` unless a probe lies
-//! in `B` or is `a` itself. Then `δ_{v•}(r)` differs from `δ_{a•}(r)`, and
-//! `v` keys by its own id.
+//! id and δ in reverse canonical order (see [`BfsSpd`](crate::BfsSpd)), so
+//! from `v` and from `a` it adds the same terms in the same order. Hence
+//! `δ_{v•}(r)` equals `δ_{a•}(r)` bit for bit, in every [`KernelMode`], and
+//! whether the backward scan is targeted or full. So `v` keys by `a` unless
+//! a probe lies in `B` or is `a` itself. Then `δ_{v•}(r)` differs from
+//! `δ_{a•}(r)`, and `v` keys by its own id.
 //!
 //! False twins of a direct view are *not* folded. Their rows are equal in
 //! exact arithmetic, but their δ sums run in different orders, so the rows
@@ -103,9 +103,9 @@
 //! sums along the tree do not cancel, so ties may break differently from
 //! `v` than from `a`.
 
-use crate::{BfsSpd, DependencyCalculator, DijkstraSpd, KernelMode, UNREACHED};
+use crate::{KernelMode, ViewCalculator};
 use mhbc_graph::algo::PendantForest;
-use mhbc_graph::reduce::{ReduceError, ReduceLevel, ReducedGraph, TwinKind, VertexState};
+use mhbc_graph::reduce::{ReducedGraph, TwinKind, VertexState};
 use mhbc_graph::{CsrGraph, Vertex};
 
 /// A graph together with (optionally) its reduction — plus the SPD
@@ -303,303 +303,6 @@ impl std::fmt::Debug for SpdView<'_> {
     }
 }
 
-/// Which unweighted kernel variant a reduction actually needs — the
-/// cheapest one that is still exact. A reduction with no twin classes needs
-/// no multiplicity arithmetic, and one with no pruned pendants needs no
-/// target seeds either: "preprocess full" on an irreducible graph costs the
-/// same per pass as no preprocessing at all (the variants degenerate to
-/// each other bit for bit, so this is a pure dispatch optimisation).
-enum UnweightedMode {
-    /// No twins, no pendants: the plain frontier kernel.
-    Plain,
-    /// Pendants but no twins: plain forward pass, seeded backward pass
-    /// (the all-ones multiplicity slice makes `*_collapsed` the seeded
-    /// accumulation).
-    Seeded,
-    /// Twin classes present: multiplicity-aware σ and δ.
-    Collapsed,
-}
-
-enum ReducedEngine {
-    Unweighted(BfsSpd, UnweightedMode),
-    /// Weighted reductions never collapse (enforced at build time); the
-    /// bool is whether pendant seeds are needed.
-    Weighted(DijkstraSpd, bool),
-}
-
-/// The reduced-graph counterpart of [`DependencyCalculator`]: evaluates
-/// original-id dependency rows through a [`ReducedGraph`] with one SPD pass
-/// over the (smaller, relabelled) reduced CSR per evaluation. See the
-/// module docs for the exact mapping.
-pub struct ReducedCalculator {
-    engine: ReducedEngine,
-    delta: Vec<f64>,
-    /// The retained probes of the current pass, as reduced ids.
-    h_probes: Vec<Vertex>,
-    passes: u64,
-}
-
-impl ReducedCalculator {
-    /// A workspace sized for `red`'s reduced CSR, dispatched to the
-    /// cheapest exact kernel variant (see `UnweightedMode`), in
-    /// [`KernelMode::Auto`].
-    pub fn new(red: &ReducedGraph) -> Self {
-        Self::with_kernel(red, KernelMode::Auto)
-    }
-
-    /// [`ReducedCalculator::new`] with an explicit SPD [`KernelMode`]; the
-    /// direction-optimizing machinery applies to the collapsed kernels too,
-    /// and every mode is bit-identical.
-    pub fn with_kernel(red: &ReducedGraph, kernel: KernelMode) -> Self {
-        let h_n = red.csr().num_vertices();
-        let has_twins = red.mults().iter().any(|&m| m > 1.0);
-        let has_pendants = red.weights().iter().any(|&w| w > 1.0);
-        let engine = if red.csr().is_weighted() {
-            ReducedEngine::Weighted(DijkstraSpd::new(h_n), has_pendants)
-        } else {
-            let mode = if has_twins {
-                UnweightedMode::Collapsed
-            } else if has_pendants {
-                UnweightedMode::Seeded
-            } else {
-                UnweightedMode::Plain
-            };
-            ReducedEngine::Unweighted(BfsSpd::with_mode(h_n, kernel), mode)
-        };
-        ReducedCalculator {
-            engine,
-            delta: Vec::with_capacity(h_n),
-            h_probes: Vec::new(),
-            passes: 0,
-        }
-    }
-
-    /// One SPD pass from reduced vertex `h_src`, leaving the class-level
-    /// dependencies in `self.delta`: the whole row, or (`probes` given, as
-    /// original ids; unweighted reductions) a row exact at the retained
-    /// probes' classes only.
-    fn pass(&mut self, red: &ReducedGraph, h_src: Vertex, probes: Option<&[Vertex]>) {
-        self.passes += 1;
-        let h_probes = probes.map(|probes| {
-            self.h_probes.clear();
-            self.h_probes.extend(probes.iter().filter_map(|&r| match red.state(r) {
-                VertexState::Retained { h, .. } => Some(h),
-                VertexState::Pruned { .. } => None,
-            }));
-            &self.h_probes[..]
-        });
-        match &mut self.engine {
-            ReducedEngine::Unweighted(spd, mode) => {
-                let h = red.csr();
-                match mode {
-                    UnweightedMode::Plain | UnweightedMode::Seeded => spd.compute(h, h_src),
-                    UnweightedMode::Collapsed => spd.compute_collapsed(h, h_src, red.mults()),
-                }
-                let delta = &mut self.delta;
-                match (mode, h_probes) {
-                    (UnweightedMode::Plain, None) => spd.accumulate_dependencies(h, delta),
-                    (UnweightedMode::Plain, Some(p)) => spd.accumulate_dependencies_at(h, p, delta),
-                    // The all-ones multiplicity slice of a twin-free
-                    // reduction makes the collapsed scan the seeded one.
-                    (_, None) => {
-                        spd.accumulate_dependencies_collapsed(h, red.mults(), red.weights(), delta)
-                    }
-                    (_, Some(p)) => spd.accumulate_dependencies_collapsed_at(
-                        h,
-                        red.mults(),
-                        red.weights(),
-                        p,
-                        delta,
-                    ),
-                }
-            }
-            ReducedEngine::Weighted(spd, seeded) => {
-                spd.compute(red.csr(), h_src);
-                if *seeded {
-                    spd.accumulate_dependencies_seeded(red.csr(), red.weights(), &mut self.delta);
-                } else {
-                    spd.accumulate_dependencies(red.csr(), &mut self.delta);
-                }
-            }
-        }
-    }
-
-    fn reached(&self, z: Vertex) -> bool {
-        match &self.engine {
-            ReducedEngine::Unweighted(spd, _) => spd.dist(z) != UNREACHED,
-            ReducedEngine::Weighted(spd, _) => spd.dist(z).is_finite(),
-        }
-    }
-
-    /// Maps the class-level pass in `self.delta` (rooted at `h_src`, whose
-    /// acting member is `src_orig` with pendant weight `omega_src`) to
-    /// original-probe densities. `pruned` carries `(att, branch)` when the
-    /// true source is a pendant vertex attached at `att`.
-    #[allow(clippy::too_many_arguments)]
-    fn fill(
-        &self,
-        red: &ReducedGraph,
-        h_src: Vertex,
-        omega_src: f64,
-        src_orig: Vertex,
-        pruned: Option<(Vertex, u32)>,
-        probes: &[Vertex],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let same_class_base = if red.kind(h_src) == TwinKind::False {
-            (red.weight(h_src) - omega_src) / red.wdeg(h_src)
-        } else {
-            0.0
-        };
-        for &r in probes {
-            let VertexState::Retained { h: hr, omega: omega_r } = red.state(r) else {
-                panic!(
-                    "probe {r} was pruned into a pendant tree; reduced-mode sampling \
-                     requires retained probes (pruned probes have exact closed-form BC)"
-                );
-            };
-            let val = if let Some((a, branch)) = pruned {
-                if r == a {
-                    // The probe is the articulation point of the source's
-                    // whole pendant branch.
-                    red.comp_total(h_src) - 1.0 - branch as f64
-                } else if !self.reached(hr) {
-                    0.0
-                } else {
-                    self.mapped(red, h_src, hr, same_class_base, omega_r)
-                }
-            } else if r == src_orig || !self.reached(hr) {
-                0.0
-            } else {
-                self.mapped(red, h_src, hr, same_class_base, omega_r)
-            };
-            out.push(val);
-        }
-    }
-
-    /// The three-term mapping of the module docs for a reached, retained,
-    /// non-source probe.
-    #[inline]
-    fn mapped(
-        &self,
-        red: &ReducedGraph,
-        h_src: Vertex,
-        hr: Vertex,
-        same_class_base: f64,
-        omega_r: u32,
-    ) -> f64 {
-        let mut d = self.delta[hr as usize] + (omega_r as f64 - 1.0);
-        if same_class_base != 0.0 && red.csr().has_edge(h_src, hr) {
-            d += same_class_base;
-        }
-        d
-    }
-
-    /// `δ_{source•}(r)` for several original probes at once — one pass over
-    /// the reduced CSR (shared with the attachment's pass for pendant
-    /// sources) whose backward scan covers only the probes' classes and
-    /// their shortest-path descendants; the values are bit-identical to the
-    /// full row's.
-    ///
-    /// # Panics
-    /// If any probe is a pruned vertex (validate with
-    /// [`ReducedGraph::is_retained`] first).
-    pub fn dependency_on_many(
-        &mut self,
-        red: &ReducedGraph,
-        source: Vertex,
-        probes: &[Vertex],
-        out: &mut Vec<f64>,
-    ) {
-        match red.state(source) {
-            VertexState::Retained { h, omega } => {
-                self.pass(red, h, Some(probes));
-                self.fill(red, h, omega as f64, source, None, probes, out);
-            }
-            VertexState::Pruned { att, branch } => {
-                let VertexState::Retained { h: ha, omega: oa } = red.state(att) else {
-                    unreachable!("attachment vertices are retained by construction");
-                };
-                self.pass(red, ha, Some(probes));
-                self.fill(red, ha, oa as f64, att, Some((att, branch)), probes, out);
-            }
-        }
-    }
-
-    /// Single-probe convenience.
-    pub fn dependency_on(&mut self, red: &ReducedGraph, source: Vertex, r: Vertex) -> f64 {
-        let mut out = Vec::with_capacity(1);
-        self.dependency_on_many(red, source, &[r], &mut out);
-        out[0]
-    }
-
-    /// SPD passes performed over the reduced CSR (the budget unit).
-    pub fn passes(&self) -> u64 {
-        self.passes
-    }
-}
-
-enum ViewEngine {
-    Direct(DependencyCalculator),
-    Reduced(ReducedCalculator),
-}
-
-/// A dependency workspace bound to an [`SpdView`]: dispatches to the plain
-/// [`DependencyCalculator`] or the [`ReducedCalculator`] so the samplers
-/// and oracles are agnostic of whether preprocessing is active.
-pub struct ViewCalculator<'g> {
-    view: SpdView<'g>,
-    engine: ViewEngine,
-}
-
-impl<'g> ViewCalculator<'g> {
-    /// A workspace for `view`, evaluating with the view's [`KernelMode`].
-    pub fn new(view: SpdView<'g>) -> Self {
-        let engine = match view.reduced {
-            None => ViewEngine::Direct(DependencyCalculator::with_kernel(view.graph, view.kernel)),
-            Some(red) => ViewEngine::Reduced(ReducedCalculator::with_kernel(red, view.kernel)),
-        };
-        ViewCalculator { view, engine }
-    }
-
-    /// The view this workspace evaluates against.
-    pub fn view(&self) -> SpdView<'g> {
-        self.view
-    }
-
-    /// `δ_{source•}(r)` for several original probes; one SPD pass over the
-    /// evaluation graph (original or reduced).
-    pub fn dependency_on_many(&mut self, source: Vertex, probes: &[Vertex], out: &mut Vec<f64>) {
-        match &mut self.engine {
-            ViewEngine::Direct(calc) => {
-                calc.dependency_on_many(self.view.graph, source, probes, out)
-            }
-            ViewEngine::Reduced(calc) => calc.dependency_on_many(
-                self.view.reduced.expect("reduced engine has a reduction"),
-                source,
-                probes,
-                out,
-            ),
-        }
-    }
-
-    /// Single-probe convenience.
-    pub fn dependency_on(&mut self, source: Vertex, r: Vertex) -> f64 {
-        let mut out = Vec::with_capacity(1);
-        self.dependency_on_many(source, &[r], &mut out);
-        out[0]
-    }
-
-    /// SPD passes performed so far (each over the view's evaluation graph).
-    pub fn passes(&self) -> u64 {
-        match &self.engine {
-            ViewEngine::Direct(calc) => calc.passes(),
-            ViewEngine::Reduced(calc) => calc.passes(),
-        }
-    }
-}
-
 /// Exact betweenness of **every original vertex** computed through a
 /// reduction: pruning corrections plus one multiplicity-aware pass per
 /// reduced vertex (`n_H` passes over `H` instead of `n` over `G`).
@@ -607,20 +310,18 @@ impl<'g> ViewCalculator<'g> {
 /// Ground truth for the reduction proptests, and a faster exact path when
 /// the graph has pendant or twin structure.
 pub fn exact_betweenness_reduced(g: &CsrGraph, red: &ReducedGraph) -> Vec<f64> {
+    let view = SpdView::preprocessed(g, red);
     let n = g.num_vertices();
-    assert_eq!(red.orig_vertices(), n, "reduction was built for a different graph");
     let mut bc = red.corrections().to_vec();
     if n < 2 {
         return bc;
     }
     let h = red.csr();
     let h_n = h.num_vertices();
-    let mut calc = ReducedCalculator::new(red);
+    let mut calc = ViewCalculator::new(view);
     for z in 0..h_n as Vertex {
-        calc.pass(red, z, None);
         let wz = red.weight(z);
-        for y in 0..h_n {
-            let d = calc.delta[y];
+        for (y, &d) in calc.pass(z, None).iter().enumerate() {
             if d != 0.0 {
                 for &m in red.members(y as Vertex) {
                     bc[m as usize] += wz * d;
@@ -647,15 +348,6 @@ pub fn exact_betweenness_reduced(g: &CsrGraph, red: &ReducedGraph) -> Vec<f64> {
         *b /= norm;
     }
     bc
-}
-
-/// Builds the reduction at `level` and runs [`exact_betweenness_reduced`].
-pub fn exact_betweenness_preprocessed(
-    g: &CsrGraph,
-    level: ReduceLevel,
-) -> Result<Vec<f64>, ReduceError> {
-    let red = mhbc_graph::reduce::reduce(g, level)?;
-    Ok(exact_betweenness_reduced(g, &red))
 }
 
 /// The dependency profile `δ_{v•}(r)` of a retained probe over every
@@ -699,9 +391,9 @@ pub fn dependency_profile_view_par(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_betweenness;
+    use crate::{exact_betweenness, BfsSpd};
     use mhbc_graph::generators;
-    use mhbc_graph::reduce::reduce;
+    use mhbc_graph::reduce::{reduce, ReduceLevel};
 
     fn assert_close(a: f64, b: f64, ctx: &str) {
         let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
@@ -713,12 +405,12 @@ mod tests {
     fn check_density_mapping(g: &CsrGraph, level: ReduceLevel) {
         let red = reduce(g, level).unwrap();
         let n = g.num_vertices();
-        let mut direct = DependencyCalculator::new(g);
-        let mut reduced = ReducedCalculator::new(&red);
+        let mut direct = ViewCalculator::new(SpdView::direct(g));
+        let mut reduced = ViewCalculator::new(SpdView::preprocessed(g, &red));
         for r in (0..n as Vertex).filter(|&r| red.is_retained(r)) {
             for v in 0..n as Vertex {
-                let want = direct.dependency_on(g, v, r);
-                let got = reduced.dependency_on(&red, v, r);
+                let want = direct.dependency_on(v, r);
+                let got = reduced.dependency_on(v, r);
                 assert_close(got, want, &format!("source {v}, probe {r}, {level:?}"));
             }
         }
@@ -771,7 +463,7 @@ mod tests {
         ] {
             let want = exact_betweenness(&g);
             for level in [ReduceLevel::Off, ReduceLevel::Prune, ReduceLevel::Full] {
-                let got = exact_betweenness_preprocessed(&g, level).unwrap();
+                let got = exact_betweenness_reduced(&g, &reduce(&g, level).unwrap());
                 for v in 0..g.num_vertices() {
                     assert_close(got[v], want[v], &format!("{name} vertex {v} at {level:?}"));
                 }
@@ -793,7 +485,7 @@ mod tests {
             }
             let g = CsrGraph::from_edges(n, &edges).unwrap();
             let want = exact_betweenness(&g);
-            let got = exact_betweenness_preprocessed(&g, ReduceLevel::Prune).unwrap();
+            let got = exact_betweenness_reduced(&g, &reduce(&g, ReduceLevel::Prune).unwrap());
             for v in 0..n {
                 assert_eq!(
                     got[v].to_bits(),
@@ -890,8 +582,8 @@ mod tests {
     fn pruned_probes_are_rejected() {
         let g = generators::lollipop(5, 3);
         let red = reduce(&g, ReduceLevel::Prune).unwrap();
-        let mut calc = ReducedCalculator::new(&red);
-        let _ = calc.dependency_on(&red, 0, 6); // 6 is on the pruned path
+        let mut calc = ViewCalculator::new(SpdView::preprocessed(&g, &red));
+        let _ = calc.dependency_on(0, 6); // 6 is on the pruned path
     }
 
     #[test]

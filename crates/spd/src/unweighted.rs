@@ -143,11 +143,11 @@ impl KernelMode {
 /// accumulated afterwards, and is read only for vertices proven reached via
 /// the stamped distance.
 ///
-/// The backward scans ([`BfsSpd::accumulate_dependencies`],
-/// [`BfsSpd::accumulate_scaled_dependencies`]) walk the recorded level
-/// boundaries deepest-first (reverse order within each level, i.e. exactly
-/// the reverse of the canonical settle order). The parent test against the
-/// packed key of `level - 1` costs one distance load per edge.
+/// The backward scan ([`BfsSpd::accumulate_dependencies`]) walks the
+/// recorded level boundaries deepest-first (reverse order within each
+/// level, i.e. exactly the reverse of the canonical settle order). The
+/// parent test against the packed key of `level - 1` costs one distance
+/// load per edge.
 ///
 /// ## Targeted backward scan
 ///
@@ -279,11 +279,10 @@ impl BfsSpd {
         self.pull_levels
     }
 
-    /// Edges examined by the last dependency accumulation (the scaled one
-    /// excepted): descendant marking plus the backward scan proper. A pure
-    /// function of `(graph, source, probes)`, whatever the [`KernelMode`];
-    /// for an unrestricted scan it is the degree sum of the reached
-    /// vertices at levels ≥ 2.
+    /// Edges examined by the last dependency accumulation: descendant
+    /// marking plus the backward scan proper. A pure function of `(graph,
+    /// source, probes)`, whatever the [`KernelMode`]; for an unrestricted
+    /// scan it is the degree sum of the reached vertices at levels ≥ 2.
     pub fn backward_edges(&self) -> u64 {
         self.backward_edges
     }
@@ -886,48 +885,6 @@ impl BfsSpd {
         }
         (cut, edges)
     }
-
-    /// Geisberger–Sanders–Schultes *linear-scaling* accumulation \[17\]:
-    /// computes `g_s(v) = Σ_t δ_st(v) / d(s, t)` via the same backward scan
-    /// with the per-target seed `1` replaced by `1 / d(s, w)`. The
-    /// length-scaled dependency is then `d(s, v) · g_s(v)`, which prevents
-    /// vertices from profiting merely by sitting next to a sampled source.
-    pub fn accumulate_scaled_dependencies(&self, g: &CsrGraph, scaled: &mut Vec<f64>) {
-        assert_eq!(g.num_vertices(), self.packed.len(), "graph does not match workspace");
-        scaled.clear();
-        scaled.resize(self.packed.len(), 0.0);
-        let scaled = &mut scaled[..];
-        let (packed, sigma) = (&self.packed[..], &self.sigma[..]);
-        let base = self.base();
-        let (offsets, targets) = g.csr();
-        // 0 before the first compute call: accumulate nothing (all zeros).
-        let levels = self.level_starts.len().saturating_sub(1);
-        // As in `accumulate_dependencies`, level 1 feeds only the source's
-        // (discarded) entry and is skipped.
-        for lvl in (2..levels).rev() {
-            let parent_key = base | (lvl as u32 - 1);
-            let inv_dw = 1.0 / lvl as f64;
-            let (start, end) = (self.level_starts[lvl], self.level_starts[lvl + 1]);
-            for &w in self.order[start..end].iter().rev() {
-                let w = w as usize;
-                let coeff = (inv_dw + scaled[w]) / sigma[w];
-                for &u in &targets[offsets[w] as usize..offsets[w + 1] as usize] {
-                    let u = u as usize;
-                    if packed[u] == parent_key {
-                        scaled[u] += sigma[u] * coeff;
-                    }
-                }
-            }
-        }
-        // Convert g_s(v) to d(s, v) * g_s(v) in place.
-        for lvl in 1..levels {
-            let (start, end) = (self.level_starts[lvl], self.level_starts[lvl + 1]);
-            for &v in &self.order[start..end] {
-                scaled[v as usize] *= lvl as f64;
-            }
-        }
-        scaled[self.source as usize] = 0.0;
-    }
 }
 
 /// The read-only inputs of one backward step (see `BfsSpd::backward`).
@@ -1070,8 +1027,6 @@ mod tests {
         let mut delta = vec![9.9];
         spd.accumulate_dependencies(&g, &mut delta);
         assert_eq!(delta, vec![0.0; 4]);
-        spd.accumulate_scaled_dependencies(&g, &mut delta);
-        assert_eq!(delta, vec![0.0; 4]);
     }
 
     #[test]
@@ -1161,11 +1116,6 @@ mod tests {
                 old.accumulate_dependencies(&g, &mut d2);
                 for v in 0..n {
                     assert_eq!(d1[v].to_bits(), d2[v].to_bits(), "delta {v}, source {s}");
-                }
-                new.accumulate_scaled_dependencies(&g, &mut d1);
-                old.accumulate_scaled_dependencies(&g, &mut d2);
-                for v in 0..n {
-                    assert_eq!(d1[v].to_bits(), d2[v].to_bits(), "scaled {v}, source {s}");
                 }
             }
         }

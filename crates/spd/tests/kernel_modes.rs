@@ -2,7 +2,7 @@
 //! other — and to the legacy queue kernel — **bit for bit**.
 //!
 //! The canonical within-level settle order (ascending vertex id) makes
-//! `dist`, σ, δ, and scaled-δ identical floating-point values across
+//! `dist`, σ, and δ identical floating-point values across
 //! [`KernelMode::TopDown`], [`KernelMode::Hybrid`] (default α/β *and*
 //! forced bottom-up), and [`KernelMode::Auto`], on every graph — which is
 //! what lets `Auto` be the default everywhere without perturbing a single
@@ -45,7 +45,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// hybrid ≡ top-down ≡ auto ≡ legacy, bit for bit, on all four random
-    /// families: settle order, dist, σ, δ, and scaled δ.
+    /// families: settle order, dist, σ, and δ.
     #[test]
     fn all_modes_match_legacy_bitwise(
         family in 0usize..4, n in 8usize..40, seed in any::<u64>()
@@ -77,14 +77,6 @@ proptest! {
                     prop_assert_eq!(
                         d_got[v].to_bits(), d_ref[v].to_bits(),
                         "delta {} {} source {}", name, v, s
-                    );
-                }
-                legacy.accumulate_scaled_dependencies(&g, &mut d_ref);
-                spd.accumulate_scaled_dependencies(&g, &mut d_got);
-                for v in 0..n {
-                    prop_assert_eq!(
-                        d_got[v].to_bits(), d_ref[v].to_bits(),
-                        "scaled {} {} source {}", name, v, s
                     );
                 }
             }

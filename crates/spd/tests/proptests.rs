@@ -5,8 +5,8 @@ use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph, TwinKind, VertexStat
 use mhbc_graph::{generators, CsrGraph, Vertex};
 use mhbc_spd::{
     bidirectional::BidirectionalSearch, exact_betweenness, exact_betweenness_par,
-    exact_betweenness_preprocessed, naive, BfsSpd, DependencyCalculator, DijkstraSpd, KernelMode,
-    ReducedCalculator, SpdView, ViewCalculator, UNREACHED,
+    exact_betweenness_reduced, naive, BfsSpd, DijkstraSpd, KernelMode, SpdView, ViewCalculator,
+    UNREACHED,
 };
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
@@ -56,8 +56,8 @@ proptest! {
     }
 
     /// The frontier-swap kernel reproduces the legacy `VecDeque` kernel's
-    /// `dist`/`sigma`/`delta` (and scaled delta) bit-for-bit on random
-    /// graphs, including across workspace reuse.
+    /// `dist`/`sigma`/`delta` bit-for-bit on random graphs, including
+    /// across workspace reuse.
     #[test]
     fn frontier_kernel_matches_legacy_bitwise(n in 4usize..40, seed in any::<u64>()) {
         let g = connected_graph(n, 0.15, seed);
@@ -82,11 +82,6 @@ proptest! {
             for v in 0..n {
                 prop_assert_eq!(d1[v].to_bits(), d2[v].to_bits(), "delta {}", v);
             }
-            new.accumulate_scaled_dependencies(&g, &mut d1);
-            old.accumulate_scaled_dependencies(&g, &mut d2);
-            for v in 0..n {
-                prop_assert_eq!(d1[v].to_bits(), d2[v].to_bits(), "scaled {}", v);
-            }
         }
     }
 
@@ -110,8 +105,8 @@ proptest! {
     fn dependencies_match_naive(n in 5usize..30, seed in any::<u64>(), src in 0usize..30) {
         let g = connected_graph(n, 0.2, seed);
         let s = (src % n) as Vertex;
-        let mut calc = DependencyCalculator::new(&g);
-        let fast = calc.dependencies(&g, s).to_vec();
+        let mut calc = ViewCalculator::new(SpdView::direct(&g));
+        let fast = calc.dependencies(s).to_vec();
         let slow = naive::dependencies_naive(&g, s);
         for v in 0..n {
             prop_assert!((fast[v] - slow[v]).abs() < 1e-9, "vertex {}: {} vs {}", v, fast[v], slow[v]);
@@ -138,8 +133,8 @@ proptest! {
     fn dependency_sum_identity(n in 4usize..30, seed in any::<u64>(), src in 0usize..30) {
         let g = connected_graph(n, 0.18, seed);
         let s = (src % n) as Vertex;
-        let mut calc = DependencyCalculator::new(&g);
-        let delta_sum: f64 = calc.dependencies(&g, s).iter().sum();
+        let mut calc = ViewCalculator::new(SpdView::direct(&g));
+        let delta_sum: f64 = calc.dependencies(s).iter().sum();
         let dist = mhbc_graph::algo::bfs_distances(&g, s);
         let expected: f64 = dist
             .iter()
@@ -197,31 +192,6 @@ proptest! {
         }
     }
 
-    /// Linear-scaling identity: summing the length-scaled dependencies
-    /// over *all* sources recovers exact betweenness —
-    /// `BC(v) = (2/(n(n-1))) Σ_s d(s,v) · g_s(v)` (pairing (s,t) with
-    /// (t,s) makes the scale factors telescope to 1).
-    #[test]
-    fn linear_scaling_sums_to_exact_bc(n in 4usize..25, seed in any::<u64>()) {
-        let g = connected_graph(n, 0.22, seed);
-        let exact = exact_betweenness(&g);
-        let mut spd = BfsSpd::new(n);
-        let mut scaled = Vec::new();
-        let mut acc = vec![0.0f64; n];
-        for s in 0..n as Vertex {
-            spd.compute(&g, s);
-            spd.accumulate_scaled_dependencies(&g, &mut scaled);
-            for v in 0..n {
-                acc[v] += scaled[v];
-            }
-        }
-        let norm = (n * (n - 1)) as f64;
-        for v in 0..n {
-            let got = 2.0 * acc[v] / norm;
-            prop_assert!((got - exact[v]).abs() < 1e-9, "vertex {}: {} vs {}", v, got, exact[v]);
-        }
-    }
-
     /// Degree-1 pruning corrections + reduced-graph Brandes reproduce
     /// whole-graph exact Brandes on random ER graphs — sparse enough to
     /// carry pendant trees and (without `ensure_connected`) disconnected
@@ -233,7 +203,7 @@ proptest! {
         let g = generators::erdos_renyi_gnp(n, 2.0 / n as f64, &mut rng);
         let want = exact_betweenness(&g);
         for level in [ReduceLevel::Off, ReduceLevel::Prune, ReduceLevel::Full] {
-            let got = exact_betweenness_preprocessed(&g, level).unwrap();
+            let got = exact_betweenness_reduced(&g, &reduce(&g, level).unwrap());
             for v in 0..n {
                 let tol = 1e-9 * want[v].abs().max(1.0);
                 prop_assert!(
@@ -252,7 +222,7 @@ proptest! {
         let g = generators::barabasi_albert(n.max(m + 1), m, &mut rng);
         let want = exact_betweenness(&g);
         for level in [ReduceLevel::Prune, ReduceLevel::Full] {
-            let got = exact_betweenness_preprocessed(&g, level).unwrap();
+            let got = exact_betweenness_reduced(&g, &reduce(&g, level).unwrap());
             for v in 0..g.num_vertices() {
                 let tol = 1e-9 * want[v].abs().max(1.0);
                 prop_assert!(
@@ -274,7 +244,7 @@ proptest! {
         let g = hs.graph;
         let want = exact_betweenness(&g);
         for level in [ReduceLevel::Prune, ReduceLevel::Full] {
-            let got = exact_betweenness_preprocessed(&g, level).unwrap();
+            let got = exact_betweenness_reduced(&g, &reduce(&g, level).unwrap());
             for v in 0..g.num_vertices() {
                 let tol = 1e-9 * want[v].abs().max(1.0);
                 prop_assert!(
@@ -293,11 +263,11 @@ proptest! {
         let g = generators::erdos_renyi_gnp(n, 2.5 / n as f64, &mut rng);
         for level in [ReduceLevel::Prune, ReduceLevel::Full] {
             let red = reduce(&g, level).unwrap();
-            let mut direct = DependencyCalculator::new(&g);
+            let mut direct = ViewCalculator::new(SpdView::direct(&g));
             let mut through = ViewCalculator::new(SpdView::preprocessed(&g, &red));
             for r in (0..n as Vertex).filter(|&r| red.is_retained(r)) {
                 for v in 0..n as Vertex {
-                    let want = direct.dependency_on(&g, v, r);
+                    let want = direct.dependency_on(v, r);
                     let got = through.dependency_on(v, r);
                     let tol = 1e-9 * want.abs().max(1.0);
                     prop_assert!(
@@ -353,9 +323,9 @@ fn pick_probes(pool: &[Vertex], rng: &mut SmallRng) -> Vec<Vertex> {
     (0..k).map(|_| pool[rng.random_range(0..pool.len())]).collect()
 }
 
-/// `ReducedCalculator::dependency_on_many` computed the long way: the full
-/// class-level row from `spd`, mapped to original probes by the formulas of
-/// the `reduced` module docs.
+/// `ViewCalculator::dependency_on_many` on a reduced view computed the long
+/// way: the full class-level row from `spd`, mapped to original probes by
+/// the formulas of the `reduced` module docs.
 fn reduced_reference(
     red: &ReducedGraph,
     spd: &mut BfsSpd,
@@ -467,22 +437,23 @@ proptest! {
                     prop_assert_eq!(*edges.get_or_insert(e), e, "edges, kernel {} variant {}", kind, k);
                 }
             }
-            let mut calc = DependencyCalculator::with_kernel(&g, MODES[seed as usize % 3]);
-            let row = calc.dependencies(&g, s).to_vec();
+            let view = SpdView::direct(&g).with_kernel(MODES[seed as usize % 3]);
+            let mut calc = ViewCalculator::new(view);
+            let row = calc.dependencies(s).to_vec();
             let mut out = Vec::new();
-            calc.dependency_on_many(&g, s, &probes, &mut out);
+            calc.dependency_on_many(s, &probes, &mut out);
             for (i, &p) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), row[p as usize].to_bits(), "calculator probe {}", p);
-                prop_assert_eq!(calc.dependency_on(&g, s, p).to_bits(), row[p as usize].to_bits());
+                prop_assert_eq!(calc.dependency_on(s, p).to_bits(), row[p as usize].to_bits());
             }
         }
     }
 
-    /// `ReducedCalculator` (plain, seeded and collapsed reductions) matches
-    /// the full-row accumulation mapped by hand, bit for bit, on probe sets
-    /// with the source, a twin of the source, an unreached vertex, a
-    /// deepest-level vertex and duplicates, in every kernel mode; the
-    /// reference runs forced pull.
+    /// `ViewCalculator` on a reduced view (plain, seeded and collapsed
+    /// reductions) matches the full-row accumulation mapped by hand, bit for
+    /// bit, on probe sets with the source, a twin of the source, an
+    /// unreached vertex, a deepest-level vertex and duplicates, in every
+    /// kernel mode; the reference runs forced pull.
     #[test]
     fn targeted_reduced_calculator_equals_full_bitwise(
         family in 0usize..4, n in 12usize..48, seed in any::<u64>()
@@ -496,8 +467,9 @@ proptest! {
             let h_n = red.csr().num_vertices();
             let mut reference = BfsSpd::with_mode(h_n, KernelMode::Hybrid);
             reference.set_hybrid_params(u32::MAX, u32::MAX);
-            let mut calcs: Vec<ReducedCalculator> =
-                MODES.iter().map(|&m| ReducedCalculator::with_kernel(&red, m)).collect();
+            let view = SpdView::preprocessed(&g, &red);
+            let mut calcs: Vec<ViewCalculator> =
+                MODES.iter().map(|&m| ViewCalculator::new(view.with_kernel(m))).collect();
             let mut out = Vec::new();
             for s in (0..n as Vertex).step_by(1 + n / 10) {
                 direct.compute(&g, s);
@@ -521,7 +493,7 @@ proptest! {
                 let probes = pick_probes(&pool, &mut rng);
                 let want = reduced_reference(&red, &mut reference, s, &probes);
                 for calc in &mut calcs {
-                    calc.dependency_on_many(&red, s, &probes, &mut out);
+                    calc.dependency_on_many(s, &probes, &mut out);
                     for i in 0..probes.len() {
                         prop_assert_eq!(
                             out[i].to_bits(), want[i].to_bits(),

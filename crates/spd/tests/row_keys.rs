@@ -24,8 +24,7 @@ use mhbc_graph::algo::PendantForest;
 use mhbc_graph::reduce::{reduce, ReduceLevel, ReducedGraph, VertexState};
 use mhbc_graph::{generators, CsrGraph, Vertex};
 use mhbc_spd::{
-    dependency_profile, dependency_profile_view_par, DependencyCalculator, KernelMode, SpdView,
-    ViewCalculator,
+    dependency_profile, dependency_profile_view_par, KernelMode, SpdView, ViewCalculator,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -162,13 +161,13 @@ proptest! {
         let probes = pick_probes(&g, &mut SmallRng::seed_from_u64(seed ^ 0x5eed));
         let keys = SpdView::direct(&g).row_keys(&probes);
         for mode in MODES {
-            let mut calc = DependencyCalculator::with_kernel(&g, mode);
+            let mut calc = ViewCalculator::new(SpdView::direct(&g).with_kernel(mode));
             let mut cached: HashMap<u64, Vec<u64>> = HashMap::new();
             let mut row = Vec::new();
             for v in g.vertices() {
-                calc.dependency_on_many(&g, v, &probes, &mut row);
+                calc.dependency_on_many(v, &probes, &mut row);
                 let own = bits(&row);
-                let full = calc.dependencies(&g, v);
+                let full = calc.dependencies(v);
                 let full: Vec<u64> = probes.iter().map(|&r| full[r as usize].to_bits()).collect();
                 prop_assert_eq!(&own, &full, "source {} probes {:?} {:?}", v, &probes, mode);
                 let keyed = cached.entry(keys.key(v)).or_insert_with(|| own.clone());
@@ -201,8 +200,8 @@ proptest! {
     ) {
         let g = pendant_graph(family, n, seed);
         let r = pick_probes(&g, &mut SmallRng::seed_from_u64(seed))[0];
-        let mut calc = DependencyCalculator::new(&g);
-        let want: Vec<u64> = g.vertices().map(|v| calc.dependency_on(&g, v, r).to_bits()).collect();
+        let mut calc = ViewCalculator::new(SpdView::direct(&g));
+        let want: Vec<u64> = g.vertices().map(|v| calc.dependency_on(v, r).to_bits()).collect();
         prop_assert_eq!(bits(&dependency_profile(&g, r).profile), want.clone());
         for threads in [1, 2] {
             let got = dependency_profile_view_par(SpdView::direct(&g), r, threads);

@@ -537,7 +537,12 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
             }
             let view = SpdView::from_option(g, prep.kept.as_ref()).with_kernel(*kernel);
             let prefetch = PrefetchConfig::with_threads(*threads).with_depth(*prefetch_depth);
-            let mut sink = adaptive.checkpoint.as_deref().map(checkpoint_sink);
+            // Counts the boundaries written: the final segment writes none.
+            let writes = std::cell::Cell::new(0u64);
+            let mut sink = adaptive.checkpoint.as_deref().map(|path| {
+                let (mut write, writes) = (checkpoint_sink(path), &writes);
+                move |bytes: Vec<u8>| write(bytes).map(|()| writes.set(writes.get() + 1))
+            });
             let (est, report) = pipeline::run_single_view_adaptive(
                 view,
                 r,
@@ -563,9 +568,15 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 out.push(plan_vs_actual_line(&report));
             }
             if let Some(path) = &adaptive.checkpoint {
-                out.push(format!(
-                    "checkpoint: {path} (resume with `mhbc resume <edge-list> {path}`)"
-                ));
+                out.push(match writes.get() {
+                    0 => "checkpoint: none written (the run ended within its first segment)"
+                        .to_string(),
+                    k => format!(
+                        "checkpoint: {path} at iteration {} (resume with `mhbc resume \
+                         <edge-list> {path}`)",
+                        k * adaptive.segment
+                    ),
+                });
             }
             if *exact {
                 let truth = mhbc_spd::exact_betweenness_of(g, r);
@@ -1533,6 +1544,61 @@ mod tests {
             );
             assert!(out.contains(&bc_line), "resume output {out:?} lacks `{bc_line}`");
         }
+        std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
+    fn estimate_reports_the_checkpoint_it_wrote() {
+        let (lcc, map) = lollipop_fixture();
+        let dir = std::env::temp_dir().join("mhbc_cli_ckpt_line_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("single.ckpt");
+        let ckpt_str = ckpt.to_str().unwrap().to_string();
+        std::fs::remove_file(&ckpt).ok();
+        let run = |iterations| {
+            let estimate = Command::Estimate {
+                path: String::new(),
+                vertex: 9,
+                iterations,
+                seed: 3,
+                exact: false,
+                threads: 1,
+                prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
+                preprocess: PreprocessChoice::Level(ReduceLevel::Off),
+                kernel: KernelMode::Auto,
+                adaptive: AdaptiveArgs {
+                    checkpoint: Some(ckpt_str.clone()),
+                    segment: 512,
+                    ..AdaptiveArgs::default()
+                },
+            };
+            let out = execute(&estimate, &lcc, &map).unwrap();
+            out.into_iter().find(|l| l.starts_with("checkpoint:")).unwrap()
+        };
+
+        // One segment: the run ends at its only boundary and writes nothing.
+        let line = run(512);
+        assert_eq!(line, "checkpoint: none written (the run ended within its first segment)");
+        assert!(!ckpt.exists());
+
+        // Four segments: the last file written is the third boundary's,
+        // and `resume` starts there.
+        let line = run(2048);
+        let want = format!(
+            "checkpoint: {ckpt_str} at iteration 1536 (resume with `mhbc resume <edge-list> \
+             {ckpt_str}`)"
+        );
+        assert_eq!(line, want);
+        let resume = Command::Resume {
+            path: String::new(),
+            checkpoint_path: ckpt_str.clone(),
+            threads: 1,
+            prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
+            kernel: KernelMode::Auto,
+            checkpoint: Some(dir.join("resumed.ckpt").to_str().unwrap().into()),
+        };
+        let out = execute(&resume, &lcc, &map).unwrap();
+        assert!(out.iter().any(|l| l.contains("run at iteration 1536 of budget 2048")), "{out:?}");
         std::fs::remove_file(&ckpt).ok();
     }
 

@@ -39,5 +39,5 @@ pub use mhbc_spd as spd;
 pub mod prelude {
     pub use mhbc_core::{JointSpaceSampler, SingleSpaceConfig, SingleSpaceSampler};
     pub use mhbc_graph::{generators, CsrGraph, GraphBuilder};
-    pub use mhbc_spd::{exact_betweenness, exact_betweenness_of, DependencyCalculator};
+    pub use mhbc_spd::{exact_betweenness, exact_betweenness_of, SpdView, ViewCalculator};
 }
