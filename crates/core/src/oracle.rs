@@ -30,12 +30,15 @@
 //!   bit (`mhbc_spd::reduced`, "Row coalescing").
 //! - Weighted direct views key by vertex id.
 //!
-//! Checkpoints store each row under its key, and restored rows keep the
-//! key they were stored under.
+//! Checkpoints store each row under its key. A restored row keeps the key
+//! it was stored under if some source maps to that key today; a row under
+//! any other key could never be read, so restoring drops it, and it is
+//! neither held nor written into later checkpoints.
 //!
-//! Rows are never evicted and never computed twice, so the number of
-//! cached rows *is* the run's SPD-pass count, whichever thread computed
-//! them (see [`ProbeOracle::prefetch`]).
+//! Rows are never evicted and never computed twice, so on a fresh run the
+//! number of cached rows *is* the run's SPD-pass count, whichever thread
+//! computed them (see [`ProbeOracle::prefetch`]). A resumed run counts the
+//! passes its checkpoint recorded plus the ones computed since.
 
 use crate::checkpoint::{corrupt, Reader, Writer};
 use crate::CoreError;
@@ -98,6 +101,8 @@ pub struct ProbeOracle<'g> {
     calcs: Vec<ViewCalculator<'g>>,
     rows: HashMap<u64, Box<[f64]>>,
     stats: OracleStats,
+    /// SPD passes the restored checkpoint recorded (0 on a fresh run).
+    restored_passes: u64,
 }
 
 impl<'g> ProbeOracle<'g> {
@@ -119,6 +124,7 @@ impl<'g> ProbeOracle<'g> {
             calcs: vec![ViewCalculator::new(view)],
             rows: HashMap::new(),
             stats: OracleStats::default(),
+            restored_passes: 0,
         }
     }
 
@@ -190,10 +196,12 @@ impl<'g> ProbeOracle<'g> {
         self.stats
     }
 
-    /// SPD passes spent on this run: the number of cached rows, counted
-    /// across checkpoint/resume boundaries (restored rows included).
+    /// SPD passes spent on this run, counted across checkpoint/resume
+    /// boundaries: the passes the restored checkpoint recorded plus
+    /// [`ProbeOracle::computed_passes`]. On a fresh run it is the number of
+    /// cached rows.
     pub fn spd_passes(&self) -> u64 {
-        self.rows.len() as u64
+        self.restored_passes + self.computed_passes()
     }
 
     /// SPD passes this oracle's calculators actually performed (restored
@@ -201,6 +209,12 @@ impl<'g> ProbeOracle<'g> {
     /// any thread count: no row is ever computed twice.
     pub fn computed_passes(&self) -> u64 {
         self.calcs.iter().map(ViewCalculator::passes).sum()
+    }
+
+    /// Rows held: those computed, and those restored under a key some
+    /// source maps to.
+    pub fn cached_rows(&self) -> usize {
+        self.rows.len()
     }
 
     /// Writes the cache into a checkpoint: SPD passes, hit/miss counters,
@@ -221,23 +235,28 @@ impl<'g> ProbeOracle<'g> {
 
     /// Restores a cache written by [`ProbeOracle::save`] into this fresh
     /// oracle, so `stats()` and [`ProbeOracle::spd_passes`] continue as if
-    /// the run had never stopped. The recorded SPD-pass count is the row
-    /// count (rows are never evicted), so the rows alone restore it.
+    /// the run had never stopped. Rows stored under a key that no source
+    /// maps to under today's [`SpdView::row_keys`] (a file written under an
+    /// older key space) are read and dropped.
     pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CoreError> {
         debug_assert!(self.rows.is_empty(), "restore into a fresh oracle");
-        let _passes = r.u64()?;
+        self.restored_passes = r.u64()?;
         self.stats = OracleStats { hits: r.u64()?, misses: r.u64()? };
         let n = r.u64()? as usize;
         if n > r.remaining() / 16 {
             return Err(corrupt("row table longer than the checkpoint"));
         }
+        let live: HashSet<u64> =
+            (0..self.view.num_vertices() as Vertex).map(|v| self.key(v)).collect();
         for _ in 0..n {
             let key = r.u64()?;
             let row = r.f64s()?;
             if row.len() != self.probes.len() {
                 return Err(corrupt("dependency row length differs from the probe count"));
             }
-            self.rows.insert(key, row.into_boxed_slice());
+            if live.contains(&key) {
+                self.rows.insert(key, row.into_boxed_slice());
+            }
         }
         Ok(())
     }
@@ -340,6 +359,36 @@ mod tests {
                 (_, other) => panic!("row of {len}: expected a checkpoint error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn restore_drops_rows_no_source_maps_to() {
+        // `barbell(4, 2)` has no pendant vertices: every source keys by its
+        // id, so key 3 is live and key 99 is not.
+        let g = generators::barbell(4, 2);
+        let mut w = Writer::new();
+        for x in [7u64, 2, 5, 2] {
+            w.u64(x); // passes, hits, misses, two rows
+        }
+        w.u64(3);
+        w.f64s(&[0.25]);
+        w.u64(99);
+        w.f64s(&[0.5]);
+        let bytes = w.finish();
+        let mut o = ProbeOracle::new(&g, &[4]);
+        o.restore(&mut Reader::new(&bytes[..bytes.len() - 8])).unwrap();
+        assert_eq!((o.cached_rows(), o.spd_passes(), o.computed_passes()), (1, 7, 0));
+        assert_eq!(o.dep(3, 0), 0.25, "served from the restored row");
+        assert_eq!(o.stats(), OracleStats { hits: 3, misses: 5 });
+        // One pass after the resume: the image saved then holds the live
+        // rows only, and carries the recorded passes plus that one.
+        o.deps(0);
+        let mut w = Writer::new();
+        o.save(&mut w);
+        let bytes = w.finish();
+        let mut again = ProbeOracle::new(&g, &[4]);
+        again.restore(&mut Reader::new(&bytes[..bytes.len() - 8])).unwrap();
+        assert_eq!((again.cached_rows(), again.spd_passes()), (2, 8));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Connected components and vertex-removal component analysis.
 
-use crate::{CsrGraph, GraphBuilder, Vertex};
+use crate::{CsrGraph, Vertex, VisitBitset};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Result of [`connected_components`].
@@ -52,48 +53,116 @@ pub fn connected_components(g: &CsrGraph) -> ComponentLabels {
 /// Whether `g` is connected (the paper's standing assumption). Empty graphs
 /// count as connected.
 pub fn is_connected(g: &CsrGraph) -> bool {
-    connected_components(g).count <= 1
+    reaches_all_from_zero(g)
 }
 
-/// Extracts the largest connected component as a new graph.
+/// The largest connected component of `g` and the map `new_id -> old_id`.
 ///
-/// Returns the subgraph and a mapping `new_id -> old_id`. Weights are
-/// preserved. Standard preprocessing step for generated graphs that came out
-/// disconnected.
-pub fn largest_component(g: &CsrGraph) -> (CsrGraph, Vec<Vertex>) {
-    let comps = connected_components(g);
-    if comps.count <= 1 {
-        return (g.clone(), (0..g.num_vertices() as Vertex).collect());
+/// Takes `&CsrGraph` or `CsrGraph`. A connected graph comes back as it
+/// is, with the identity map; passed by value it is moved, not copied.
+/// Connectivity is decided by one search from vertex 0 over a visited
+/// bitset (top-down, switching to sweeps in id order while the frontier is
+/// large), in `O(n + m)`. Only a disconnected graph is labelled
+/// by [`connected_components`]: it keeps its largest component (the last
+/// one discovered, from vertex 0 upward, among equals), relabelled in
+/// ascending old id. That relabelling is monotone, so every adjacency slice
+/// stays sorted and the CSR (with its weights) is mapped slice by slice,
+/// without a builder. Standard preprocessing step for loaded edge lists
+/// and for generated graphs that came out disconnected.
+pub fn largest_component<'a>(g: impl Into<Cow<'a, CsrGraph>>) -> (CsrGraph, Vec<Vertex>) {
+    let g = g.into();
+    let n = g.num_vertices();
+    if reaches_all_from_zero(&g) {
+        return (g.into_owned(), (0..n as Vertex).collect());
     }
-    let sizes = comps.sizes();
-    let best = sizes
+    let comps = connected_components(&g);
+    let best = comps
+        .sizes()
         .iter()
         .enumerate()
         .max_by_key(|&(_, s)| *s)
         .map(|(i, _)| i as u32)
-        .expect("at least one component exists");
+        .expect("a disconnected graph has components");
 
-    let mut new_of_old = vec![u32::MAX; g.num_vertices()];
+    let mut new_of_old = vec![u32::MAX; n];
     let mut old_of_new = Vec::new();
     for (v, slot) in new_of_old.iter_mut().enumerate() {
         if comps.labels[v] == best {
-            *slot = old_of_new.len() as u32;
+            *slot = old_of_new.len() as Vertex;
             old_of_new.push(v as Vertex);
         }
     }
-    let mut b = GraphBuilder::new(old_of_new.len());
-    for (u, v, w) in g.edges() {
-        let (nu, nv) = (new_of_old[u as usize], new_of_old[v as usize]);
-        if nu == u32::MAX || nv == u32::MAX {
-            continue;
-        }
-        if g.is_weighted() {
-            b.add_weighted_edge(nu, nv, w).expect("subgraph edge valid");
-        } else {
-            b.add_edge(nu, nv).expect("subgraph edge valid");
-        }
+    // Every neighbour of a kept vertex is kept.
+    let mut offsets = Vec::with_capacity(old_of_new.len() + 1);
+    offsets.push(0u32);
+    let mut targets = Vec::new();
+    for &old in &old_of_new {
+        targets.extend(g.neighbors(old).iter().map(|&t| new_of_old[t as usize]));
+        offsets.push(targets.len() as u32);
     }
-    (b.build().expect("subgraph is valid"), old_of_new)
+    let weights = g.is_weighted().then(|| {
+        old_of_new
+            .iter()
+            .flat_map(|&old| g.neighbor_weights(old).unwrap_or_default())
+            .copied()
+            .collect()
+    });
+    (CsrGraph::from_sorted_parts(offsets, targets, weights), old_of_new)
+}
+
+impl From<CsrGraph> for Cow<'_, CsrGraph> {
+    fn from(g: CsrGraph) -> Self {
+        Cow::Owned(g)
+    }
+}
+
+impl<'a> From<&'a CsrGraph> for Cow<'a, CsrGraph> {
+    fn from(g: &'a CsrGraph) -> Self {
+        Cow::Borrowed(g)
+    }
+}
+
+/// Whether a search from vertex 0 reaches every vertex (true on an empty
+/// graph), over a visited bitset. A frontier expands top-down, unless it
+/// holds at least `1/SWEEPS` of all vertices: then a sweep in id order
+/// instead marks each unseen vertex that has a seen neighbour, reading the
+/// adjacency arrays in order rather than at random. Either way, every
+/// neighbour of a vertex seen before the step is seen after it, and the
+/// newly seen vertices form the next frontier. Frontiers are disjoint, so
+/// at most `SWEEPS` sweeps run: `O(n + m)` in all.
+fn reaches_all_from_zero(g: &CsrGraph) -> bool {
+    const SWEEPS: usize = 16;
+    let n = g.num_vertices();
+    if n == 0 {
+        return true;
+    }
+    let mut seen = VisitBitset::new(n);
+    seen.insert(0);
+    let mut unseen = n - 1;
+    let (mut frontier, mut next) = (vec![0 as Vertex], Vec::new());
+    while !frontier.is_empty() && unseen > 0 {
+        if frontier.len() * SWEEPS >= n {
+            for v in 0..n as Vertex {
+                if !seen.contains(v) && g.neighbors(v).iter().any(|&u| seen.contains(u)) {
+                    seen.insert(v);
+                    next.push(v);
+                }
+            }
+        } else {
+            for &u in &frontier {
+                for &v in g.neighbors(u) {
+                    if !seen.contains(v) {
+                        seen.insert(v);
+                        next.push(v);
+                    }
+                }
+            }
+        }
+        unseen -= next.len();
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+    }
+    unseen == 0
 }
 
 /// Sizes of the connected components of `G \ r` (the paper's notation for
@@ -172,6 +241,38 @@ mod tests {
         // Find the new ids of old 0 and 1 via the map.
         let new_of = |old: Vertex| map.iter().position(|&o| o == old).unwrap() as Vertex;
         assert_eq!(sub.edge_weight(new_of(0), new_of(1)), Some(2.0));
+    }
+
+    #[test]
+    fn reachability_search_agrees_with_component_labels() {
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let ba = generators::barabasi_albert(3000, 2, &mut rng);
+        // Top-down on a long path, sweeps on a star and through BA's
+        // middle levels; then the same with a vertex cut off.
+        for g in [generators::path(500), generators::star(400), ba] {
+            assert!(reaches_all_from_zero(&g));
+            let n = g.num_vertices() as Vertex;
+            let cut: Vec<_> = g.edges().filter(|&(u, v, _)| u != n - 1 && v != n - 1).collect();
+            let edges: Vec<_> = cut.iter().map(|&(u, v, _)| (u, v)).collect();
+            let h = CsrGraph::from_edges(n as usize, &edges).unwrap();
+            assert!(!reaches_all_from_zero(&h));
+            assert_eq!(largest_component(h).1.len(), n as usize - 1);
+        }
+    }
+
+    #[test]
+    fn owned_connected_graph_comes_back_without_a_copy() {
+        for g in [generators::cycle(6), generators::barbell(3, 1).map_weights(|_, _| 2.0).unwrap()]
+        {
+            let (n, targets) = (g.num_vertices(), g.csr().1.as_ptr());
+            let (same, map) = largest_component(g);
+            assert_eq!(same.csr().1.as_ptr(), targets);
+            assert_eq!(map, (0..n as Vertex).collect::<Vec<_>>());
+        }
+        let empty = CsrGraph::from_edges(0, &[]).unwrap();
+        let (same, map) = largest_component(empty);
+        assert_eq!((same.num_vertices(), map.len()), (0, 0));
     }
 
     #[test]

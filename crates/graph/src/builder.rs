@@ -1,6 +1,7 @@
 //! Validating graph construction.
 
 use crate::{CsrGraph, GraphError, Vertex};
+use std::ops::{AddAssign, SubAssign};
 
 /// Incremental, validating builder for [`CsrGraph`].
 ///
@@ -94,81 +95,168 @@ impl GraphBuilder {
 
     /// Finalises into CSR form.
     ///
-    /// Runs in `O(n + m log m)`: normalised edges are sorted, identical
-    /// duplicates merged, and the doubled adjacency arrays filled by prefix
-    /// sums. Duplicate edges with differing weights produce
-    /// [`GraphError::InconsistentDuplicate`]. The compact-index invariant of
-    /// [`CsrGraph`] (`u32` offsets) is checked here: graphs whose doubled
-    /// edge-endpoint count `2m` exceeds `u32::MAX` are refused with
-    /// [`GraphError::TooManyEdges`] instead of overflowing.
+    /// A counting sort, in `O(n + m)` plus the cost of sorting the
+    /// adjacency slices that arrive out of order:
+    ///
+    /// 1. count each vertex's endpoints and take prefix sums;
+    /// 2. scatter every edge into both endpoints' slices, in the order the
+    ///    edges were added;
+    /// 3. sort only the slices that are not already strictly ascending (a
+    ///    stable sort that carries the weights along), then drop repeated
+    ///    targets and close the gaps in place.
+    ///
+    /// Edges that arrive sorted by `(min, max)`, as
+    /// [`crate::io::write_edge_list`] writes them, fill every slice in
+    /// ascending order, so nothing is sorted or moved. Memory peaks at the
+    /// added edges (8 bytes each, 16 with a weight) beside the doubled
+    /// target array (4 bytes per endpoint, 12 with weights) and one
+    /// position per vertex; the added edges are freed before the slices
+    /// are checked. Positions are `u32` (they become the CSR's offsets)
+    /// unless the doubled count of added edges exceeds `u32::MAX`.
+    ///
+    /// Duplicate edges with differing weights produce
+    /// [`GraphError::InconsistentDuplicate`] for the smallest such `(u, v)`,
+    /// with `w1` its first weight in the order added and `w2` the first
+    /// later one that differs. The compact-index invariant of [`CsrGraph`]
+    /// (`u32` offsets) is checked on the deduplicated edge count: graphs
+    /// whose doubled edge-endpoint count `2m` exceeds `u32::MAX` are refused
+    /// with [`GraphError::TooManyEdges`] instead of overflowing.
     pub fn build(self) -> Result<CsrGraph, GraphError> {
         if self.n >= u32::MAX as usize {
             return Err(GraphError::TooManyVertices { requested: self.n });
         }
-        let weighted = self.weighted == Some(true);
+        if 2 * self.edges.len() <= u32::MAX as usize {
+            self.counting_sort::<u32>()
+        } else {
+            self.counting_sort::<u64>()
+        }
+    }
 
-        // Sort (edge, weight) jointly, then merge duplicates.
-        let mut order: Vec<u32> = (0..self.edges.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| self.edges[i as usize]);
+    /// [`GraphBuilder::build`]'s counting sort, with slice positions of
+    /// type `P`, which must hold twice the number of added edges.
+    fn counting_sort<P: Pos>(self) -> Result<CsrGraph, GraphError> {
+        let GraphBuilder { n, edges, weights, weighted } = self;
+        let weighted = weighted == Some(true);
 
-        let mut dedup: Vec<(Vertex, Vertex)> = Vec::with_capacity(self.edges.len());
-        let mut dedup_w: Vec<f64> = Vec::with_capacity(if weighted { self.edges.len() } else { 0 });
-        for &i in &order {
-            let e = self.edges[i as usize];
-            if dedup.last() == Some(&e) {
-                if weighted {
-                    let w_new = self.weights[i as usize];
-                    let w_old = *dedup_w.last().unwrap();
-                    if w_new != w_old {
+        // `pos[x]` counts x's endpoints, then (inclusive prefix sums) marks
+        // the end of x's slice; scattering backwards leaves it at the start.
+        let mut pos = vec![P::default(); n + 1];
+        for &(u, v) in &edges {
+            pos[u as usize] += P::ONE;
+            pos[v as usize] += P::ONE;
+        }
+        let mut total = P::default();
+        for p in &mut pos {
+            total += *p;
+            *p = total;
+        }
+        let mut targets = vec![0 as Vertex; total.idx()];
+        let mut ws = if weighted { vec![0.0f64; total.idx()] } else { Vec::new() };
+        for (k, &(u, v)) in edges.iter().enumerate().rev() {
+            pos[u as usize] -= P::ONE;
+            pos[v as usize] -= P::ONE;
+            let (iu, iv) = (pos[u as usize].idx(), pos[v as usize].idx());
+            targets[iu] = v;
+            targets[iv] = u;
+            if weighted {
+                ws[iu] = weights[k];
+                ws[iv] = weights[k];
+            }
+        }
+        drop((edges, weights));
+
+        // Sort, dedup and compact each slice; `len` is the compacted prefix.
+        let mut len = 0;
+        let mut pairs: Vec<(Vertex, f64)> = Vec::new();
+        let mut start = 0;
+        for x in 0..n {
+            let end = pos[x + 1].idx();
+            pos[x] = P::of(len);
+            let slice = &mut targets[start..end];
+            if slice.windows(2).all(|p| p[0] < p[1]) {
+                if len < start {
+                    targets.copy_within(start..end, len);
+                    if weighted {
+                        ws.copy_within(start..end, len);
+                    }
+                }
+                len += end - start;
+            } else if weighted {
+                pairs.clear();
+                pairs.extend(slice.iter().copied().zip(ws[start..end].iter().copied()));
+                pairs.sort_by_key(|&(t, _)| t);
+                for (k, &(t, w)) in pairs.iter().enumerate() {
+                    if k == 0 || pairs[k - 1].0 != t {
+                        targets[len] = t;
+                        ws[len] = w;
+                        len += 1;
+                    } else if w != ws[len - 1] {
+                        // Slices are scanned in vertex order, so the first
+                        // mismatch found is at the smallest pair.
+                        let (u, v) = (x.min(t as usize) as Vertex, x.max(t as usize) as Vertex);
                         return Err(GraphError::InconsistentDuplicate {
-                            u: e.0,
-                            v: e.1,
-                            w1: w_old,
-                            w2: w_new,
+                            u,
+                            v,
+                            w1: ws[len - 1],
+                            w2: w,
                         });
                     }
                 }
-                continue;
+            } else {
+                slice.sort_unstable();
+                let first = len;
+                for k in start..end {
+                    let t = targets[k];
+                    if len == first || targets[len - 1] != t {
+                        targets[len] = t;
+                        len += 1;
+                    }
+                }
             }
-            dedup.push(e);
-            if weighted {
-                dedup_w.push(self.weights[i as usize]);
-            }
+            start = end;
         }
+        if len > u32::MAX as usize {
+            return Err(GraphError::TooManyEdges { edges: len / 2 });
+        }
+        pos[n] = P::of(len);
+        targets.truncate(len);
+        ws.truncate(len);
+        Ok(CsrGraph::from_sorted_parts(P::offsets(pos), targets, weighted.then_some(ws)))
+    }
+}
 
-        let m = dedup.len();
-        if 2 * m > u32::MAX as usize {
-            return Err(GraphError::TooManyEdges { edges: m });
-        }
-        let mut offsets = vec![0u32; self.n + 1];
-        for &(u, v) in &dedup {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
-        }
-        for i in 0..self.n {
-            offsets[i + 1] += offsets[i];
-        }
+/// A slice position in [`GraphBuilder::build`]'s counting sort.
+trait Pos: Copy + Default + AddAssign + SubAssign {
+    const ONE: Self;
+    fn of(i: usize) -> Self;
+    fn idx(self) -> usize;
+    /// Final positions (each at most `u32::MAX`) as CSR offsets.
+    fn offsets(pos: Vec<Self>) -> Vec<u32>;
+}
 
-        // Edges arrive sorted by `(min, max)`, so every slice is filled in
-        // ascending order: vertex `x` first receives each `a < x` (from the
-        // pairs `(a, x)`, ordered by `a`), then each `b > x` (from the pairs
-        // `(x, b)`, which sort after all of them, ordered by `b`);
-        // `from_sorted_parts` checks it in debug builds.
-        let mut targets = vec![0 as Vertex; 2 * m];
-        let mut weights = if weighted { vec![0.0f64; 2 * m] } else { Vec::new() };
-        let mut cursor = offsets.clone();
-        for (k, &(u, v)) in dedup.iter().enumerate() {
-            let (cu, cv) = (cursor[u as usize] as usize, cursor[v as usize] as usize);
-            targets[cu] = v;
-            targets[cv] = u;
-            if weighted {
-                weights[cu] = dedup_w[k];
-                weights[cv] = dedup_w[k];
-            }
-            cursor[u as usize] += 1;
-            cursor[v as usize] += 1;
-        }
-        Ok(CsrGraph::from_sorted_parts(offsets, targets, weighted.then_some(weights)))
+impl Pos for u32 {
+    const ONE: u32 = 1;
+    fn of(i: usize) -> u32 {
+        i as u32
+    }
+    fn idx(self) -> usize {
+        self as usize
+    }
+    fn offsets(pos: Vec<u32>) -> Vec<u32> {
+        pos
+    }
+}
+
+impl Pos for u64 {
+    const ONE: u64 = 1;
+    fn of(i: usize) -> u64 {
+        i as u64
+    }
+    fn idx(self) -> usize {
+        self as usize
+    }
+    fn offsets(pos: Vec<u64>) -> Vec<u32> {
+        pos.into_iter().map(|p| p as u32).collect()
     }
 }
 
@@ -259,6 +347,33 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.neighbors(1), &[0, 2, 3]);
         assert_eq!(g.neighbor_weights(1).unwrap(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn wide_positions_build_the_same_csr() {
+        // `u64` positions serve only inputs of over 2^31 edges; on small
+        // ones they must give what `u32` positions give, errors included.
+        use rand::{rngs::SmallRng, RngExt, SeedableRng};
+        let parts = |r: Result<CsrGraph, GraphError>| {
+            r.map(|g| (g.csr().0.to_vec(), g.csr().1.to_vec(), g.weights.clone()))
+        };
+        let mut rng = SmallRng::seed_from_u64(5);
+        for case in 0..40 {
+            let n = rng.random_range(2..30u32);
+            let mut b = GraphBuilder::new(n as usize);
+            for _ in 0..rng.random_range(0..4 * n) {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u == v {
+                    continue;
+                }
+                if case % 2 == 0 {
+                    b.add_edge(u, v).unwrap();
+                } else {
+                    b.add_weighted_edge(u, v, f64::from(rng.random_range(1..3u32))).unwrap();
+                }
+            }
+            assert_eq!(parts(b.clone().counting_sort::<u64>()), parts(b.build()), "case {case}");
+        }
     }
 
     #[test]

@@ -7,18 +7,25 @@
 //!
 //! # Parsing
 //!
-//! [`read_edge_list`] reads lines straight out of the reader's buffer
-//! (`fill_buf`/`consume`), copying a line only when it straddles two buffer
-//! refills; it never holds the whole text in memory. A fast path takes the
-//! common line — two runs of ASCII digits separated by spaces or tabs, with
-//! an optional `\r` before the newline — and skips ASCII comment and blank
-//! lines. Every other line (weight columns, signs such as `+7`, ids that do
-//! not fit a [`Vertex`], Unicode whitespace, invalid UTF-8, malformed
-//! fields) goes to the general per-line parser, which splits on Unicode
-//! whitespace exactly as `str::split_whitespace` does. The fast path only
-//! accepts lines the general parser reads the same way, so the accepted
-//! syntax, the error messages and the reported line numbers are unchanged
-//! and do not depend on which path a line took.
+//! [`read_edge_list`] streams: it parses lines straight out of the reader's
+//! buffer (`fill_buf`/`consume`) and never holds the whole text in memory.
+//! Each refill is cut after its last `\n`; the whole lines before the cut
+//! go through one tight loop, and the bytes after it are carried into the
+//! next refill (the only line ever copied is one that straddles two
+//! refills). The loop's fast path takes the common line — two runs of
+//! ASCII digits separated by spaces or tabs, with an optional `\r` before
+//! the newline — and skips ASCII comment and blank lines. Every other line
+//! (weight columns, signs such as `+7`, ids that do not fit a [`Vertex`],
+//! Unicode whitespace, invalid UTF-8, malformed fields) goes to the general
+//! per-line parser, which splits on Unicode whitespace exactly as
+//! `str::split_whitespace` does. The fast path only accepts lines the
+//! general parser reads the same way, so the accepted syntax, the error
+//! messages and the reported line numbers are unchanged and do not depend
+//! on which path a line took.
+//!
+//! The parsed edges (8 bytes each, plus 8 per weight) are then handed to
+//! [`GraphBuilder::build`], a counting sort that frees them once they are
+//! scattered into the CSR.
 
 use crate::{CsrGraph, GraphBuilder, GraphError, Vertex};
 use std::io::{BufRead, Write};
@@ -52,22 +59,19 @@ pub fn read_edge_list<R: BufRead>(mut reader: R) -> Result<CsrGraph, GraphError>
                 continue;
             };
             carry.extend_from_slice(&rest[..=end]);
-            lineno += 1;
-            edges.line(&carry, lineno)?;
+            edges.lines(&carry, &mut lineno)?;
             carry.clear();
             rest = &rest[end + 1..];
         }
-        while let Some(len) = edges.line(rest, lineno + 1)? {
-            lineno += 1;
-            rest = &rest[len..];
-        }
-        carry.extend_from_slice(rest);
+        let complete = rest.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1);
+        edges.lines(&rest[..complete], &mut lineno)?;
+        carry.extend_from_slice(&rest[complete..]);
         let len = buf.len();
         reader.consume(len);
     }
     if !carry.is_empty() {
         carry.push(b'\n');
-        edges.line(&carry, lineno + 1)?;
+        edges.lines(&carry, &mut lineno)?;
     }
     edges.build()
 }
@@ -86,18 +90,29 @@ struct EdgeList {
 }
 
 impl EdgeList {
-    /// Reads the line at the front of `text` and returns its length with
-    /// the `\n`, or `None` when `text` holds no complete line.
-    fn line(&mut self, text: &[u8], lineno: usize) -> Result<Option<usize>, GraphError> {
-        if let Some((edge, len)) = fast_line(text) {
-            if let Some((u, v)) = edge {
-                self.push(u, v, None, lineno)?;
+    /// Reads `text`, whole lines each ending in `\n`, numbering them from
+    /// `*lineno + 1` and counting them into `*lineno`. The fast path runs
+    /// line after line over the chunk; a line it does not take goes to
+    /// [`EdgeList::general_line`].
+    fn lines(&mut self, text: &[u8], lineno: &mut usize) -> Result<(), GraphError> {
+        debug_assert!(text.last().is_none_or(|&b| b == b'\n'));
+        let mut i = 0;
+        while i < text.len() {
+            *lineno += 1;
+            match fast_line(text, i) {
+                Some((Some((u, v)), next)) => {
+                    self.push_fast(u, v, *lineno)?;
+                    i = next;
+                }
+                Some((None, next)) => i = next,
+                None => {
+                    let end = i + newline(&text[i..]);
+                    self.general_line(&text[i..end], *lineno)?;
+                    i = end + 1;
+                }
             }
-            return Ok(Some(len));
         }
-        let Some(end) = text.iter().position(|&b| b == b'\n') else { return Ok(None) };
-        self.general_line(&text[..end], lineno)?;
-        Ok(Some(end + 1))
+        Ok(())
     }
 
     /// The general per-line parser: any line `BufRead::lines` would yield.
@@ -121,6 +136,17 @@ impl EdgeList {
             });
         }
         self.push(u, v, w_field, lineno)
+    }
+
+    /// [`EdgeList::push`] for an unweighted edge of the fast path.
+    #[inline]
+    fn push_fast(&mut self, u: Vertex, v: Vertex, lineno: usize) -> Result<(), GraphError> {
+        if self.weighted != Some(false) || u == v {
+            return self.push(u, v, None, lineno);
+        }
+        self.max_v = self.max_v.max(u).max(v);
+        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        Ok(())
     }
 
     /// Records edge `{u, v}` with its weight field, if any.
@@ -173,49 +199,64 @@ impl EdgeList {
     }
 }
 
-/// The fast path of [`read_edge_list`], on the complete line at the front
-/// of `text`: an edge for two ASCII-digit ids separated by spaces, tabs or
-/// carriage returns, no edge for an ASCII blank or comment line, and the
-/// line's length with its `\n`. `None` for anything else, including a line
-/// without its `\n` (left to the general parser, or to the next refill).
-fn fast_line(text: &[u8]) -> Option<(Option<(Vertex, Vertex)>, usize)> {
-    // All three are whitespace to `split_whitespace` too.
-    let skip_blanks =
-        |i: usize| text[i..].iter().position(|b| !matches!(b, b' ' | b'\t' | b'\r')).map(|k| i + k);
-    let i = skip_blanks(0)?;
+/// The position of the first `\n` in `text`, which has one.
+fn newline(text: &[u8]) -> usize {
+    text.iter().position(|&b| b == b'\n').expect("a whole line ends in `\\n`")
+}
+
+/// The fast path of [`read_edge_list`], on the line at `text[i..]` (which
+/// ends in `\n`): an edge for two ASCII-digit ids separated by spaces,
+/// tabs or carriage returns, no edge for an ASCII blank or comment line,
+/// and the index after the line's `\n`. `None` for any other line.
+#[inline]
+fn fast_line(text: &[u8], i: usize) -> Option<(Option<(Vertex, Vertex)>, usize)> {
+    let i = skip_blanks(text, i);
     match text[i] {
         b'\n' => return Some((None, i + 1)),
         b'#' | b'%' => {
-            let end = i + text[i..].iter().position(|&b| b == b'\n')?;
+            let end = i + newline(&text[i..]);
             return text[i..end].is_ascii().then_some((None, end + 1));
         }
         _ => {}
     }
     let (u, i) = fast_id(text, i)?;
     // A digit cannot follow `u` directly, so a missing gap fails `fast_id`.
-    let (v, i) = fast_id(text, skip_blanks(i)?)?;
-    let end = skip_blanks(i)?;
+    let (v, i) = fast_id(text, skip_blanks(text, i))?;
+    let end = skip_blanks(text, i);
     (text[end] == b'\n').then_some((Some((u, v)), end + 1))
+}
+
+/// The index of the first byte at or after `i` that is not a space, tab or
+/// carriage return (all three are whitespace to `split_whitespace` too).
+/// The line's `\n` stops the scan.
+#[inline]
+fn skip_blanks(text: &[u8], mut i: usize) -> usize {
+    while matches!(text[i], b' ' | b'\t' | b'\r') {
+        i += 1;
+    }
+    i
 }
 
 /// Reads the run of ASCII digits at `text[start..]` as a vertex id and
 /// returns it with the index after the run; `None` when there is no digit
-/// or the id does not fit a [`Vertex`].
+/// or the id does not fit a [`Vertex`]. The line's `\n` ends the run.
+#[inline]
 fn fast_id(text: &[u8], start: usize) -> Option<(Vertex, usize)> {
-    let digits =
-        text[start..].iter().position(|b| !b.is_ascii_digit()).unwrap_or(text.len() - start);
-    if digits == 0 {
-        return None;
-    }
+    let mut i = start;
     let mut id: u64 = 0;
-    for &b in &text[start..start + digits] {
+    loop {
+        let digit = text[i].wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
         // At most `Vertex::MAX * 10 + 9` before the check: no u64 overflow.
-        id = id * 10 + u64::from(b - b'0');
+        id = id * 10 + u64::from(digit);
         if id > u64::from(Vertex::MAX) {
             return None;
         }
+        i += 1;
     }
-    Some((id as Vertex, start + digits))
+    (i > start).then_some((id as Vertex, i))
 }
 
 fn parse_field(field: Option<&str>, line: usize, what: &str) -> Result<Vertex, GraphError> {

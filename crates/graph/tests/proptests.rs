@@ -5,7 +5,7 @@ use mhbc_graph::reduce::{self, reduce, ReduceLevel, TwinKind};
 use mhbc_graph::{algo, generators, CsrGraph, GraphBuilder, GraphError, Vertex};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, RngExt, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader};
 
 /// Strategy: arbitrary simple edge list over `n` vertices.
@@ -361,7 +361,148 @@ fn read_outcome(read: Result<CsrGraph, GraphError>) -> ReadOutcome {
     Ok((off.to_vec(), tgt.to_vec(), weights))
 }
 
+/// One `add_*` call: `{u, v}` and its weight on a weighted builder.
+type Added = (Vertex, Vertex, Option<f64>);
+
+/// Random builder input from `seed`: `n` vertices (the last few often
+/// isolated), unweighted or weighted, and edges added shuffled, sorted by
+/// `(min, max)` (in either orientation), or with repeats. A weight is a
+/// function of its pair, except that a repeat on a `clash` input may carry
+/// another weight.
+fn builder_input(seed: u64) -> (usize, Vec<Added>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let n = rng.random_range(1..40usize);
+    let span = rng.random_range(1..=n) as Vertex;
+    let weighted = rng.random_range(0..2u32) == 0;
+    let clash = weighted && rng.random_range(0..4u32) == 0;
+    let weight = |u: Vertex, v: Vertex| [0.5, 1.0, 2.5][(u.min(v) + 3 * u.max(v)) as usize % 3];
+    let mut edges: Vec<Added> = Vec::new();
+    if span >= 2 {
+        for _ in 0..rng.random_range(0..3 * n) {
+            let (u, v) = (rng.random_range(0..span), rng.random_range(0..span));
+            if u != v {
+                edges.push((u, v, weighted.then(|| weight(u, v))));
+            }
+        }
+    }
+    match rng.random_range(0..3u32) {
+        0 => {
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.random_range(0..=i));
+            }
+        }
+        1 => edges.sort_by_key(|&(u, v, _)| (u.min(v), u.max(v))),
+        _ => {
+            for _ in 0..rng.random_range(0..=edges.len()) {
+                let (u, v, w) = edges[rng.random_range(0..edges.len())];
+                let w =
+                    w.map(|w| if clash && rng.random_range(0..3u32) == 0 { w + 1.0 } else { w });
+                let at = rng.random_range(0..=edges.len());
+                edges
+                    .insert(at, if rng.random_range(0..2u32) == 0 { (v, u, w) } else { (u, v, w) });
+            }
+        }
+    }
+    (n, edges)
+}
+
+/// The naive CSR of `edges` on `n` vertices: every pair's weights in the
+/// order added, the smallest pair whose weights differ as the error (its
+/// first weight and the first later one that differs), and otherwise one
+/// `BTreeMap` of neighbours per vertex.
+fn reference_csr(n: usize, edges: &[Added]) -> ReadOutcome {
+    let mut pairs: BTreeMap<(Vertex, Vertex), Vec<Option<f64>>> = BTreeMap::new();
+    for &(u, v, w) in edges {
+        pairs.entry((u.min(v), u.max(v))).or_default().push(w);
+    }
+    let mut adj: Vec<BTreeMap<Vertex, Option<f64>>> = vec![BTreeMap::new(); n];
+    for (&(u, v), ws) in &pairs {
+        if let Some(w2) = ws.iter().find(|&&w| w != ws[0]) {
+            let (w1, w2) = (ws[0].unwrap(), w2.unwrap());
+            return Err(format!("{:?}", GraphError::InconsistentDuplicate { u, v, w1, w2 }));
+        }
+        adj[u as usize].insert(v, ws[0]);
+        adj[v as usize].insert(u, ws[0]);
+    }
+    let mut offsets = vec![0u32];
+    let (mut targets, mut weights) = (Vec::new(), Vec::new());
+    for nbrs in &adj {
+        for (&t, w) in nbrs {
+            targets.push(t);
+            weights.extend(w.map(f64::to_bits));
+        }
+        offsets.push(targets.len() as u32);
+    }
+    let weighted = edges.first().is_some_and(|e| e.2.is_some());
+    Ok((offsets, targets, weighted.then_some(weights)))
+}
+
+/// The largest component by the definition: components labelled from
+/// vertex 0 upward, the last of the largest, its vertices renumbered in
+/// ascending old id, and its edges added one by one to a builder.
+fn reference_largest_component(g: &CsrGraph) -> (CsrGraph, Vec<Vertex>) {
+    let comps = algo::connected_components(g);
+    let sizes = comps.sizes();
+    // `max_by_key` keeps the last of equal maxima.
+    let best = (0..comps.count).max_by_key(|&c| sizes[c]).unwrap_or(0) as u32;
+    let old_of_new: Vec<Vertex> =
+        g.vertices().filter(|&v| comps.labels[v as usize] == best).collect();
+    let mut new_of_old = vec![u32::MAX; g.num_vertices()];
+    for (new, &old) in old_of_new.iter().enumerate() {
+        new_of_old[old as usize] = new as Vertex;
+    }
+    let mut b = GraphBuilder::new(old_of_new.len());
+    for (u, v, w) in g.edges() {
+        let (nu, nv) = (new_of_old[u as usize], new_of_old[v as usize]);
+        if nu != u32::MAX {
+            if g.is_weighted() {
+                b.add_weighted_edge(nu, nv, w).unwrap();
+            } else {
+                b.add_edge(nu, nv).unwrap();
+            }
+        }
+    }
+    (b.build().unwrap(), old_of_new)
+}
+
 proptest! {
+    /// `largest_component` equals the reference relabel on arbitrary
+    /// (mostly disconnected) graphs, unweighted and weighted, whether it
+    /// borrows the graph or takes it: the same CSR, weight bits and map.
+    #[test]
+    fn largest_component_matches_reference_relabel((n, edges) in arb_edges(30, 40)) {
+        let g = CsrGraph::from_edges(n, &edges).unwrap();
+        let weighted = g.map_weights(|u, v| 1.0 + f64::from(u * 31 + v) / 7.0).unwrap();
+        for g in [g, weighted] {
+            let (want, want_map) = reference_largest_component(&g);
+            let want = read_outcome(Ok(want));
+            let (got, map) = algo::largest_component(&g);
+            prop_assert_eq!(read_outcome(Ok(got)), want.clone());
+            prop_assert_eq!(&map, &want_map);
+            let (owned, owned_map) = algo::largest_component(g);
+            prop_assert_eq!(read_outcome(Ok(owned)), want);
+            prop_assert_eq!(owned_map, want_map);
+        }
+    }
+
+    /// `GraphBuilder::build` (a counting sort that sorts only the slices
+    /// that arrive out of order, and dedups in place) equals a naive
+    /// `BTreeMap` CSR on shuffled, sorted and repeated input, unweighted
+    /// and weighted, with isolated vertices: the same CSR and weight bits,
+    /// or the same inconsistent-duplicate error.
+    #[test]
+    fn builder_matches_naive_reference(seed in any::<u64>()) {
+        let (n, edges) = builder_input(seed);
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, w) in &edges {
+            match w {
+                Some(w) => b.add_weighted_edge(u, v, w).map(|_| ()).unwrap(),
+                None => b.add_edge(u, v).map(|_| ()).unwrap(),
+            }
+        }
+        prop_assert_eq!(read_outcome(b.build()), reference_csr(n, &edges), "{:?}", edges);
+    }
+
     /// CSR invariants hold for arbitrary edge lists: sorted adjacency,
     /// symmetric edges, degree sum = 2m, no self-loops or duplicates.
     #[test]

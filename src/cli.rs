@@ -439,10 +439,14 @@ fn preprocess_line(red: &ReducedGraph) -> String {
 
 /// Loads a graph and reduces it to its largest connected component
 /// (reporting the reduction), returning the graph and the old-id map.
+///
+/// The edge list streams through [`io::read_edge_list`]; the parsed graph
+/// is moved into [`algo::largest_component`], so a connected graph comes
+/// back without a copy.
 pub fn load_graph<R: BufRead>(reader: R) -> Result<(CsrGraph, Vec<Vertex>), String> {
     let g = io::read_edge_list(reader).map_err(|e| e.to_string())?;
     let n_before = g.num_vertices();
-    let (lcc, map) = algo::largest_component(&g);
+    let (lcc, map) = algo::largest_component(g);
     if lcc.num_vertices() < n_before {
         eprintln!(
             "note: using the largest connected component ({} of {} vertices)",
@@ -919,6 +923,74 @@ mod tests {
         let (g, map) = load_graph(Cursor::new(text)).unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(map.len(), 3);
+    }
+
+    #[test]
+    fn load_graph_matches_the_benchmark_replay_bit_for_bit() {
+        // `load_graph` moves the parsed graph into `largest_component`; the
+        // benchmark's traced replay borrows it. Both must give the same CSR,
+        // weight bits and map, whatever the text looks like.
+        use rand::{rngs::SmallRng, RngExt, SeedableRng};
+        fn bits(g: &CsrGraph) -> (Vec<u32>, Vec<Vertex>, Option<Vec<u64>>) {
+            let (offsets, targets) = g.csr();
+            let weights = g.is_weighted().then(|| {
+                g.vertices()
+                    .flat_map(|v| g.neighbor_weights(v).unwrap())
+                    .map(|w| w.to_bits())
+                    .collect()
+            });
+            (offsets.to_vec(), targets.to_vec(), weights)
+        }
+        let mut texts = vec![
+            "# header\r\n0 1\r\n1\t2\r\n2 0\r\n% note\r\n3 4\r\n1 0\r\n".to_string(),
+            "5 6 1.5\n6 7 2\n\t7 5 0.25\r\n6 5 1.5\n0 1 3\n1 2 3\n# tail".to_string(),
+            "7 8\n  \n8 9\r\n9 7\n1 2\n2 3\n".to_string(),
+        ];
+        let mut rng = SmallRng::seed_from_u64(22);
+        for _ in 0..40 {
+            let weighted = rng.random_range(0..2u32) == 0;
+            let (big, small) = (rng.random_range(3..30u32), rng.random_range(2..6u32));
+            let mut lines = Vec::new();
+            // A cycle on `0..big`, a path on the next `small` ids, chords.
+            let mut edges: Vec<(u32, u32)> = (0..big).map(|u| (u, (u + 1) % big)).collect();
+            edges.extend((big..big + small - 1).map(|u| (u, u + 1)));
+            for _ in 0..big {
+                let (u, v) = (rng.random_range(0..big), rng.random_range(0..big));
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+            for &(u, v) in &edges {
+                let (u, v) = if rng.random_range(0..2u32) == 0 { (u, v) } else { (v, u) };
+                let sep = ["\t", " ", "  ", " \t"][rng.random_range(0..4usize)];
+                let w = if weighted {
+                    format!("{sep}{}", 0.5 + f64::from((u + v) % 4))
+                } else {
+                    String::new()
+                };
+                lines.push(format!("{u}{sep}{v}{w}"));
+                if rng.random_range(0..4u32) == 0 {
+                    lines.push(["# c", "% c", "", "  "][rng.random_range(0..4usize)].to_string());
+                }
+            }
+            for _ in 0..rng.random_range(0..6usize) {
+                let dup = lines[rng.random_range(0..lines.len())].clone();
+                lines.insert(rng.random_range(0..=lines.len()), dup);
+            }
+            let eol = if rng.random_range(0..2u32) == 0 { "\n" } else { "\r\n" };
+            texts.push(lines.join(eol));
+        }
+        for text in &texts {
+            let (g, map) = load_graph(Cursor::new(text)).unwrap();
+            let raw = io::read_edge_list(std::io::BufReader::new(text.as_bytes())).unwrap();
+            let (replayed, replayed_map) = algo::largest_component(&raw);
+            assert_eq!(bits(&g), bits(&replayed), "{text:?}");
+            assert_eq!(map, replayed_map, "{text:?}");
+            assert_eq!(
+                mhbc_core::checkpoint::graph_hash(&g),
+                mhbc_core::checkpoint::graph_hash(&replayed)
+            );
+        }
     }
 
     #[test]

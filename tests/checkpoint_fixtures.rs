@@ -6,7 +6,8 @@
 //! single-space file written through a `--preprocess full` reduction, which
 //! pins the reduction's row-key space (`row_group` and reduced ids) across
 //! versions, plus a direct-view file written while every source still had
-//! its own row key, which pins that restored rows keep their stored keys.
+//! its own row key, which pins that restored rows keep their stored keys
+//! when a source still maps to them (and are dropped otherwise).
 //! The multi-chain ensemble's file (kind 3) is kept to pin its typed
 //! rejection, and a crafted joint file pins the arity check. Property tests
 //! damage the single and joint files (truncations and byte flips, re-signed
@@ -18,11 +19,12 @@ use mhbc_core::{
     resume_joint, resume_single, CoreError, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
     SingleSpaceConfig, SingleSpaceSampler,
 };
-use mhbc_graph::generators;
 use mhbc_graph::reduce::{reduce, ReduceLevel};
+use mhbc_graph::{generators, Vertex};
 use mhbc_spd::SpdView;
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, SeedableRng};
+use std::collections::HashSet;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -64,8 +66,10 @@ fn reduced_view_fixture_resumes_bit_identically() {
     // collapsed, ids relabelled) after 400 of 1000 iterations, segment 200,
     // while each pruned source still keyed by its (attachment, branch size)
     // row group. Today a pruned source keys by its attachment's row group
-    // unless the attachment is the probe, so a fresh run computes 66 rows,
-    // and the resumed run keeps the 83 it restored under their stored keys.
+    // unless the attachment is the probe, so a fresh run computes 66 rows.
+    // The resumed run keeps only the restored rows whose stored key some
+    // source maps to today, computes none, and counts the 83 passes the
+    // file recorded.
     let g = generators::duplication_divergence(120, 0.5, &mut SmallRng::seed_from_u64(2));
     let red = reduce(&g, ReduceLevel::Full).unwrap();
     let s = red.stats();
@@ -78,6 +82,16 @@ fn reduced_view_fixture_resumes_bit_identically() {
         (0x3fe1a50dec6a4870, 0x3fd93b21c5f17c8b, 0x3fe67ef9db22d0e5)
     );
     assert_eq!(full.spd_passes, 66);
+    let keys = view.row_keys(&[1]);
+    let live: HashSet<u64> = (0..g.num_vertices() as Vertex).map(|v| keys.key(v)).collect();
+    let engine = resume_single(view, &fixture("single_reduced_v1.ckpt")).unwrap();
+    let restored = engine.driver().oracle().cached_rows();
+    // The file holds 83 rows; 66 keys are live, and it holds a row for each.
+    assert_eq!((restored, live.len()), (66, 66));
+    // A checkpoint saved after the resume holds only those rows.
+    let resaved = resume_single(view, &engine.checkpoint()).unwrap();
+    assert_eq!(resaved.driver().oracle().cached_rows(), restored);
+    assert_eq!(resaved.driver().oracle().spd_passes(), 83);
     for threads in [1usize, 2] {
         let prefetch = PrefetchConfig::with_threads(threads);
         let (resumed, report) = resume_single(view, &fixture("single_reduced_v1.ckpt"))
@@ -101,7 +115,8 @@ fn pendant_fixture_resumes_bit_identically() {
     // lies on no shortest path between two other vertices, so every density
     // is 0. The file holds one row per vertex, keyed by vertex id; today the
     // path vertices key by vertex 7, so a fresh run computes 8 rows, and
-    // the resumed run keeps the 12 it restored and computes none.
+    // the resumed run keeps the 8 restored rows under live keys, computes
+    // none, and counts the 12 passes the file recorded.
     let g = generators::lollipop(8, 4);
     let view = SpdView::direct(&g);
     let config = SingleSpaceConfig::new(1_000, 7).with_trace();
