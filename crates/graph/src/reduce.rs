@@ -59,24 +59,30 @@
 //! # Cost
 //!
 //! Building a reduction takes expected `O(n + m)` time plus, at
-//! [`ReduceLevel::Full`], one sort of at most `n` fixed-size keys for each
-//! twin kind. Each live neighbourhood gets an order-independent 64-bit
-//! fingerprint (a wrapping sum of mixed neighbour ids); sorting
-//! `(fingerprint, degree, id)` only *buckets* candidate twins, and an
-//! exact comparison of the neighbourhoods decides inside each bucket, so a
-//! fingerprint collision costs time, never a wrong class. The collapsed
-//! and relabelled CSRs are assembled by transposition and the row groups
-//! by counting, with no further sort and no hashing.
+//! [`ReduceLevel::Full`], two sorts for each twin kind. Each live
+//! neighbourhood gets an order-independent 64-bit fingerprint (a wrapping
+//! sum of mixed neighbour ids). Twins share a fingerprint, so sorting the
+//! bare fingerprints finds the values that repeat, and only the vertices
+//! holding one are sorted again by `(fingerprint, degree, id)`. That second
+//! sort only *buckets* candidate twins: an exact comparison of the
+//! neighbourhoods decides inside each bucket, so a fingerprint collision
+//! costs time, never a wrong class. The collapsed and relabelled CSRs are
+//! assembled by transposition and the row groups by counting, with no
+//! further sort and no hashing.
 //!
 //! [`reduce`] runs in two steps. [`plan`] prunes and finds the twin classes,
 //! which already fix the exact [`ReduceStats`] (the reduced edge count is
 //! counted, not built) and the pruned vertices' closed forms;
 //! [`ReducePlan::assemble`] then builds the CSR, relabels it and fills the
-//! maps — on a 262k-vertex BA graph about two thirds of the total. A caller
-//! that may discard the reduction decides from the plan. Only the pruning
-//! credits and the assembled per-vertex component sizes read the connected
-//! components, so a plan with nothing to prune leaves labelling them to
-//! `assemble`.
+//! maps. A caller that may discard the reduction decides from the plan, so
+//! the plan allocates only what its result needs. The pendant weights, the
+//! pruning credits and the connected components they count in exist only
+//! when something was pruned; otherwise `assemble` fills in the defaults
+//! (every weight 1, every credit 0) and labels the components itself. On
+//! the 262k-vertex, 1.05M-edge BA graph of the `offcache-estimate`
+//! benchmark, where nothing prunes or collapses, planning `full` takes about
+//! 20 ms and its heap peaks about 21 bytes per vertex (5.25 MiB) above the
+//! graph: the fingerprints and their sort, 8 bytes each, and the class ids.
 //!
 //! # Using a reduction
 //!
@@ -387,16 +393,18 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
 /// the per-vertex maps — is most of a reduction's cost, so a caller that
 /// keeps a reduction only when it pays (the CLI's `--preprocess auto`)
 /// decides from the plan and assembles only what it keeps.
+///
+/// A plan holds one class id per vertex (`u32`) and one [`TwinKind`] per
+/// class. Only a non-empty pendant forest adds the per-vertex pruning
+/// arrays (the forest itself, the component labels, `ω` and the credits);
+/// a plan with nothing to prune carries none of them.
 #[derive(Debug)]
 pub struct ReducePlan<'g> {
     g: &'g CsrGraph,
     level: ReduceLevel,
-    /// Component label and size of every vertex, when the pruning needed
-    /// them (`assemble` labels the components itself otherwise).
-    comps: Option<(Vec<u32>, Vec<usize>)>,
-    /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
-    omega: Vec<u64>,
-    corrections: Vec<f64>,
+    /// The pruning's credits; `None` when nothing was pruned (every `ω` is
+    /// 1 and every credit 0, which `assemble` fills in).
+    pruning: Option<Pruning>,
     /// The pruning: which vertices went, into which neighbour, in what order.
     forest: PendantForest,
     /// Pre-relabel class of each retained vertex (`u32::MAX` if pruned).
@@ -405,25 +413,28 @@ pub struct ReducePlan<'g> {
     stats: ReduceStats,
 }
 
-/// Plans the reduction of `g` at `level`: prunes, finds the twin classes
-/// and counts the reduced graph, without building it. Errors as
-/// [`reduce`] does.
-pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceError> {
-    if g.is_weighted() && level == ReduceLevel::Full {
-        return Err(ReduceError::WeightedCollapse);
-    }
-    let n = g.num_vertices();
+/// What a non-empty pendant forest credits, per original vertex.
+#[derive(Debug)]
+struct Pruning {
+    /// Component label of every vertex.
+    labels: Vec<u32>,
+    /// Size of every component.
+    sizes: Vec<usize>,
+    /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
+    omega: Vec<u64>,
+    /// Raw pair-count credits `c(v)`.
+    corrections: Vec<f64>,
+}
 
-    // ---- Degree-1 pruning to fixpoint --------------------------------
-    // The credits are floating-point sums taken in the peel's removal
-    // order, which fixes how they round. They count pairs inside the
-    // pruned vertex's component, so only a non-empty forest labels them.
-    let forest =
-        if level == ReduceLevel::Off { PendantForest::default() } else { PendantForest::peel(g) };
-    let comps = (!forest.order().is_empty()).then(|| components(g));
-    let mut omega = vec![1u64; n];
-    let mut corrections = vec![0.0f64; n];
-    if let Some((labels, sizes)) = &comps {
+impl Pruning {
+    /// Credits `forest`'s removals in its removal order. The credits are
+    /// floating-point sums taken in that order, which fixes how they
+    /// round; they count pairs inside the pruned vertex's component.
+    fn credit(g: &CsrGraph, forest: &PendantForest) -> Self {
+        let n = g.num_vertices();
+        let (labels, sizes) = components(g);
+        let mut omega = vec![1u64; n];
+        let mut corrections = vec![0.0f64; n];
         for &v in forest.order() {
             let (vu, uu) =
                 (v as usize, forest.parent(v).expect("pruned vertices have a parent") as usize);
@@ -431,18 +442,43 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
             corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
             omega[uu] += omega[vu];
         }
+        Pruning { labels, sizes, omega, corrections }
     }
-    let pruned = |v: u32| forest.is_pruned(v);
+}
+
+/// Plans the reduction of `g` at `level`: prunes, finds the twin classes
+/// and counts the reduced graph, without building it. Errors as
+/// [`reduce`] does.
+///
+/// Besides the plan's own arrays (see [`ReducePlan`]), the scratch it
+/// frees before returning is: at [`ReduceLevel::Full`], one `u64`
+/// fingerprint per vertex, the twin search's sorts (one `u64` per
+/// candidate, then one 16-byte key per candidate whose fingerprint
+/// repeats) and a `u32` leader per vertex; the peel's degree copy, and at
+/// `Full` a retained-only copy of the adjacency, when something prunes;
+/// and two `u32` per class to count the reduced edges when something
+/// prunes or collapses.
+pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceError> {
+    if g.is_weighted() && level == ReduceLevel::Full {
+        return Err(ReduceError::WeightedCollapse);
+    }
+    let n = g.num_vertices();
+
+    // ---- Degree-1 pruning to fixpoint --------------------------------
+    let forest =
+        if level == ReduceLevel::Off { PendantForest::default() } else { PendantForest::peel(g) };
     let pruned_count = forest.order().len();
+    let pruning = (pruned_count > 0).then(|| Pruning::credit(g, &forest));
+    let forest_ref = &forest;
+    let retained = || (0..n as Vertex).filter(move |&v| !forest_ref.is_pruned(v));
 
     // ---- Twin classes over the retained subgraph ----------------------
     // class_pre[v]: pre-relabel class id of retained v. Off / Prune keep
     // singleton classes in ascending retained order; Full numbers false
     // classes first (by smallest member), then true and singleton classes
     // in retained order.
-    let retained: Vec<u32> = (0..n as u32).filter(|&v| !pruned(v)).collect();
     let mut class_pre = vec![u32::MAX; n];
-    let mut kinds: Vec<TwinKind> = Vec::with_capacity(retained.len());
+    let mut kinds: Vec<TwinKind> = Vec::with_capacity(n - pruned_count);
     let mut new_class = |kind: TwinKind| {
         kinds.push(kind);
         kinds.len() as u32 - 1
@@ -458,8 +494,8 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
             let mut tgt = Vec::with_capacity(g.degree_sum());
             off.push(0u32);
             for v in 0..n as u32 {
-                if !pruned(v) {
-                    tgt.extend(g.neighbors(v).iter().filter(|&&u| !pruned(u)));
+                if !forest.is_pruned(v) {
+                    tgt.extend(g.neighbors(v).iter().filter(|&&u| !forest.is_pruned(u)));
                 }
                 off.push(tgt.len() as u32);
             }
@@ -474,24 +510,27 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
 
         // False twins: identical open neighbourhoods (degree >= 1 only —
         // degree-0 vertices may sit in different components).
-        let open: Vec<u32> = retained.iter().copied().filter(|&v| !live(v).is_empty()).collect();
-        let lead = twin_leaders(
-            n,
-            &open,
-            |v| open_fp[v as usize],
-            |v| live(v).len() as u32,
-            |a, b| live(a) == live(b),
-        );
-        for &v in &open {
-            let l = lead[v as usize];
-            if l != u32::MAX {
-                class_pre[v as usize] =
-                    if l == v { new_class(TwinKind::False) } else { class_pre[l as usize] };
+        let open = || retained().filter(|&v| !live(v).is_empty());
+        {
+            let lead = twin_leaders(
+                n,
+                open(),
+                |v| open_fp[v as usize],
+                |v| live(v).len() as u32,
+                |a, b| live(a) == live(b),
+            );
+            for (v, &l) in lead.iter().enumerate() {
+                if l != u32::MAX {
+                    class_pre[v] = if l as usize == v {
+                        new_class(TwinKind::False)
+                    } else {
+                        class_pre[l as usize]
+                    };
+                }
             }
         }
-        // True twins among the rest: identical closed neighbourhoods.
-        let rest: Vec<u32> =
-            open.into_iter().filter(|&v| class_pre[v as usize] == u32::MAX).collect();
+        // True twins among the rest: identical closed neighbourhoods, whose
+        // fingerprint adds the vertex's own mix to its open one.
         let closed = |v: u32| {
             let nb = live(v);
             let (lo, hi) = nb.split_at(nb.partition_point(|&u| u < v));
@@ -499,12 +538,12 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
         };
         let lead = twin_leaders(
             n,
-            &rest,
+            open().filter(|&v| class_pre[v as usize] == u32::MAX),
             |v| open_fp[v as usize].wrapping_add(mix(v)),
             |v| live(v).len() as u32,
             |a, b| closed(a).eq(closed(b)),
         );
-        for &v in &retained {
+        for v in retained() {
             if class_pre[v as usize] != u32::MAX {
                 continue;
             }
@@ -518,7 +557,7 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
             };
         }
     } else {
-        for &v in &retained {
+        for v in retained() {
             class_pre[v as usize] = new_class(TwinKind::Single);
         }
     }
@@ -527,12 +566,12 @@ pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceEr
         orig_vertices: n,
         orig_edges: g.num_edges(),
         pruned_vertices: pruned_count,
-        collapsed_vertices: retained.len() - h_n,
+        collapsed_vertices: n - pruned_count - h_n,
         reduced_vertices: h_n,
         // `g` itself is H when nothing was pruned or collapsed.
         reduced_edges: if h_n == n { g.num_edges() } else { count_class_edges(g, &class_pre, h_n) },
     };
-    Ok(ReducePlan { g, level, comps, omega, corrections, forest, class_pre, kinds, stats })
+    Ok(ReducePlan { g, level, pruning, forest, class_pre, kinds, stats })
 }
 
 impl ReducePlan<'_> {
@@ -546,8 +585,23 @@ impl ReducePlan<'_> {
     /// Exact betweenness of a pruned vertex, bit-identical to
     /// [`ReducedGraph::exact_pruned_bc`]; `None` if `v` is retained.
     pub fn exact_pruned_bc(&self, v: Vertex) -> Option<f64> {
-        let raw = self.corrections[v as usize];
-        self.forest.is_pruned(v).then(|| closed_form(raw, self.g.num_vertices()))
+        if !self.forest.is_pruned(v) {
+            return None;
+        }
+        let pruning = self.pruning.as_ref().expect("a pruned vertex was credited");
+        Some(closed_form(pruning.corrections[v as usize], self.g.num_vertices()))
+    }
+
+    /// The twin class of a retained vertex: its pre-relabel id and kind;
+    /// `None` if `v` was pruned. Classes are numbered as
+    /// [`assemble`](Self::assemble) meets them before relabelling: at
+    /// [`ReduceLevel::Full`] false-twin classes first, by smallest member,
+    /// then true-twin and singleton classes by smallest member; at the
+    /// other levels every retained vertex is its own class, in ascending
+    /// order.
+    pub fn class(&self, v: Vertex) -> Option<(u32, TwinKind)> {
+        let c = self.class_pre[v as usize];
+        (c != u32::MAX).then(|| (c, self.kinds[c as usize]))
     }
 }
 
@@ -604,19 +658,36 @@ fn mix(v: u32) -> u64 {
 /// calls equal, and returns, per vertex, the smallest member of its class —
 /// or `u32::MAX` for vertices outside `cands` or alone in their class.
 ///
-/// One sort of `(fingerprint, degree, id)` buckets the candidates; `same`
-/// then decides inside each run of equal `(fingerprint, degree)` by exact
-/// comparison against each class found so far in the run, so a fingerprint
-/// collision costs comparisons, never a wrong class.
+/// Twins share a fingerprint, so a sort of the candidates' bare
+/// fingerprints first finds the values that repeat; only the candidates
+/// holding one get a `(fingerprint, degree, id)` key. One sort of those
+/// keys buckets them, and `same` decides inside each run of equal
+/// `(fingerprint, degree)` by exact comparison against each class found so
+/// far in the run (members in ascending id), so a fingerprint collision
+/// costs comparisons, never a wrong class.
 fn twin_leaders(
     n: usize,
-    cands: &[Vertex],
+    cands: impl Iterator<Item = Vertex> + Clone,
     fingerprint: impl Fn(Vertex) -> u64,
     degree: impl Fn(Vertex) -> u32,
     same: impl Fn(Vertex, Vertex) -> bool,
 ) -> Vec<u32> {
-    let mut keys: Vec<(u64, u32, Vertex)> =
-        cands.iter().map(|&v| (fingerprint(v), degree(v), v)).collect();
+    // The repeated fingerprints, ascending and distinct.
+    let repeated = {
+        let mut fps: Vec<u64> = cands.clone().map(&fingerprint).collect();
+        fps.sort_unstable();
+        fps.chunk_by(|a, b| a == b)
+            .filter(|run| run.len() > 1)
+            .map(|run| run[0])
+            .collect::<Vec<_>>()
+    };
+    let mut keys: Vec<(u64, u32, Vertex)> = cands
+        .filter_map(|v| {
+            let fp = fingerprint(v);
+            repeated.binary_search(&fp).is_ok().then(|| (fp, degree(v), v))
+        })
+        .collect();
+    drop(repeated);
     keys.sort_unstable();
     let mut lead = vec![u32::MAX; n];
     // (leader, size) of each class found in the current run.
@@ -648,21 +719,15 @@ impl ReducePlan<'_> {
     /// Builds the planned reduction: H from the class partition, relabelled,
     /// with the per-vertex maps.
     pub fn assemble(self) -> ReducedGraph {
-        let ReducePlan {
-            g,
-            level,
-            comps,
-            omega,
-            corrections,
-            forest,
-            class_pre,
-            kinds,
-            stats: planned,
-        } = self;
+        let ReducePlan { g, level, pruning, forest, class_pre, kinds, stats: planned } = self;
         let n = g.num_vertices();
         let h_n = kinds.len();
         let pruned = |v: usize| forest.is_pruned(v as Vertex);
-        let (comp_labels, comp_sizes) = comps.unwrap_or_else(|| components(g));
+        let Pruning { labels: comp_labels, sizes: comp_sizes, omega, corrections } = pruning
+            .unwrap_or_else(|| {
+                let (labels, sizes) = components(g);
+                Pruning { labels, sizes, omega: vec![1; n], corrections: vec![0.0; n] }
+            });
 
         // ---- Attachment / branch resolution ------------------------------
         // att(v): the first retained vertex on v's parent chain. broot(v): the
@@ -1117,8 +1182,8 @@ mod tests {
         let same = |a: u32, b: u32| g.neighbors(a) == g.neighbors(b);
         let fp = |v: u32| g.neighbors(v).iter().fold(0, |h: u64, &u| h.wrapping_add(mix(u)));
         let deg = |v: u32| g.degree(v) as u32;
-        let bucketed = twin_leaders(g.num_vertices(), &open, fp, deg, same);
-        let one_run = twin_leaders(g.num_vertices(), &open, |_| 0, |_| 0, same);
+        let bucketed = twin_leaders(g.num_vertices(), open.iter().copied(), fp, deg, same);
+        let one_run = twin_leaders(g.num_vertices(), open.iter().copied(), |_| 0, |_| 0, same);
         assert_eq!(bucketed, one_run);
         for &a in &open {
             for &b in open.iter().filter(|&&b| b != a) {
@@ -1128,6 +1193,56 @@ mod tests {
         }
         let classes = open.iter().filter(|&&v| bucketed[v as usize] == v).count();
         assert!(classes >= 2, "the graph should hold several twin classes");
+    }
+
+    #[test]
+    fn constant_fingerprint_verifies_every_closed_neighbourhood() {
+        // Every vertex of a sparse random graph becomes a clique of 1-3
+        // true twins. With one fingerprint for all, every candidate repeats
+        // it and gets a key, so exact comparison decides every vertex; the
+        // leaders must be the smallest vertex of equal closed neighbourhood.
+        use rand::{rngs::SmallRng, RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let base = generators::erdos_renyi_gnp(60, 0.06, &mut rng);
+        let mut copies = Vec::new();
+        let (mut edges, mut n) = (Vec::new(), 0u32);
+        for _ in 0..60 {
+            let k = rng.random_range(1..=3u32);
+            for a in n..n + k {
+                edges.extend((a + 1..n + k).map(|b| (a, b)));
+            }
+            copies.push(n..n + k);
+            n += k;
+        }
+        for (u, v, _) in base.edges() {
+            for a in copies[u as usize].clone() {
+                edges.extend(copies[v as usize].clone().map(|b| (a, b)));
+            }
+        }
+        let g = CsrGraph::from_edges(n as usize, &edges).unwrap();
+        let closed = |v: u32| {
+            let mut nb = g.neighbors(v).to_vec();
+            nb.push(v);
+            nb.sort_unstable();
+            nb
+        };
+        let cands = || (0..n).filter(|&v| g.degree(v) > 0);
+        let lead = twin_leaders(
+            n as usize,
+            cands(),
+            |_| 7,
+            |v| g.degree(v) as u32,
+            |a, b| closed(a) == closed(b),
+        );
+        for v in g.vertices() {
+            let twins: Vec<u32> = cands().filter(|&u| closed(u) == closed(v)).collect();
+            let expected = if g.degree(v) > 0 && twins.len() > 1 { twins[0] } else { u32::MAX };
+            assert_eq!(lead[v as usize], expected, "vertex {v}");
+        }
+        assert!(
+            lead.iter().filter(|&&l| l != u32::MAX).count() > 20,
+            "the graph should hold twins"
+        );
     }
 
     #[test]

@@ -164,6 +164,49 @@ fn expected_final_ids(g: &CsrGraph, classes: &[(TwinKind, Vec<Vertex>)]) -> Vec<
     ids
 }
 
+/// A graph of generator family `family` (0–11) on about `size` vertices,
+/// with `pendants` tree vertices hung off random earlier vertices.
+fn family_graph(family: usize, size: usize, pendants: usize, seed: u64) -> CsrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let size = size.max(6);
+    let g = match family {
+        0 => generators::barabasi_albert(size, 1 + size % 3, &mut rng),
+        1 => generators::duplication_divergence(size, 0.5, &mut rng),
+        2 => generators::erdos_renyi_gnp(size, 4.0 / size as f64, &mut rng),
+        3 => generators::watts_strogatz(size, 4, 0.2, &mut rng),
+        4 => generators::grid(size / 6, 6, size.is_multiple_of(2)),
+        5 => generators::planted_partition(3, size / 3, 0.4, 0.02, &mut rng),
+        6 => generators::hub_separator(3, size / 3, 0.3, 2, &mut rng).graph,
+        7 => generators::preferential_attachment_mixed(size, 1, 3, 0.5, &mut rng),
+        8 => generators::complete_bipartite(size / 3, size - size / 3),
+        9 => generators::wheel(size),
+        10 => generators::barbell(size / 3, size % 5),
+        _ => generators::balanced_tree(2, 3 + size % 3),
+    };
+    let mut n = g.num_vertices() as Vertex;
+    let mut edges: Vec<_> = g.edges().map(|(u, v, _)| (u, v)).collect();
+    for _ in 0..pendants {
+        edges.push((rng.random_range(0..n), n));
+        n += 1;
+    }
+    CsrGraph::from_edges(n as usize, &edges).unwrap()
+}
+
+/// Betweenness (Eq 1) of `v` by counting, over every ordered pair `(s, t)`
+/// of other vertices, whether `v` lies on a shortest `s`–`t` path — exact
+/// for a pruned vertex, which every such path must cross.
+fn brute_force_cut_vertex_bc(dist: &[Vec<u32>], v: usize) -> f64 {
+    let n = dist.len();
+    let mut raw = 0u64;
+    for s in (0..n).filter(|&s| s != v && dist[s][v] != u32::MAX) {
+        for t in (0..n).filter(|&t| t != v && t != s && dist[v][t] != u32::MAX) {
+            raw += (dist[s][v] + dist[v][t] == dist[s][t]) as u64;
+        }
+    }
+    let n = n as f64;
+    raw as f64 / (n * (n - 1.0))
+}
+
 /// A `BufRead::lines` edge-list parser: the reference that the
 /// buffer-level `io::read_edge_list` and its fast path must match.
 fn reference_read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
@@ -726,6 +769,60 @@ proptest! {
         for ((kind, members), &z) in classes.iter().zip(&ids) {
             prop_assert_eq!(red.kind(z), *kind, "class {:?}", members);
             prop_assert_eq!(red.members(z), &members[..]);
+        }
+    }
+
+    /// A plan equals a brute-force reference on every generator family,
+    /// with and without pendant trees, at both pruning levels: the same
+    /// class of every vertex (id and kind; `full` compares open and closed
+    /// neighbourhoods pairwise), the same stats, and closed forms equal to
+    /// pair counts over all-pairs distances.
+    #[test]
+    fn plan_matches_brute_force_reference(
+        family in 0usize..12,
+        size in 6usize..60,
+        pendants in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let g = family_graph(family, size, pendants * (1 + size / 4), seed);
+        let n = g.num_vertices();
+        let forest = algo::PendantForest::peel(&g);
+        let retained: Vec<Vertex> = g.vertices().filter(|&v| !forest.is_pruned(v)).collect();
+        let dist: Vec<Vec<u32>> = g.vertices().map(|s| algo::bfs_distances(&g, s)).collect();
+        for level in [ReduceLevel::Prune, ReduceLevel::Full] {
+            let classes = match level {
+                ReduceLevel::Full => brute_force_classes(&g, &retained),
+                _ => retained.iter().map(|&v| (TwinKind::Single, vec![v])).collect(),
+            };
+            let mut class_of = vec![None; n];
+            for (c, (kind, members)) in classes.iter().enumerate() {
+                members.iter().for_each(|&m| class_of[m as usize] = Some((c as u32, *kind)));
+            }
+            let mut class_edges: Vec<(u32, u32)> = g
+                .edges()
+                .filter_map(|(u, v, _)| Some((class_of[u as usize]?.0, class_of[v as usize]?.0)))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            class_edges.sort_unstable();
+            class_edges.dedup();
+            let expected = reduce::ReduceStats {
+                orig_vertices: n,
+                orig_edges: g.num_edges(),
+                pruned_vertices: n - retained.len(),
+                collapsed_vertices: retained.len() - classes.len(),
+                reduced_vertices: classes.len(),
+                reduced_edges: class_edges.len(),
+            };
+            let plan = reduce::plan(&g, level).unwrap();
+            prop_assert_eq!(*plan.stats(), expected, "{:?}", level);
+            for v in g.vertices() {
+                prop_assert_eq!(plan.class(v), class_of[v as usize], "{:?} vertex {}", level, v);
+                let closed_form = forest
+                    .is_pruned(v)
+                    .then(|| brute_force_cut_vertex_bc(&dist, v as usize).to_bits());
+                prop_assert_eq!(plan.exact_pruned_bc(v).map(f64::to_bits), closed_form, "{}", v);
+            }
         }
     }
 }

@@ -20,6 +20,12 @@ pub fn exact_betweenness(g: &CsrGraph) -> Vec<f64> {
 /// tiny graphs rather than fanning out for nothing.
 const MIN_SOURCES_PER_THREAD: usize = 32;
 
+/// Chunks per thread in one wave of `exact_betweenness_par`. Workers claim
+/// a wave's chunks one at a time, so only a wave's last chunks can leave a
+/// thread idle at its end; more chunks per wave idle less often but hold
+/// more partials at once.
+const WAVE_CHUNKS_PER_THREAD: usize = 4;
+
 /// Source-chunk size of the deterministic parallel reduction — a pure
 /// function of `n` (never of the thread count), so the chunk partial sums
 /// and their left-to-right fold associate identically at every thread
@@ -30,10 +36,11 @@ fn source_chunk(n: usize) -> usize {
 }
 
 /// Parallel exact betweenness: the source range is cut into fixed chunks
-/// (see `source_chunk`), each wave of up to `threads` chunks is computed by
-/// [`crate::sweep`] with one SPD workspace per thread, and the chunk
-/// partials are folded in chunk order — making the result a pure function
-/// of the graph, identical bit for bit at every thread count. Memory stays
+/// (see `source_chunk`), each wave of up to `4 · threads` chunks is computed
+/// by [`crate::sweep`] with one SPD workspace per thread (a thread claims
+/// the wave's next chunk whenever it finishes one), and the chunk partials
+/// are folded in chunk order — making the result a pure function of the
+/// graph, identical bit for bit at every thread count. Memory stays
 /// `O(threads · n)`: one partial per chunk of the current wave.
 ///
 /// `threads = 0` means "use available parallelism"; the count is clamped so
@@ -49,7 +56,7 @@ pub fn exact_betweenness_par(g: &CsrGraph, threads: usize) -> Vec<f64> {
     let chunks: Vec<usize> = (0..n.div_ceil(chunk)).collect();
     let mut calcs: Vec<_> = (0..threads).map(|_| ViewCalculator::new(SpdView::direct(g))).collect();
     let mut bc = vec![0.0f64; n];
-    for wave in chunks.chunks(threads) {
+    for wave in chunks.chunks(threads * WAVE_CHUNKS_PER_THREAD) {
         let partials = crate::sweep(&mut calcs, wave, |calc, &c| {
             chunk_partial(calc, c * chunk..n.min((c + 1) * chunk))
         });

@@ -40,7 +40,8 @@
 //!   bitwise test reference for the frontier kernel.
 //! - [`sweep`] — the one fork-join behind every parallel SPD job (exact
 //!   Brandes's source chunks, a profile's rows, the oracle's prefetch): one
-//!   workspace per thread, results in item order.
+//!   workspace per thread, each claiming the next item when it finishes
+//!   one, results in item order.
 //!
 //! ## Conventions
 //!
@@ -86,16 +87,20 @@ pub use reduced::{dependency_profile_view_par, exact_betweenness_reduced, RowKey
 pub use unweighted::{BfsSpd, KernelMode, UNREACHED};
 pub use weighted::DijkstraSpd;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// Relative tolerance for deciding "equal length" shortest paths on weighted
 /// graphs; see [`DijkstraSpd`] docs.
 pub const WEIGHT_TIE_RELATIVE_EPS: f64 = 1e-12;
 
 /// Runs `f(worker, item)` for every item, fanning the items out over
-/// `workers` on scoped threads: one contiguous share per worker (at most
-/// `items.len()` workers), the calling thread running the first share with
-/// `workers[0]`. Results come back in item order, so a caller whose `f` is
-/// a pure function of its item gets the same output at every worker
-/// count. One worker, or no items, spawns nothing.
+/// `workers` on scoped threads (at most `items.len()` of them, the calling
+/// thread running `workers[0]`). Each worker claims the next unclaimed item
+/// from a shared counter until none is left, so a worker on a slow core
+/// simply takes fewer items and none waits on another's fixed share.
+/// Results come back in item order whoever computed them, so a caller
+/// whose `f` is a pure function of its item gets the same output at every
+/// worker count. One worker, or no items, spawns nothing.
 ///
 /// Every parallel SPD job here goes through it: exact Brandes's source
 /// chunks, a dependency profile's rows and the oracle's prefetch.
@@ -111,45 +116,59 @@ pub fn sweep<W: Send, I: Sync, T: Send>(
         return Vec::new();
     }
     assert!(!workers.is_empty(), "sweep needs at least one worker");
-    let len = items.len().div_ceil(workers.len().min(items.len()));
-    let f = &f;
-    let run = move |w: &mut W, share: &[I]| share.iter().map(|i| f(w, i)).collect::<Vec<_>>();
-    let mut shares = items.chunks(len).zip(workers);
-    let (own, own_worker) = shares.next().expect("at least one share");
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shares.map(|(share, w)| s.spawn(move || run(w, share))).collect();
-        let mut out = run(own_worker, own);
-        for h in handles {
-            out.extend(h.join().expect("sweep worker panicked"));
+    let next = AtomicUsize::new(0);
+    let (f, next) = (&f, &next);
+    // Claims items until none is left; returns `(index, result)` pairs.
+    // The counter publishes no data (results travel back through `join`),
+    // so `Relaxed` suffices.
+    let run = move |w: &mut W| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(w, item)));
         }
-        out
-    })
+    };
+    let active = workers.len().min(items.len());
+    let (own, others) = workers[..active].split_first_mut().expect("at least one worker");
+    let mut done = std::thread::scope(|s| {
+        let handles: Vec<_> = others.iter_mut().map(|w| s.spawn(move || run(w))).collect();
+        let mut done = run(own);
+        for h in handles {
+            done.extend(h.join().expect("sweep worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::sweep;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn sweep_returns_results_in_item_order() {
         let items: Vec<u32> = (0..5).collect();
-        // More workers than items: one item per share, the rest idle.
+        // More workers than items: only as many workers as items take part.
         let mut calls = vec![0usize; 8];
         let out = sweep(&mut calls, &items, |c, &i| {
             *c += 1;
             i * 10
         });
         assert_eq!(out, [0, 10, 20, 30, 40]);
-        assert_eq!(calls, [1, 1, 1, 1, 1, 0, 0, 0]);
+        assert_eq!(calls.iter().sum::<usize>(), 5);
+        assert!(calls[5..].iter().all(|&c| c == 0), "{calls:?}");
 
-        // Fewer workers than items: contiguous shares, first share largest.
+        // Fewer workers than items: whoever computed them, in item order.
         let mut calls = vec![0usize; 2];
         let out = sweep(&mut calls, &items, |c, &i| {
             *c += 1;
             i
         });
         assert_eq!(out, items);
-        assert_eq!(calls, [3, 2]);
+        assert_eq!(calls.iter().sum::<usize>(), 5);
 
         // No items: nothing runs, even with no workers.
         assert!(sweep(&mut calls, &[] as &[u32], |_, &i| i).is_empty());
@@ -165,5 +184,28 @@ mod tests {
         });
         assert_eq!(out, [1, 2, 3, 4, 5]);
         assert_eq!(calls, [5]);
+    }
+
+    #[test]
+    fn a_stalled_worker_leaves_the_items_to_the_others() {
+        // Worker 0 stalls on the first item it claims until every other
+        // item is done: the other worker must claim all of them, since no
+        // item is bound to a worker in advance.
+        let items: Vec<usize> = (0..20).collect();
+        let finished = AtomicUsize::new(0);
+        let mut workers = [(0usize, 0usize), (1, 0)];
+        let out = sweep(&mut workers, &items, |(id, calls), &i| {
+            *calls += 1;
+            if *id == 0 && *calls == 1 {
+                while finished.load(Ordering::Acquire) < items.len() - 1 {
+                    std::thread::yield_now();
+                }
+            } else {
+                finished.fetch_add(1, Ordering::Release);
+            }
+            i * 2
+        });
+        assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(workers, [(0, 1), (1, 19)]);
     }
 }

@@ -107,10 +107,14 @@ impl KernelMode {
 ///
 /// ## Canonical settle order
 ///
-/// Within each level, vertices settle in **ascending vertex id** — push
-/// levels sort their freshly discovered slice, pull levels produce it
-/// sorted for free. This canonicalisation is what makes every
-/// [`KernelMode`] bit-identical, not merely equivalent:
+/// Within each level, vertices settle in **ascending vertex id** — pull
+/// levels produce it sorted for free, and push levels canonicalise their
+/// freshly discovered slice. A hybrid pass whose frontier's degree sum
+/// reaches `n / 16` (so the level may be that large, even when a few hubs
+/// feed it) marks its discoveries in the frontier bitmap and, if at least
+/// `n / 16` arrive, rewrites the slice by an ascending `O(n / 64 + f)`
+/// bitmap drain; any other push level is sorted. This canonicalisation is
+/// what makes every [`KernelMode`] bit-identical, not merely equivalent:
 ///
 /// - levels and distances are direction-independent by BFS correctness;
 /// - σ sums accumulate **in ascending parent id** in both directions (push
@@ -446,12 +450,13 @@ impl BfsSpd {
                     > 8 * (unexplored_deg as u128 + rebuild_term as u128);
             // Whether this push level should canonicalise via the frontier
             // bitmap (mark on discovery, drain ascending) instead of a
-            // sort: worthwhile only when the discovered set will be large,
-            // predicted from the scanned frontier's size so deep
-            // small-frontier traversals (grids, paths) never pay for
-            // bitmap upkeep. Deterministic — a pure function of the level
-            // sizes.
-            let track_bits = hybrid && (hi - lo) * 16 >= n;
+            // sort: worthwhile only when the discovered set may be large.
+            // The frontier's degree sum bounds what it can discover, so a
+            // few hubs that reach a large level still drain it from the
+            // bitmap, while deep low-degree traversals (grids, paths) never
+            // pay for bitmap upkeep. Deterministic — a pure function of
+            // (graph, source).
+            let track_bits = hybrid && frontier_deg * 16 >= n as u64;
             let mut new_deg = 0u64;
             if in_pull {
                 pull_levels += 1;
@@ -1159,6 +1164,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A frontier of two hubs discovers far more than `n / 16` vertices in
+    /// one push level, out of id order (each hub feeds every other id);
+    /// the level is canonicalised by the bitmap drain, since the hubs'
+    /// degree sum predicts its size, and must match pure top-down bit for
+    /// bit, as must the level below it.
+    #[test]
+    fn hub_fed_push_level_matches_topdown_bitwise() {
+        let (leaves, grand) = (320u32, 80u32);
+        let mut edges = vec![(0, 1), (0, 2)];
+        for v in 3..3 + leaves {
+            edges.push((1 + v % 2, v));
+            if v % 5 == 0 {
+                edges.push((2 - v % 2, v));
+            }
+        }
+        for k in 0..grand {
+            for j in 0..4 {
+                edges.push((3 + (k * 7 + j * 83) % leaves, 3 + leaves + k));
+            }
+        }
+        let g = mhbc_graph::CsrGraph::from_edges((3 + leaves + grand) as usize, &edges).unwrap();
+        let n = g.num_vertices();
+        let mut push = BfsSpd::with_mode(n, KernelMode::TopDown);
+        let mut hubs = BfsSpd::with_mode(n, KernelMode::Hybrid);
+        hubs.set_hybrid_params(0, 1); // never pull: every level is a push level
+        let (mut d1, mut d2) = (Vec::new(), Vec::new());
+        for s in [0, 1, 5, 3 + leaves] {
+            push.compute(&g, s);
+            hubs.compute(&g, s);
+            assert_eq!(hubs.pull_levels(), 0);
+            assert_eq!(push.order(), hubs.order(), "order, source {s}");
+            assert_eq!(push.level_starts(), hubs.level_starts(), "levels, source {s}");
+            for v in 0..n as Vertex {
+                assert_eq!(push.sigma(v).to_bits(), hubs.sigma(v).to_bits(), "sigma {v}");
+            }
+            push.accumulate_dependencies(&g, &mut d1);
+            hubs.accumulate_dependencies(&g, &mut d2);
+            for v in 0..n {
+                assert_eq!(d1[v].to_bits(), d2[v].to_bits(), "delta {v}, source {s}");
+            }
+        }
+        push.compute(&g, 0);
+        let level2 = &push.order()[push.level_starts()[2]..push.level_starts()[3]];
+        assert_eq!(level2.len(), leaves as usize, "two hubs discover every leaf");
+        assert!(level2.len() * 16 >= n && 2 * 16 < n);
     }
 
     /// The collapsed kernel agrees across directions with non-trivial
