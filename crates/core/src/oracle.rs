@@ -46,6 +46,13 @@ use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_spd::{sweep, RowKeys, SpdView, ViewCalculator};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
+/// The row cache's hasher: std's SipHash under fixed keys, so the table
+/// lays rows out, and later frees them, in the same order in every process
+/// (`RandomState` would draw new keys per process, and the heap's peak with
+/// them).
+type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,7 +106,7 @@ pub struct ProbeOracle<'g> {
     /// `calcs[0]` serves cache misses; [`ProbeOracle::prefetch`] adds one
     /// workspace per extra thread on first use.
     calcs: Vec<ViewCalculator<'g>>,
-    rows: HashMap<u64, Box<[f64]>>,
+    rows: HashMap<u64, Box<[f64]>, FixedState>,
     stats: OracleStats,
     /// SPD passes the restored checkpoint recorded (0 on a fresh run).
     restored_passes: u64,
@@ -122,7 +129,7 @@ impl<'g> ProbeOracle<'g> {
             probes: probes.to_vec(),
             keys: view.row_keys(probes),
             calcs: vec![ViewCalculator::new(view)],
-            rows: HashMap::new(),
+            rows: HashMap::default(),
             stats: OracleStats::default(),
             restored_passes: 0,
         }

@@ -25,11 +25,16 @@
 //! exactly the value its own one-probe cache would have held (the targeted
 //! pass is exact at every probe), so sharing changes no estimate, interval,
 //! grant or stopping decision. The chains run on the calling thread, one
-//! segment at a time.
+//! segment at a time; with [`run_probe_schedule_with_prefetch`], each
+//! segment first computes its chain's missing rows across the prefetch
+//! threads ([`crate::pipeline`]), which changes no output either: a
+//! prefetched row is counted by the chain whose segment prefetched it, as
+//! that chain's own miss would have been.
 //!
 //! [`ProbeOracle`]: crate::oracle::ProbeOracle
 
 use crate::engine::{AdaptiveReport, EngineConfig, EstimationEngine, StopReason};
+use crate::pipeline::PrefetchConfig;
 use crate::single::{SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
 use crate::CoreError;
 use mhbc_graph::Vertex;
@@ -131,6 +136,18 @@ pub fn run_probe_schedule(
     probes: &[Vertex],
     config: ScheduleConfig,
 ) -> Result<ScheduleOutcome, CoreError> {
+    run_probe_schedule_with_prefetch(view, probes, config, &PrefetchConfig::sequential())
+}
+
+/// [`run_probe_schedule`] with every probe's engine prefetching its
+/// segments' rows across `prefetch.threads` threads. The outcome is
+/// bit-identical at every thread count (module docs).
+pub fn run_probe_schedule_with_prefetch(
+    view: SpdView<'_>,
+    probes: &[Vertex],
+    config: ScheduleConfig,
+    prefetch: &PrefetchConfig,
+) -> Result<ScheduleOutcome, CoreError> {
     if probes.is_empty() {
         return Err(CoreError::ProbeSetTooSmall { len: 0 });
     }
@@ -147,8 +164,10 @@ pub fn run_probe_schedule(
     let samplers = SingleSpaceSampler::sharing_oracle(view, probes, |i| {
         SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64))
     })?;
-    let mut engines: Vec<EstimationEngine<SingleSpaceSampler<'_>>> =
-        samplers.into_iter().map(|s| s.into_engine(engine_cfg)).collect();
+    let mut engines: Vec<EstimationEngine<SingleSpaceSampler<'_>>> = samplers
+        .into_iter()
+        .map(|s| s.into_engine(engine_cfg).with_prefetch(prefetch.clone()))
+        .collect();
     let mut finished: Vec<Option<StopReason>> = vec![None; probes.len()];
     let mut allocated = vec![0u64; probes.len()];
     let mut spent = 0u64;
@@ -388,6 +407,47 @@ mod tests {
             }
         }
         assert!(cases.next().is_none());
+    }
+
+    #[test]
+    fn prefetch_threads_leave_the_outcome_bit_identical() {
+        // Every output of the schedule, the SPD-pass split between the
+        // probes' chains included, as bits.
+        fn bits(out: &ScheduleOutcome) -> Vec<u64> {
+            let mut b = vec![out.spent, out.rounds, out.spd_passes];
+            for p in &out.probes {
+                let (e, r) = (&p.estimate, &p.report);
+                b.extend([p.probe as u64, p.allocated, p.reached as u64, p.ci_halfwidth.to_bits()]);
+                b.extend([e.bc, e.bc_corrected, e.acceptance_rate].map(f64::to_bits));
+                b.extend([e.iterations, e.spd_passes, r.iterations, r.segments]);
+                b.extend([r.stderr, r.ess, r.tau, r.geweke_z].map(f64::to_bits));
+            }
+            b
+        }
+        let g = generators::duplication_divergence(300, 0.5, &mut SmallRng::seed_from_u64(3));
+        let red = reduce(&g, ReduceLevel::Full).unwrap();
+        assert!(red.stats().work_ratio() > 1.0);
+        let cfg = ScheduleConfig::target_stderr(6_000, 0.02, 0.05, 5).with_segment(256);
+        let views =
+            [(SpdView::direct(&g), [3u32, 6, 9]), (SpdView::preprocessed(&g, &red), [3, 6, 257])];
+        let misses =
+            |out: &ScheduleOutcome| out.probes.iter().map(|p| p.estimate.oracle_stats.misses).sum();
+        for (view, probes) in views {
+            assert!(probes.iter().all(|&p| view.is_retained(p)));
+            let alone = run_probe_schedule(view, &probes, cfg).unwrap();
+            let (want, chain_misses): (_, u64) = (bits(&alone), misses(&alone));
+            for threads in [1, 2, 4] {
+                // A short prefetch chunk splits every segment.
+                let prefetch = PrefetchConfig::with_threads(threads).with_depth(100);
+                let out = run_probe_schedule_with_prefetch(view, &probes, cfg, &prefetch).unwrap();
+                let reduced = view.reduced().is_some();
+                assert_eq!(bits(&out), want, "reduced {reduced}, threads {threads}");
+                // Prefetched rows are hits: only the chains' first states,
+                // looked up before any segment, still miss.
+                let expected = if threads == 1 { chain_misses } else { probes.len() as u64 };
+                assert_eq!(misses(&out), expected, "reduced {reduced}, threads {threads}");
+            }
+        }
     }
 
     #[test]

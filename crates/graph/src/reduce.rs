@@ -66,23 +66,38 @@
 //! holding one are sorted again by `(fingerprint, degree, id)`. That second
 //! sort only *buckets* candidate twins: an exact comparison of the
 //! neighbourhoods decides inside each bucket, so a fingerprint collision
-//! costs time, never a wrong class. The collapsed and relabelled CSRs are
-//! assembled by transposition and the row groups by counting, with no
-//! further sort and no hashing.
+//! costs time, never a wrong class. H is built once, already relabelled:
+//! its CSR is assembled by transposition straight from `g` through the
+//! composed map (class, then BFS position), each class's neighbours read
+//! around one of its members. The row groups take one sort of the pruned
+//! vertices' `(attachment, branch, id)` keys, plus one per class of several
+//! members; nothing is hashed.
 //!
 //! [`reduce`] runs in two steps. [`plan`] prunes and finds the twin classes,
 //! which already fix the exact [`ReduceStats`] (the reduced edge count is
 //! counted, not built) and the pruned vertices' closed forms;
 //! [`ReducePlan::assemble`] then builds the CSR, relabels it and fills the
 //! maps. A caller that may discard the reduction decides from the plan, so
-//! the plan allocates only what its result needs. The pendant weights, the
-//! pruning credits and the connected components they count in exist only
-//! when something was pruned; otherwise `assemble` fills in the defaults
-//! (every weight 1, every credit 0) and labels the components itself. On
+//! the plan allocates only what its result needs. The pendant weights and
+//! the pruning credits exist only when something was pruned; otherwise
+//! `assemble` fills in the defaults (every weight 1, every credit 0). On
 //! the 262k-vertex, 1.05M-edge BA graph of the `offcache-estimate`
 //! benchmark, where nothing prunes or collapses, planning `full` takes about
 //! 20 ms and its heap peaks about 21 bytes per vertex (5.25 MiB) above the
 //! graph: the fingerprints and their sort, 8 bytes each, and the class ids.
+//!
+//! `assemble` consumes the plan and frees each array after its last
+//! reader. While it builds H it holds, beside the plan and the growing
+//! result, at most five `u32` per reduced vertex: a representative member,
+//! the degree, a dedup stamp (only when twins collapsed), the BFS
+//! permutation and its inverse. The plan's class ids become the final ids
+//! in place. The row groups then sort a 12-byte key per pruned vertex. On
+//! the `reduced-parallel` benchmark's duplication–divergence graph
+//! (n = 65,536, m = 212,458, reduced to 39,530 vertices and 180,193
+//! edges), assembling `full` peaks 66 bytes per vertex (4.14 MiB) above the
+//! graph, the plan it consumes included, below the plan's own 69; the
+//! reduction keeps 62 (3.89 MiB; see [`ReducedGraph`] for what). Sampling
+//! with two threads then adds about 2 MiB.
 //!
 //! # Using a reduction
 //!
@@ -226,6 +241,21 @@ impl ReduceStats {
 /// Built by [`reduce`]; consumed by the `mhbc-spd` reduced dependency
 /// engine. All per-reduced-vertex arrays are indexed by final (relabelled)
 /// reduced ids; all per-original arrays by original ids.
+///
+/// It stores what an SPD pass and the density mapping read on every
+/// proposal: H, `μ` and `Ω` as `f64` and the [`TwinKind`] per reduced
+/// vertex, the members (`u32` offsets and ids), and per original vertex its
+/// [`VertexState`] (8 bytes), credit and row group. On the
+/// `reduced-parallel` benchmark's graph that is 62 bytes per original
+/// vertex (the module docs' "Cost" says what building it allocates).
+/// [`sum_w2`], [`wdeg`] and [`comp_total`], read only by the exact
+/// all-vertices path and by one branch each of the density mapping, are
+/// computed on demand — in `O(μ(z))`, `O(deg_H(z))`, and `O(1)` on a
+/// connected graph — bit for bit the values a stored array would hold.
+///
+/// [`sum_w2`]: ReducedGraph::sum_w2
+/// [`wdeg`]: ReducedGraph::wdeg
+/// [`comp_total`]: ReducedGraph::comp_total
 #[derive(Debug, Clone)]
 pub struct ReducedGraph {
     level: ReduceLevel,
@@ -234,17 +264,45 @@ pub struct ReducedGraph {
     // Per reduced vertex.
     mult: Box<[f64]>,
     weight: Box<[f64]>,
-    sum_w2: Box<[f64]>,
-    wdeg: Box<[f64]>,
     kind: Box<[TwinKind]>,
-    comp_total: Box<[f64]>,
-    member_offsets: Box<[usize]>,
+    /// Whether H (and so the original graph) has at most one component.
+    connected: bool,
+    member_offsets: Box<[u32]>,
     member_ids: Box<[Vertex]>,
     // Per original vertex.
-    state: Box<[VertexState]>,
+    state: Box<[PackedState]>,
     corrections: Box<[f64]>,
     row_group: Box<[u32]>,
     stats: ReduceStats,
+}
+
+/// A [`VertexState`] in two words: `h` or `att`, with [`PRUNED`] set for a
+/// pruned vertex, then `omega` or `branch`. Ids stay below `2^31`: [`plan`]
+/// refuses larger graphs.
+#[derive(Debug, Clone, Copy)]
+struct PackedState([u32; 2]);
+
+/// The tag bit of a pruned vertex's [`PackedState`].
+const PRUNED: u32 = 1 << 31;
+
+impl PackedState {
+    fn retained(h: Vertex, omega: u32) -> Self {
+        PackedState([h, omega])
+    }
+
+    fn pruned(att: Vertex, branch: u32) -> Self {
+        PackedState([att | PRUNED, branch])
+    }
+
+    #[inline]
+    fn get(self) -> VertexState {
+        let [id, size] = self.0;
+        if id & PRUNED == 0 {
+            VertexState::Retained { h: id, omega: size }
+        } else {
+            VertexState::Pruned { att: id & !PRUNED, branch: size }
+        }
+    }
 }
 
 impl ReducedGraph {
@@ -290,18 +348,25 @@ impl ReducedGraph {
         &self.weight
     }
 
-    /// `Σ_{x ∈ class} ω(x)²` (used by the exact all-vertices path).
-    #[inline]
+    /// `Σ_{x ∈ class} ω(x)²` (used by the exact all-vertices path), summed
+    /// over the members in ascending order. `O(μ(z))`.
     pub fn sum_w2(&self, z: Vertex) -> f64 {
-        self.sum_w2[z as usize]
+        let mut sum = 0.0;
+        for &m in self.members(z) {
+            let VertexState::Retained { omega, .. } = self.state(m) else {
+                unreachable!("members are retained")
+            };
+            let w = omega as f64;
+            sum += w * w;
+        }
+        sum
     }
 
     /// Multiplicity-weighted degree `Σ_{u ∈ N_H(z)} μ(u)` — the number of
     /// common neighbours two false twins of class `z` share in the pruned
-    /// graph.
-    #[inline]
+    /// graph. `O(deg_H(z))`.
     pub fn wdeg(&self, z: Vertex) -> f64 {
-        self.wdeg[z as usize]
+        self.csr.neighbors(z).iter().map(|&u| self.mult[u as usize]).sum()
     }
 
     /// What kind of class `z` is.
@@ -310,29 +375,47 @@ impl ReducedGraph {
         self.kind[z as usize]
     }
 
-    /// Original size of the connected component `z` belongs to.
-    #[inline]
+    /// Original size of the connected component `z` belongs to: the
+    /// original vertex count when the graph is connected, and otherwise the
+    /// total weight `Ω` of `z`'s component of H, found by a breadth-first
+    /// search (every original vertex of a component is counted by exactly
+    /// one class of it).
     pub fn comp_total(&self, z: Vertex) -> f64 {
-        self.comp_total[z as usize]
+        if self.connected {
+            return self.orig_n as f64;
+        }
+        let mut seen = vec![false; self.csr.num_vertices()];
+        seen[z as usize] = true;
+        let mut queue = vec![z];
+        let mut total = 0.0;
+        while let Some(y) = queue.pop() {
+            total += self.weight[y as usize];
+            for &u in self.csr.neighbors(y) {
+                if !std::mem::replace(&mut seen[u as usize], true) {
+                    queue.push(u);
+                }
+            }
+        }
+        total
     }
 
     /// The retained original vertices collapsed into `z`.
     #[inline]
     pub fn members(&self, z: Vertex) -> &[Vertex] {
         let z = z as usize;
-        &self.member_ids[self.member_offsets[z]..self.member_offsets[z + 1]]
+        &self.member_ids[self.member_offsets[z] as usize..self.member_offsets[z + 1] as usize]
     }
 
     /// Where original vertex `v` went.
     #[inline]
     pub fn state(&self, v: Vertex) -> VertexState {
-        self.state[v as usize]
+        self.state[v as usize].get()
     }
 
     /// Whether original vertex `v` survives in the reduced graph.
     #[inline]
     pub fn is_retained(&self, v: Vertex) -> bool {
-        matches!(self.state[v as usize], VertexState::Retained { .. })
+        matches!(self.state(v), VertexState::Retained { .. })
     }
 
     /// Pruning corrections `c(v)` (raw, unnormalised pair counts) per
@@ -347,7 +430,7 @@ impl ReducedGraph {
     /// Exact betweenness (Eq 1 normalisation) of a **pruned** vertex, known
     /// in closed form from the corrections; `None` if `v` was retained.
     pub fn exact_pruned_bc(&self, v: Vertex) -> Option<f64> {
-        match self.state[v as usize] {
+        match self.state(v) {
             VertexState::Pruned { .. } => {
                 Some(closed_form(self.corrections[v as usize], self.orig_n))
             }
@@ -396,8 +479,8 @@ pub fn reduce(g: &CsrGraph, level: ReduceLevel) -> Result<ReducedGraph, ReduceEr
 ///
 /// A plan holds one class id per vertex (`u32`) and one [`TwinKind`] per
 /// class. Only a non-empty pendant forest adds the per-vertex pruning
-/// arrays (the forest itself, the component labels, `ω` and the credits);
-/// a plan with nothing to prune carries none of them.
+/// arrays (the forest itself, `ω` as a `u32` and the credits); a plan with
+/// nothing to prune carries none of them.
 #[derive(Debug)]
 pub struct ReducePlan<'g> {
     g: &'g CsrGraph,
@@ -416,12 +499,8 @@ pub struct ReducePlan<'g> {
 /// What a non-empty pendant forest credits, per original vertex.
 #[derive(Debug)]
 struct Pruning {
-    /// Component label of every vertex.
-    labels: Vec<u32>,
-    /// Size of every component.
-    sizes: Vec<usize>,
     /// Pendant weight `ω(v)`: `v` plus the vertices pruned into it.
-    omega: Vec<u64>,
+    omega: Vec<u32>,
     /// Raw pair-count credits `c(v)`.
     corrections: Vec<f64>,
 }
@@ -429,20 +508,23 @@ struct Pruning {
 impl Pruning {
     /// Credits `forest`'s removals in its removal order. The credits are
     /// floating-point sums taken in that order, which fixes how they
-    /// round; they count pairs inside the pruned vertex's component.
+    /// round; they count pairs inside the pruned vertex's component, whose
+    /// labels are dropped once the credits are in.
     fn credit(g: &CsrGraph, forest: &PendantForest) -> Self {
         let n = g.num_vertices();
-        let (labels, sizes) = components(g);
-        let mut omega = vec![1u64; n];
+        let comps = connected_components(g);
+        let sizes = comps.sizes();
+        let mut omega = vec![1u32; n];
         let mut corrections = vec![0.0f64; n];
         for &v in forest.order() {
             let (vu, uu) =
                 (v as usize, forest.parent(v).expect("pruned vertices have a parent") as usize);
-            let c = sizes[labels[vu] as usize] as u64;
-            corrections[uu] += 2.0 * omega[vu] as f64 * (c - omega[vu] - omega[uu]) as f64;
+            let c = sizes[comps.labels[vu] as usize] as u64;
+            let (wv, wu) = (omega[vu] as u64, omega[uu] as u64);
+            corrections[uu] += 2.0 * wv as f64 * (c - wv - wu) as f64;
             omega[uu] += omega[vu];
         }
-        Pruning { labels, sizes, omega, corrections }
+        Pruning { omega, corrections }
     }
 }
 
@@ -454,15 +536,22 @@ impl Pruning {
 /// frees before returning is: at [`ReduceLevel::Full`], one `u64`
 /// fingerprint per vertex, the twin search's sorts (one `u64` per
 /// candidate, then one 16-byte key per candidate whose fingerprint
-/// repeats) and a `u32` leader per vertex; the peel's degree copy, and at
-/// `Full` a retained-only copy of the adjacency, when something prunes;
+/// repeats) and a `u32` leader per vertex; the peel's degree copy, the
+/// component labels the credits count in, and at `Full` a retained-only
+/// copy of the adjacency, when something prunes;
 /// and two `u32` per class to count the reduced edges when something
 /// prunes or collapses.
+///
+/// # Panics
+/// On a graph of more than `2^31` vertices: a reduction stores each
+/// vertex's state in two `u32`, tagging pruned vertices in the id's top
+/// bit.
 pub fn plan(g: &CsrGraph, level: ReduceLevel) -> Result<ReducePlan<'_>, ReduceError> {
     if g.is_weighted() && level == ReduceLevel::Full {
         return Err(ReduceError::WeightedCollapse);
     }
     let n = g.num_vertices();
+    assert!(n <= PRUNED as usize, "a reduction addresses at most 2^31 vertices");
 
     // ---- Degree-1 pruning to fixpoint --------------------------------
     let forest =
@@ -605,14 +694,6 @@ impl ReducePlan<'_> {
     }
 }
 
-/// Component label and size of every vertex: pair counting must never
-/// cross components.
-fn components(g: &CsrGraph) -> (Vec<u32>, Vec<usize>) {
-    let comps = connected_components(g);
-    let sizes = comps.sizes();
-    (comps.labels, sizes)
-}
-
 /// Normalised betweenness (Eq 1) from a raw pair count on `n` vertices.
 fn closed_form(raw: f64, n: usize) -> f64 {
     let n = n as f64;
@@ -717,41 +798,34 @@ fn twin_leaders(
 
 impl ReducePlan<'_> {
     /// Builds the planned reduction: H from the class partition, relabelled,
-    /// with the per-vertex maps.
+    /// with the per-vertex maps (module docs, "Cost", for what it
+    /// allocates).
     pub fn assemble(self) -> ReducedGraph {
         let ReducePlan { g, level, pruning, forest, class_pre, kinds, stats: planned } = self;
         let n = g.num_vertices();
         let h_n = kinds.len();
-        let pruned = |v: usize| forest.is_pruned(v as Vertex);
-        let Pruning { labels: comp_labels, sizes: comp_sizes, omega, corrections } = pruning
-            .unwrap_or_else(|| {
-                let (labels, sizes) = components(g);
-                Pruning { labels, sizes, omega: vec![1; n], corrections: vec![0.0; n] }
-            });
+        let (omega, corrections) = match pruning {
+            Some(Pruning { omega, corrections }) => (Some(omega), corrections),
+            None => (None, vec![0.0; n]),
+        };
+        let omega_of = |v: usize| omega.as_ref().map_or(1, |o| o[v]);
 
-        // ---- Attachment / branch resolution ------------------------------
-        // att(v): the first retained vertex on v's parent chain. broot(v): the
-        // last pruned vertex before it (the root of v's branch).
-        let (att, broot): (Vec<u32>, Vec<u32>) = forest.branches().into_iter().unzip();
-        let mut branch_size = vec![0u32; n];
-        for v in 0..n {
-            if pruned(v) {
-                branch_size[broot[v] as usize] += 1;
+        // ---- H's adjacency, read through `g` ----------------------------
+        // The smallest member of each class (`rep`) stands for it, and
+        // `degree` counts its neighbours in H.
+        let mut adjacency = ClassAdjacency::new(g, planned.collapsed_vertices > 0, h_n);
+        let mut rep = vec![u32::MAX; h_n];
+        let mut degree = vec![0u32; h_n];
+        for v in 0..n as u32 {
+            let c = class_pre[v as usize];
+            if c != u32::MAX && rep[c as usize] == u32::MAX {
+                rep[c as usize] = v;
+                adjacency.for_each(&class_pre, c, v, |_, _| degree[c as usize] += 1);
             }
         }
 
-        // Class membership, flat: members of class c (ascending) are
-        // `class_ids[class_off[c]..class_off[c + 1]]`.
-        let (class_off, class_ids) =
-            bucket(h_n, (0..n).filter(|&v| !pruned(v)).map(|v| (class_pre[v] as usize, v as u32)));
-
-        // H in pre-relabel ids: the class map applied to the retained graph,
-        // with intra-class edges dropped — `g` itself when nothing was pruned
-        // or collapsed (the map is then the identity).
-        let pre =
-            if h_n == n { g.clone() } else { contract(g, &class_off, &class_ids, &class_pre) };
-
-        // Relabel: BFS order from the highest-degree vertex of each component
+        // ---- Relabel -----------------------------------------------------
+        // BFS order from the highest-degree vertex of each component
         // (components visited by descending root degree, ties by smaller id),
         // keeping pre-id order inside each frontier. Applied only when it
         // pays: the SPD kernel is memory-bound on *traversal-order locality* —
@@ -764,131 +838,161 @@ impl ReducePlan<'_> {
         // construction) and relabels only when the natural order is fragmented
         // (< half local). Ring-ordered and already-relabelled graphs keep
         // their ids — making the relabel idempotent — while chronological,
-        // scrambled, or cluster-interleaved layouts are rewritten. No-op for
-        // `Off`. `order` (final id -> pre id) is the inverse of `perm`.
+        // scrambled, or cluster-interleaved layouts are rewritten. Never for
+        // `Off`. The search also counts H's components. `order` (final id ->
+        // pre id) is the inverse of `perm`, which marks the classes met.
+        let mut perm = vec![u32::MAX; h_n];
         let mut order: Vec<u32> = Vec::with_capacity(h_n);
-        let mut relabel = false;
-        if level != ReduceLevel::Off {
-            let mut seen = vec![false; h_n];
-            let top = pre.max_degree();
-            let by_degree = (0..h_n).map(|z| (top - pre.degree(z as u32), z as u32));
+        let mut components = 0;
+        {
+            let top = degree.iter().copied().max().unwrap_or(0);
+            let (_, by_degree) = bucket(
+                top as usize + 1,
+                (0..h_n as u32).map(|c| ((top - degree[c as usize]) as usize, c)),
+            );
+            adjacency.reset();
             // `order` doubles as the BFS queue: `order[head..]` is the frontier.
             let mut head = 0;
-            for root in bucket(top + 1, by_degree).1 {
-                if seen[root as usize] {
+            for root in by_degree {
+                if perm[root as usize] != u32::MAX {
                     continue;
                 }
-                seen[root as usize] = true;
+                components += 1;
+                perm[root as usize] = order.len() as u32;
                 order.push(root);
                 while let Some(&z) = order.get(head) {
                     head += 1;
-                    for &w in pre.neighbors(z) {
-                        if !seen[w as usize] {
-                            seen[w as usize] = true;
-                            order.push(w);
+                    let met = order.len();
+                    adjacency.for_each(&class_pre, z, rep[z as usize], |d, _| {
+                        if perm[d as usize] == u32::MAX {
+                            perm[d as usize] = 0;
+                            order.push(d);
                         }
+                    });
+                    order[met..].sort_unstable();
+                    for (i, &d) in order.iter().enumerate().skip(met) {
+                        perm[d as usize] = i as u32;
                     }
                 }
             }
-            let local_steps = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
-            relabel = 2 * local_steps < h_n.saturating_sub(1);
         }
-        let (csr, perm) = if relabel {
-            let mut perm = vec![0u32; h_n];
-            for (new, &old) in order.iter().enumerate() {
-                perm[old as usize] = new as u32;
+        let local_steps = order.windows(2).filter(|w| w[0].abs_diff(w[1]) <= 16).count();
+        if level == ReduceLevel::Off || 2 * local_steps >= h_n.saturating_sub(1) {
+            for (z, (p, o)) in perm.iter_mut().zip(&mut order).enumerate() {
+                (*p, *o) = (z as u32, z as u32);
             }
-            // Relabelled CSR by transposition: visiting sources in final-id
-            // order and appending each to its neighbours' slices fills every
-            // slice in ascending order (H is symmetric), with no sort.
-            let (pre_off, pre_tgt) = pre.csr();
-            let pre_w = pre.weights.as_deref();
-            let mut off = vec![0u32; h_n + 1];
-            for (z, &old) in order.iter().enumerate() {
-                off[z + 1] = off[z] + pre.degrees()[old as usize];
-            }
-            let mut tgt = vec![0u32; off[h_n] as usize];
-            let mut wts = vec![0.0f64; if pre_w.is_some() { tgt.len() } else { 0 }];
-            let mut cursor = off.clone();
-            for (s, &old) in order.iter().enumerate() {
-                for i in pre_off[old as usize] as usize..pre_off[old as usize + 1] as usize {
-                    let t = perm[pre_tgt[i] as usize] as usize;
-                    let c = cursor[t] as usize;
-                    tgt[c] = s as u32;
-                    if let Some(w) = pre_w {
-                        wts[c] = w[i];
-                    }
-                    cursor[t] += 1;
-                }
-            }
-            (CsrGraph::from_sorted_parts(off, tgt, pre_w.map(|_| wts)), perm)
-        } else {
-            order = (0..h_n as u32).collect();
-            (pre, order.clone())
-        };
+        }
+        // The composed map, written over the class ids: each retained
+        // vertex's final id.
+        let mut class_final = class_pre;
+        for c in class_final.iter_mut().filter(|c| **c != u32::MAX) {
+            *c = perm[*c as usize];
+        }
+        drop(perm);
+        let kind: Box<[TwinKind]> = order.iter().map(|&c| kinds[c as usize]).collect();
+        drop(kinds);
 
-        // Per-reduced-vertex arrays (final ids), members ascending.
-        let mut mult = vec![0.0f64; h_n];
-        let mut weight = vec![0.0f64; h_n];
-        let mut sum_w2 = vec![0.0f64; h_n];
-        let mut kind = vec![TwinKind::Single; h_n];
-        let mut comp_total = vec![0.0f64; h_n];
-        let mut member_offsets = Vec::with_capacity(h_n + 1);
-        let mut member_ids = Vec::with_capacity(class_ids.len());
-        member_offsets.push(0);
-        for (z, &c) in order.iter().enumerate() {
-            let ms = &class_ids[class_off[c as usize]..class_off[c as usize + 1]];
-            kind[z] = kinds[c as usize];
-            mult[z] = ms.len() as f64;
-            comp_total[z] = comp_sizes[comp_labels[ms[0] as usize] as usize] as f64;
-            for &m in ms {
-                let w = omega[m as usize] as f64;
-                weight[z] += w;
-                sum_w2[z] += w * w;
-            }
-            member_ids.extend_from_slice(ms);
-            member_offsets.push(member_ids.len());
+        // H in final ids by transposition: visiting sources in final-id order
+        // and appending each to its neighbours' slices fills every slice in
+        // ascending order (H is symmetric), with no sort. While it fills,
+        // `off[t + 1]` is slice `t`'s cursor, which ends at its end.
+        let mut off = vec![0u32; h_n + 1];
+        for z in 1..h_n {
+            off[z + 1] = off[z] + degree[order[z - 1] as usize];
         }
-        let mut wdeg = vec![0.0f64; h_n];
-        for (z, w) in wdeg.iter_mut().enumerate() {
-            *w = csr.neighbors(z as u32).iter().map(|&u| mult[u as usize]).sum();
+        let edge_ends =
+            off[h_n] as usize + order.last().map_or(0, |&c| degree[c as usize] as usize);
+        drop(degree);
+        let mut tgt = vec![0u32; edge_ends];
+        let g_w = g.weights.as_deref();
+        let mut wts = vec![0.0f64; if g_w.is_some() { edge_ends } else { 0 }];
+        adjacency.reset();
+        for (s, &c) in order.iter().enumerate() {
+            adjacency.for_each(&class_final, s as u32, rep[c as usize], |t, i| {
+                let cursor = &mut off[t as usize + 1];
+                tgt[*cursor as usize] = s as u32;
+                if let Some(w) = g_w {
+                    wts[*cursor as usize] = w[i];
+                }
+                *cursor += 1;
+            });
+        }
+        drop((rep, order, adjacency));
+        let csr = CsrGraph::from_sorted_parts(off, tgt, g_w.map(|_| wts));
+
+        // ---- Per original vertex -----------------------------------------
+        // A pendant vertex inherits its parent's attachment and branch, and
+        // the branch a removed child of the attachment roots has its `ω`
+        // members; the removal order, reversed, meets parents first.
+        let mut state = vec![PackedState::retained(0, 1); n];
+        for (v, &h) in class_final.iter().enumerate() {
+            if h != u32::MAX {
+                state[v] = PackedState::retained(h, omega_of(v));
+            }
+        }
+        for &v in forest.order().iter().rev() {
+            let p = forest.parent(v).expect("pruned vertices have a parent");
+            state[v as usize] = if forest.is_pruned(p) {
+                state[p as usize]
+            } else {
+                PackedState::pruned(p, omega_of(v as usize))
+            };
+        }
+        drop((class_final, forest, omega));
+
+        // ---- Per reduced vertex: members (ascending), `μ` and `Ω` --------
+        let (member_offsets, member_ids) = bucket(
+            h_n,
+            state.iter().enumerate().filter_map(|(v, s)| match s.get() {
+                VertexState::Retained { h, .. } => Some((h as usize, v as u32)),
+                VertexState::Pruned { .. } => None,
+            }),
+        );
+        let omega_at = |m: u32| match state[m as usize].get() {
+            VertexState::Retained { omega, .. } => omega,
+            VertexState::Pruned { .. } => unreachable!("members are retained"),
+        };
+        let mut mult = Vec::with_capacity(h_n);
+        let mut weight = Vec::with_capacity(h_n);
+        for w in member_offsets.windows(2) {
+            let ms = &member_ids[w[0] as usize..w[1] as usize];
+            mult.push(ms.len() as f64);
+            weight.push(ms.iter().fold(0.0, |sum, &m| sum + omega_at(m) as f64));
         }
 
-        // Per-original state and row groups. Row groups number the keys
-        // `(h, ω(v))` of retained and `(att(v), branch size)` of pruned
-        // vertices in order of first appearance. `rep[v]`, the smallest vertex
-        // sharing v's key, is found per anchor (class h, or attachment) with a
-        // slot per size; sizes are at most n.
-        let mut state = vec![VertexState::Retained { h: 0, omega: 1 }; n];
-        let mut rep: Vec<u32> = (0..n as u32).collect();
-        let mut slot = vec![u32::MAX; n + 1];
-        let mut first_by_size = |off: &[usize], ids: &[u32], size: &dyn Fn(u32) -> usize| {
-            for group in off.windows(2).map(|w| &ids[w[0]..w[1]]) {
-                for &v in group {
-                    let s = &mut slot[size(v)];
-                    if *s == u32::MAX {
-                        *s = v;
-                    }
-                    rep[v as usize] = *s;
-                }
-                for &v in group {
-                    slot[size(v)] = u32::MAX;
+        // ---- Row groups --------------------------------------------------
+        // Row groups number the keys `(h, ω(v))` of retained and
+        // `(att(v), branch size)` of pruned vertices in order of first
+        // appearance. `row_group[v]` first holds the smallest vertex sharing
+        // v's key, then, ascending, becomes that vertex's group.
+        let mut row_group: Vec<u32> = (0..n as u32).collect();
+        let mut first_of_each_key = |by_key: &mut [(u32, u32, u32)]| {
+            by_key.sort_unstable();
+            for run in by_key.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                for &(_, _, v) in run {
+                    row_group[v as usize] = run[0].2;
                 }
             }
         };
-        first_by_size(&member_offsets, &member_ids, &|v| omega[v as usize] as usize);
-        let (att_off, att_ids) =
-            bucket(n, (0..n).filter(|&v| pruned(v)).map(|v| (att[v] as usize, v as u32)));
-        first_by_size(&att_off, &att_ids, &|v| branch_size[broot[v as usize] as usize] as usize);
-        let mut row_group = vec![0u32; n];
+        let mut by_key = Vec::new();
+        for (z, w) in member_offsets.windows(2).enumerate() {
+            let ms = &member_ids[w[0] as usize..w[1] as usize];
+            if ms.len() > 1 {
+                by_key.clear();
+                by_key.extend(ms.iter().map(|&m| (z as u32, omega_at(m), m)));
+                first_of_each_key(&mut by_key);
+            }
+        }
+        let mut by_key = Vec::with_capacity(planned.pruned_vertices);
+        by_key.extend(state.iter().enumerate().filter_map(|(v, s)| match s.get() {
+            VertexState::Pruned { att, branch } => Some((att, branch, v as u32)),
+            VertexState::Retained { .. } => None,
+        }));
+        first_of_each_key(&mut by_key);
+        drop(by_key);
         let mut groups = 0u32;
         for v in 0..n {
-            state[v] = if pruned(v) {
-                VertexState::Pruned { att: att[v], branch: branch_size[broot[v] as usize] }
-            } else {
-                VertexState::Retained { h: perm[class_pre[v] as usize], omega: omega[v] as u32 }
-            };
-            let r = rep[v] as usize;
+            let r = row_group[v] as usize;
             row_group[v] = if r == v {
                 groups += 1;
                 groups - 1
@@ -897,11 +1001,12 @@ impl ReducePlan<'_> {
             };
         }
 
+        let retained = member_ids.len();
         let stats = ReduceStats {
             orig_vertices: n,
             orig_edges: g.num_edges(),
-            pruned_vertices: n - class_ids.len(),
-            collapsed_vertices: class_ids.len() - h_n,
+            pruned_vertices: n - retained,
+            collapsed_vertices: retained - h_n,
             reduced_vertices: h_n,
             reduced_edges: csr.num_edges(),
         };
@@ -912,10 +1017,8 @@ impl ReducePlan<'_> {
             orig_n: n,
             mult: mult.into_boxed_slice(),
             weight: weight.into_boxed_slice(),
-            sum_w2: sum_w2.into_boxed_slice(),
-            wdeg: wdeg.into_boxed_slice(),
-            kind: kind.into_boxed_slice(),
-            comp_total: comp_total.into_boxed_slice(),
+            kind,
+            connected: components <= 1,
             member_offsets: member_offsets.into_boxed_slice(),
             member_ids: member_ids.into_boxed_slice(),
             state: state.into_boxed_slice(),
@@ -926,76 +1029,73 @@ impl ReducePlan<'_> {
     }
 }
 
-/// Contracts `base` onto groups: vertex `s` of the result stands for the
-/// base vertices `ids[offsets[s]..offsets[s + 1]]`, and is adjacent to `t`
-/// when one of them has a base neighbour `x` with `map[x] == t != s`
-/// (`u32::MAX` drops `x`). Duplicate edges keep the first weight met.
-///
-/// Built by transposition, in two passes over the base adjacency and no
-/// sort: visiting sources in ascending order and appending `s` to each
-/// neighbour's slice fills every slice in ascending order, and the repeats
-/// one source produces arrive back to back, so `last` drops them.
-fn contract(base: &CsrGraph, offsets: &[usize], ids: &[Vertex], map: &[u32]) -> CsrGraph {
-    let n = offsets.len() - 1;
-    let (base_off, base_tgt) = base.csr();
-    let base_w = base.weights.as_deref();
-    let mut off = vec![0u32; n + 1];
-    let (mut tgt, mut wts, mut cursor) = (Vec::new(), Vec::new(), Vec::new());
-    // Pass 0 counts each slice, pass 1 fills it.
-    for pass in 0..2 {
-        if pass == 1 {
-            for t in 0..n {
-                off[t + 1] += off[t];
+/// H's adjacency read through `g`, so that H is never materialised in
+/// pre-relabel ids. Members of a class share their neighbourhood outside it
+/// (twins are interchangeable), so the distinct classes around any one
+/// member are the class's neighbours in H.
+struct ClassAdjacency<'g> {
+    off: &'g [u32],
+    tgt: &'g [Vertex],
+    /// `stamp[d] == c`: class `d` was already met around class `c`. Empty
+    /// when no class has two members: distinct neighbours are then distinct
+    /// classes.
+    stamp: Vec<u32>,
+}
+
+impl<'g> ClassAdjacency<'g> {
+    fn new(g: &'g CsrGraph, collapsed: bool, classes: usize) -> Self {
+        let (off, tgt) = g.csr();
+        ClassAdjacency { off, tgt, stamp: vec![u32::MAX; if collapsed { classes } else { 0 }] }
+    }
+
+    /// Forgets the classes met, before a pass that numbers them afresh.
+    fn reset(&mut self) {
+        self.stamp.fill(u32::MAX);
+    }
+
+    /// Calls `f(d, i)` once for each class `d` of H adjacent to class `c`,
+    /// found around its member `member`: `map` sends the neighbour
+    /// `tgt[i]` to `d` (`u32::MAX` for a pruned vertex). Each class is
+    /// visited at most once per pass.
+    #[inline]
+    fn for_each(&mut self, map: &[u32], c: u32, member: Vertex, mut f: impl FnMut(u32, usize)) {
+        let m = member as usize;
+        for i in self.off[m] as usize..self.off[m + 1] as usize {
+            let d = map[self.tgt[i] as usize];
+            if d == u32::MAX || d == c {
+                continue;
             }
-            tgt = vec![0u32; off[n] as usize];
-            wts = vec![0.0f64; if base_w.is_some() { tgt.len() } else { 0 }];
-            cursor = off.clone();
-        }
-        let mut last = vec![u32::MAX; n];
-        for s in 0..n {
-            for &x in &ids[offsets[s]..offsets[s + 1]] {
-                for i in base_off[x as usize] as usize..base_off[x as usize + 1] as usize {
-                    let t = map[base_tgt[i] as usize] as usize;
-                    if t == u32::MAX as usize || t == s || last[t] == s as u32 {
-                        continue;
-                    }
-                    last[t] = s as u32;
-                    if pass == 0 {
-                        off[t + 1] += 1;
-                    } else {
-                        let c = cursor[t] as usize;
-                        tgt[c] = s as u32;
-                        if let Some(w) = base_w {
-                            wts[c] = w[i];
-                        }
-                        cursor[t] += 1;
-                    }
+            if let Some(stamp) = self.stamp.get_mut(d as usize) {
+                if *stamp == c {
+                    continue;
                 }
+                *stamp = c;
             }
+            f(d, i);
         }
     }
-    CsrGraph::from_sorted_parts(off, tgt, base_w.map(|_| wts))
 }
 
 /// Counting sort of `(bucket, id)` pairs into `buckets` flat lists, each
 /// keeping its ids in arrival order: bucket `b` is
-/// `ids[offsets[b]..offsets[b + 1]]`.
+/// `ids[offsets[b]..offsets[b + 1]]`. While the ids go in, `offsets[b + 1]`
+/// is bucket `b`'s cursor, which ends at its end.
 fn bucket(
     buckets: usize,
     pairs: impl Iterator<Item = (usize, u32)> + Clone,
-) -> (Vec<usize>, Vec<u32>) {
-    let mut offsets = vec![0usize; buckets + 1];
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; buckets + 1];
     for (b, _) in pairs.clone() {
         offsets[b + 1] += 1;
     }
-    for b in 0..buckets {
-        offsets[b + 1] += offsets[b];
+    let mut start = 0;
+    for count in &mut offsets[1..] {
+        (*count, start) = (start, start + *count);
     }
-    let mut ids = vec![0u32; offsets[buckets]];
-    let mut cursor = offsets.clone();
+    let mut ids = vec![0u32; start as usize];
     for (b, id) in pairs {
-        ids[cursor[b]] = id;
-        cursor[b] += 1;
+        ids[offsets[b + 1] as usize] = id;
+        offsets[b + 1] += 1;
     }
     (offsets, ids)
 }

@@ -4,7 +4,7 @@
 use mhbc_core::checkpoint::{self, CheckpointKind};
 use mhbc_core::engine::CheckpointSink;
 use mhbc_core::planner::{plan_single_view, refit_plan, MuSource};
-use mhbc_core::schedule::{run_probe_schedule, ScheduleConfig};
+use mhbc_core::schedule::{run_probe_schedule_with_prefetch, ScheduleConfig};
 use mhbc_core::{
     pipeline, AdaptiveReport, EngineConfig, JointSpaceConfig, JointSpaceSampler, PrefetchConfig,
     SingleSpaceConfig, StopReason, StoppingRule,
@@ -636,7 +636,8 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     target: StoppingRule::TargetStderr { epsilon, delta: adaptive.target_delta },
                     seed: *seed,
                 };
-                let sched = run_probe_schedule(view, &probes, cfg).map_err(|e| e.to_string())?;
+                let sched = run_probe_schedule_with_prefetch(view, &probes, cfg, &prefetch)
+                    .map_err(|e| e.to_string())?;
                 out.push(format!(
                     "adaptive ranking by estimated BC (target se {epsilon}, budget {budget}, \
                      spent {}, {} scheduling rounds):",
@@ -1549,6 +1550,13 @@ mod tests {
         let pos9 = out.iter().position(|l| l.trim_start().starts_with("9 ")).unwrap();
         let pos11 = out.iter().position(|l| l.trim_start().starts_with("11 ")).unwrap();
         assert!(pos9 < pos11);
+
+        // --threads prefetches each segment's rows and prints the same.
+        let mut threaded = cmd.clone();
+        if let Command::Rank { threads, .. } = &mut threaded {
+            *threads = 2;
+        }
+        assert_eq!(execute(&threaded, &lcc, &map).unwrap(), out);
 
         // Adaptive rank refuses --checkpoint loudly instead of silently
         // dropping it.
